@@ -1,9 +1,11 @@
 """Command-line surface.
 
 Exit codes separate operational failures from mathematical ones: 0 success,
-1 usage or resource errors, 2 the two regularity routes disagreed, 3 a
-falsifiable conjecture check failed.  A CI wrapper can therefore tell a bug
-from a discovery.
+1 usage or resource errors (including a companion permutation outside the
+supported search), 2 the two regularity routes disagreed, 3 a falsifiable
+conjecture check failed, 4 an internal invariant failed (a bug in the
+pipeline, never a property of the input).  A CI wrapper can therefore tell a
+bug from a discovery.  Every failure prints one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .reg import (
     max_reg_scan,
     regularity,
 )
-from .shapes import NotCovexillaryError, rank_filling
+from .shapes import CompanionSearchError
 
 
 class _UsageError(Exception):
@@ -58,7 +60,6 @@ def _build_parser() -> _Parser:
         help="also print the Hilbert function up to this degree (runs the pipeline)",
     )
     analyze.add_argument("--with-kl", action="store_true", help="include deg P_{v,w}")
-    analyze.add_argument("--mode", default="full", choices=("full", "essential"))
     analyze.add_argument("--budget-ms", type=int, default=None)
 
     scan = sub.add_parser("scan", help="max regularity over all Bruhat pairs of S_n")
@@ -84,7 +85,6 @@ def _build_parser() -> _Parser:
     )
     verify.add_argument("--v", required=True)
     verify.add_argument("--w", required=True)
-    verify.add_argument("--mode", default="full", choices=("full", "essential"))
     verify.add_argument("--budget-ms", type=int, default=None)
     verify.add_argument("--json", action="store_true")
 
@@ -92,7 +92,6 @@ def _build_parser() -> _Parser:
     export.add_argument("--v", required=True)
     export.add_argument("--w", required=True)
     export.add_argument("-o", "--output", required=True)
-    export.add_argument("--mode", default="full", choices=("full", "essential"))
     return parser
 
 
@@ -142,7 +141,6 @@ def _cmd_analyze(args, out) -> int:
         method=args.method,
         verify=args.verify,
         with_kl=args.with_kl,
-        mode=args.mode,
         budget_ms=budget,
     )
     ps_payload = None
@@ -151,7 +149,7 @@ def _cmd_analyze(args, out) -> int:
             raise _UsageError("--ps-order: must be nonnegative")
         H = report.H
         if H is None:
-            hd = hilbert_data(v, w, mode=args.mode, budget_ms=budget)
+            hd = hilbert_data(v, w, budget_ms=budget)
             H = hd.H
         coeffs = H.series_coefficients(report.dim, args.ps_order)
         ps_payload = {"ps_coeffs": coeffs, "multiplicity": int(H.evaluate(1))}
@@ -292,7 +290,6 @@ def _cmd_verify(args, out) -> int:
         method="both" if cov else "groebner",
         with_kl=cov,
         checks="all",
-        mode=args.mode,
         budget_ms=budget,
     )
     finalps = None
@@ -334,7 +331,7 @@ def _cmd_export_m2(args, out) -> int:
     v = _parse_perm(args.v, "--v")
     w = _parse_perm(args.w, "--w")
     try:
-        text = write_m2_script(v, w, args.output, mode=args.mode)
+        text = write_m2_script(v, w, args.output)
     except OSError as exc:
         raise _UsageError("-o: cannot write %s (%s)" % (args.output, exc)) from exc
     out.write("wrote %s (%d lines)\n" % (args.output, text.count("\n")))
@@ -356,18 +353,14 @@ def entry(argv=None, out=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out)
-    except _UsageError as exc:
+    except (
+        _UsageError, ValueError, ResourceBudgetExceeded, CompanionSearchError
+    ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except NotCovexillaryError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except ResourceBudgetExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    except RuntimeError as exc:
+        print("error: internal invariant failed: %s" % exc, file=sys.stderr)
+        return 4
 
 
 def main():  # console_scripts hook

@@ -538,12 +538,10 @@ class HilbertData:
     elapsed_ms: float
 
 
-def hilbert_data(
-    v: Permutation, w: Permutation, mode: str = "full", budget_ms=None
-) -> HilbertData:
+def hilbert_data(v: Permutation, w: Permutation, budget_ms=None) -> HilbertData:
     """Tangent-cone Hilbert data of the chart of X_w attached to v."""
     start = time.monotonic()
-    chart_ideal = kl_generators(v, w, mode)
+    chart_ideal = kl_generators(v, w)
     n_vars = chart_ideal.ring.nvars
     expected_dim = length(w) - length(v)
     expected_height = comb(w.n, 2) - length(w)

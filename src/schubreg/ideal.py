@@ -8,7 +8,9 @@ boxes of v, so there are C(n,2) - length(v) of them.
 
 The chart of the Schubert variety of w inside is cut out by the minors of
 size r_w(s, t) + 1 of every southwest s x t corner, where r_w(s, t) counts
-{h <= t : w(h) >= n - s + 1}.
+{h <= t : w(h) >= n - s + 1}.  By Fulton's essential-set theorem (Fulton
+1992) the corners at the essential set of w already generate that ideal, so
+those are the only corners imposed.
 """
 
 from __future__ import annotations
@@ -258,48 +260,31 @@ def _minors_for_conditions(matrix: GenericMatrix, conditions) -> list[MultiPoly]
     return out
 
 
-def kl_generators(v: Permutation, w: Permutation, mode: str = "full") -> Ideal:
-    """Rank-condition generators for the chart of X_w attached to v <= w.
+def _essential_conditions(w: Permutation) -> list[tuple[int, int, int]]:
+    """(s, t, rank) of the southwest corners at the essential set of w."""
+    n = w.n
+    return [(n - i + 1, j, sw_rank(w, i, j)) for (i, j) in sorted(essential_set(w))]
 
-    mode="full" imposes every southwest corner condition; mode="essential"
-    keeps only the corners coming from the essential set of w.
-    """
+
+def kl_generators(v: Permutation, w: Permutation) -> Ideal:
+    """Rank-condition generators for the chart of X_w attached to v <= w."""
     if v.n != w.n:
         raise ValueError("v and w must live in the same symmetric group")
     if not bruhat_leq(v, w):
         raise ValueError("%s is not below %s in Bruhat order" % (v, w))
-    if mode not in ("full", "essential"):
-        raise ValueError("unknown mode %r" % mode)
-    n = w.n
     matrix = generic_matrix(v)
-    if mode == "full":
-        conditions = [
-            (s, t, sw_rank(w, n - s + 1, t))
-            for s in range(1, n + 1)
-            for t in range(1, n + 1)
-        ]
-    else:
-        conditions = [
-            (n - i + 1, j, sw_rank(w, i, j)) for (i, j) in sorted(essential_set(w))
-        ]
-    gens = _minors_for_conditions(matrix, conditions)
+    gens = _minors_for_conditions(matrix, _essential_conditions(w))
     return Ideal(
         matrix.ring,
         tuple(gens),
-        provenance="rank-conditions(%s; v=%s, w=%s)" % (mode, v, w),
+        provenance="rank-conditions(v=%s, w=%s)" % (v, w),
     )
 
 
 def schubert_determinantal_generators(w: Permutation) -> Ideal:
     """The one-variety rank ideal of w over a fully generic matrix."""
-    n = w.n
-    matrix = full_generic_matrix(n)
-    conditions = [
-        (s, t, sw_rank(w, n - s + 1, t))
-        for s in range(1, n + 1)
-        for t in range(1, n + 1)
-    ]
-    gens = _minors_for_conditions(matrix, conditions)
+    matrix = full_generic_matrix(w.n)
+    gens = _minors_for_conditions(matrix, _essential_conditions(w))
     return Ideal(matrix.ring, tuple(gens), provenance="rank-conditions(matrix; w=%s)" % w)
 
 

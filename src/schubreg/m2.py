@@ -23,13 +23,13 @@ def _m2ify(text: str) -> str:
     return _VAR.sub(r"z_(\1,\2)", text)
 
 
-def m2_script(v: Permutation, w: Permutation, mode: str = "full") -> str:
+def m2_script(v: Permutation, w: Permutation) -> str:
     """A standalone Macaulay2 script checking the chart of (v, w)."""
-    chart_ideal = kl_generators(v, w, mode)
+    chart_ideal = kl_generators(v, w)
     ring = chart_ideal.ring
     lines = [
         "-- schubreg %s cross-check script" % __version__,
-        "-- chart pair: v=%s w=%s (mode %s)" % (v, w, mode),
+        "-- chart pair: v=%s w=%s" % (v, w),
         "-- expected: dim %d, codim %d in %d variables"
         % (length(w) - length(v), free_cell_count(v) - (length(w) - length(v)), ring.nvars),
     ]
@@ -70,8 +70,8 @@ def m2_script(v: Permutation, w: Permutation, mode: str = "full") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_m2_script(v: Permutation, w: Permutation, path, mode: str = "full") -> str:
-    text = m2_script(v, w, mode)
+def write_m2_script(v: Permutation, w: Permutation, path) -> str:
+    text = m2_script(v, w)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
     return text

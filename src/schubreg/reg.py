@@ -184,7 +184,6 @@ def regularity(
     verify: bool = False,
     with_kl: bool = False,
     checks=(),
-    mode: str = "full",
     budget_ms=None,
 ) -> RegularityReport:
     """Regularity of the tangent cone of the chart of X_w attached to v.
@@ -214,7 +213,7 @@ def regularity(
     hd = None
     groebner_reg = None
     if method in ("groebner", "both"):
-        hd = hilbert_data(v, w, mode=mode, budget_ms=budget_ms)
+        hd = hilbert_data(v, w, budget_ms=budget_ms)
         groebner_reg = int(hd.H.degree())
 
     discrepant = (
@@ -536,10 +535,11 @@ def max_reg_scan(
     """Scan all Bruhat pairs of S_n for the largest tangent-cone regularity.
 
     Covexillary w go through the tableau rule; everything else runs the
-    Groebner pipeline under the budget.  Pairs already present in the cache
-    file are reused verbatim, so a rerun is free and the reported summary is
-    reproducible.  A budget overrun marks the scan partial and the reported
-    max is only a lower bound.
+    Groebner pipeline under the budget.  A pair's last record in the cache
+    file is reused verbatim when it has no error and carries every requested
+    check, so a rerun is free and the reported summary is reproducible;
+    any other pair is recomputed and appended.  A budget overrun marks the
+    scan partial and the reported max is only a lower bound.
     """
     pairs = scan_pairs(n, restrict)
     cached = {}
@@ -557,6 +557,12 @@ def max_reg_scan(
                     cached[(record.v, record.w)] = record
         except FileNotFoundError:
             pass
+    wanted = ALL_CHECKS if checks == "all" else tuple(checks)
+    cached = {
+        key: record
+        for key, record in cached.items()
+        if record.error is None and all(name in record.conjectures for name in wanted)
+    }
 
     todo = [(v, w) for (v, w) in pairs if (str(v), str(w)) not in cached]
     fresh = {}
@@ -565,7 +571,7 @@ def max_reg_scan(
         if workers > 1 and todo:
             from multiprocessing import Pool
 
-            payloads = [(str(v), str(w), tuple(checks), budget_ms) for (v, w) in todo]
+            payloads = [(str(v), str(w), wanted, budget_ms) for (v, w) in todo]
             with Pool(workers) as pool:
                 for record in pool.imap(_scan_worker, payloads, chunksize=4):
                     fresh[(record.v, record.w)] = record

@@ -1,8 +1,9 @@
 """Command-line surface: subcommands, exit codes, JSON schemas.
 
 Exit codes 0 and 1 are exercised on real inputs.  Codes 2 (route
-disagreement) and 3 (falsified conjecture) never occur on honest data, so
-those paths are checked by stubbing the backend and confirming the wiring.
+disagreement), 3 (falsified conjecture) and 4 (internal invariant failed)
+never occur on honest data, so those paths are checked by stubbing the
+backend and confirming the wiring.
 """
 
 import io
@@ -11,6 +12,7 @@ import json
 import pytest
 
 import schubreg.cli as cli
+import schubreg.reg
 from schubreg.cli import entry
 from schubreg.perm import Permutation
 from schubreg.reg import ScanResult, regularity
@@ -107,6 +109,27 @@ def test_usage_and_math_errors_exit_1(capsys):
         assert err.startswith("error:") and fragment in err, argv
 
 
+def test_companion_search_beyond_s9_exits_1(capsys):
+    code, _ = run(
+        ["analyze", "--v", "2,1,3,4,5,6,7,8,9,10", "--w", "3,1,2,6,5,4,10,7,9,8"]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "S_9" in err
+
+
+def test_exit_4_when_an_internal_invariant_fails(monkeypatch, capsys):
+    def broken(v, w, *args, **kwargs):
+        raise RuntimeError("height mismatch for (%s, %s): 3 vs 4" % (v, w))
+
+    monkeypatch.setattr(schubreg.reg, "hilbert_data", broken)
+    code, _ = run(["analyze", "--v", "1234", "--w", "3412"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "error: internal invariant failed: height mismatch for (1234, 3412): 3 vs 4\n"
+
+
 def test_budget_flag_and_environment(capsys, monkeypatch):
     slow = ["analyze", "--v", GOLDEN[0], "--w", GOLDEN[1], "--method", "groebner"]
     code, _ = run(slow + ["--budget-ms", "0"])
@@ -171,6 +194,15 @@ def test_scan_cache_file_roundtrip(tmp_path):
     assert code == 0
     assert second == first
     assert cache.read_bytes() == blob
+
+
+def test_scan_cache_serves_only_the_checks_it_ran(tmp_path):
+    cache = str(tmp_path / "s4.jsonl")
+    assert run(["scan", "--n", "4", "--cache", cache])[0] == 0
+    code, text = run(["scan", "--n", "4", "--cache", cache, "--checks", "all"])
+    assert code == 0
+    tally = [line for line in text.splitlines() if line.startswith("check h-nonneg")]
+    assert tally[0].split()[2:] == ["pass=213", "fail=0", "not-checkable=0"]
 
 
 def test_groth_text_report():

@@ -218,41 +218,3 @@ def test_s_polynomial_cancels_leading_terms():
             assert s[0][0] < lcm_key
             assert _content_is_one(s)
 
-
-def test_python_and_active_kernel_agree():
-    from schubreg.kernel import _pykernel
-
-    r = rng(310)
-    pack = OrderPack(3)
-    for _ in range(60):
-        f = _random_terms(r, pack, nterms=6)
-        gens = []
-        for _ in range(r.randint(1, 3)):
-            g = _random_terms(r, pack, nterms=3)
-            if g:
-                gens.append(g)
-        if not f or not gens:
-            continue
-        gens.sort(key=lambda t: t[0][0])
-        prepared = [(t[0][0], t[0][1], t[0][2], t[1:]) for t in gens]
-        a = _pykernel.normal_form(
-            [tuple(t) for t in f], prepared, pack.corr, pack.hmask
-        )
-        b = kernel.normal_form(
-            [tuple(t) for t in f], prepared, pack.corr, pack.hmask
-        )
-        assert a == b
-        sa = _pykernel.s_polynomial(gens[0], gens[-1], pack)
-        sb = kernel.s_polynomial(gens[0], gens[-1], pack)
-        assert sa == sb
-
-
-def test_set_implementation_round_trip():
-    name = kernel.implementation_name()
-    assert name in ("python", "cython")
-    old = kernel.set_implementation("python")
-    assert kernel.implementation_name() == "python"
-    kernel.set_implementation(old)
-    assert kernel.implementation_name() == name
-    with pytest.raises(ValueError):
-        kernel.set_implementation("fortran")

@@ -268,7 +268,26 @@ def test_scan_record_round_trip():
 def test_kernel_version_shape():
     name = kernel_version()
     assert name.startswith("schubreg-")
-    assert name.rsplit("-", 1)[1] in ("python", "cython")
+    assert name.endswith("-python")
+
+
+def test_cache_written_by_the_compiled_kernel_still_loads(tmp_path):
+    # Caches from releases that shipped a compiled kernel say "-cython".
+    cache = tmp_path / "s3.jsonl"
+    first = max_reg_scan(3, cache_path=str(cache))
+    lines = []
+    for line in cache.read_text().splitlines():
+        data = json.loads(line)
+        data["kernel"] = "schubreg-0.1.0-cython"
+        lines.append(json.dumps(data, sort_keys=True) + "\n")
+    cache.write_text("".join(lines))
+    assert ScanRecord.from_json_line(lines[0]).kernel == "schubreg-0.1.0-cython"
+    again = max_reg_scan(3, cache_path=str(cache))
+    assert cache.read_text() == "".join(lines)  # nothing recomputed
+    assert {r.kernel for r in again.records} == {"schubreg-0.1.0-cython"}
+    assert [stable_fields(r) | {"kernel": None} for r in again.records] == [
+        stable_fields(r) | {"kernel": None} for r in first.records
+    ]
 
 
 def test_max_reg_scan_small():
@@ -325,6 +344,40 @@ def test_max_reg_scan_workers_agree():
     assert [stable_fields(r) for r in serial.records] == [
         stable_fields(r) for r in parallel.records
     ]
+    # checks="all" must reach the workers as check names
+    serial = max_reg_scan(3, checks="all")
+    parallel = max_reg_scan(3, checks="all", workers=2)
+    assert [stable_fields(r) for r in serial.records] == [
+        stable_fields(r) for r in parallel.records
+    ]
+
+
+def test_max_reg_scan_cache_retries_budget_errors(tmp_path):
+    cache = str(tmp_path / "scan4.jsonl")
+    assert max_reg_scan(4, budget_ms=0, cache_path=cache).partial
+    rerun = max_reg_scan(4, cache_path=cache)
+    assert rerun.complete and rerun.max_reg == 1
+    assert all(r.error is None for r in rerun.records)
+    # the retried records were appended, and the last line wins on reload
+    final = max_reg_scan(4, cache_path=cache)
+    assert final.complete
+    assert [stable_fields(r) for r in final.records] == [
+        stable_fields(r) for r in rerun.records
+    ]
+
+
+def test_max_reg_scan_cache_recomputes_records_missing_checks(tmp_path):
+    cache = str(tmp_path / "scan3.jsonl")
+    plain = max_reg_scan(3, cache_path=cache)
+    assert all(r.conjectures == {} for r in plain.records)
+    checked = max_reg_scan(3, checks=("h-nonneg",), cache_path=cache)
+    assert all(r.conjectures == {"h-nonneg": "pass"} for r in checked.records)
+    # records that carry the check now serve a plain rerun unchanged
+    with open(cache, "rb") as fh:
+        blob = fh.read()
+    max_reg_scan(3, cache_path=cache)
+    with open(cache, "rb") as fh:
+        assert fh.read() == blob
 
 
 def test_max_reg_scan_budget_partial():
