@@ -1,5 +1,8 @@
 """Groebner bases, tangent cones and Hilbert series over the chart rings.
 
+Bases are computed under grevlex, or under grevlex_t (t-heavy) for
+homogenized ideals.
+
 The Buchberger loop uses the normal selection strategy keyed by sugar degree,
 the product and chain criteria in Gebauer-Moeller form, and fraction-free
 integer arithmetic.  Reduced bases normalize every element to content 1 with
@@ -20,48 +23,41 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, inf
+from functools import cached_property, lru_cache
+from math import comb, inf, lcm
 
 from . import kernel
 from .ideal import Ideal, kl_generators
-from .kernel.orders import OrderPack, divides, raw_lcm
-from .perm import Permutation, free_cell_count, length
+from .kernel.orders import FIELD, SHIFT, OrderPack, divides, raw_lcm
+from .perm import Permutation, length
 from .poly import MultiPoly, PolyRing, UniPoly
 
 
 class ResourceBudgetExceeded(RuntimeError):
-    """A Groebner computation ran past its time or pair budget."""
+    """A Groebner computation ran past its time budget."""
 
 
 @dataclass(frozen=True, slots=True)
 class MonomialOrder:
-    """kind in {grevlex, lex, grevlex_t}; priority permutes variables."""
+    """kind in {grevlex, grevlex_t}; grevlex_t puts t first (variable 0)."""
 
     kind: str = "grevlex"
-    priority: tuple[int, ...] | None = None
 
     def pack_for(self, nvars: int) -> OrderPack:
-        return _pack_cache(nvars, self.kind, self.priority)
+        return _pack_cache(nvars, self.kind)
 
 
 GREVLEX = MonomialOrder()
-LEX = MonomialOrder("lex")
+GREVLEX_T = MonomialOrder("grevlex_t")
 
 
-@lru_cache(maxsize=None)
-def _pack_cache(nvars, kind, priority):
-    return OrderPack(nvars, kind, priority)
-
-
-def _lcm_int(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+_pack_cache = lru_cache(maxsize=None)(OrderPack)
 
 
 def _to_kernel(f: MultiPoly, pack: OrderPack):
     denom = 1
     for c in f.terms.values():
-        denom = _lcm_int(denom, c.denominator)
+        denom = lcm(denom, c.denominator)
     terms = [
         (pack.key_from_exps(e), pack.pack(e), int(c * denom))
         for e, c in f.terms.items()
@@ -88,10 +84,9 @@ def _sugar(terms, pack: OrderPack) -> int:
 
 
 class _Deadline:
-    __slots__ = ("at", "budget_ms")
+    __slots__ = ("at",)
 
     def __init__(self, budget_ms):
-        self.budget_ms = budget_ms
         self.at = (
             time.monotonic() + budget_ms / 1000.0
             if budget_ms is not None
@@ -99,13 +94,19 @@ class _Deadline:
         )
 
     def check(self, what: str):
+        # no figure in the message: a nested step gets only what remains of
+        # the caller's budget, which is not the budget the caller set
         if self.at is not None and time.monotonic() > self.at:
-            raise ResourceBudgetExceeded(
-                "%s exceeded the %d ms budget" % (what, self.budget_ms)
-            )
+            raise ResourceBudgetExceeded("%s ran past the time budget" % what)
+
+    def remaining_ms(self):
+        """The budget left for a nested step; None when unbounded."""
+        if self.at is None:
+            return None
+        return max(0.0, (self.at - time.monotonic()) * 1000.0)
 
 
-def _buchberger_terms(kgens, pack: OrderPack, budget_ms=None, max_pairs=None):
+def _buchberger_terms(kgens, pack: OrderPack, budget_ms=None):
     """Core loop over kernel term lists; returns (reduced term lists, stats)."""
     deadline = _Deadline(budget_ms)
     basis = []  # term lists
@@ -130,7 +131,6 @@ def _buchberger_terms(kgens, pack: OrderPack, budget_ms=None, max_pairs=None):
         """Gebauer-Moeller pair update for one accepted element."""
         t = len(basis)
         lmf = new_terms[0][1]
-        lmf_deg = pack.degree_of_raw(lmf)
         lcmf = [raw_lcm(basis[i][0][1], lmf, hmask) for i in range(t)]
         survivors = []
         for i in range(t):
@@ -178,10 +178,6 @@ def _buchberger_terms(kgens, pack: OrderPack, budget_ms=None, max_pairs=None):
 
     while pairs:
         deadline.check("pair processing")
-        if max_pairs is not None and stats["pairs_processed"] >= max_pairs:
-            raise ResourceBudgetExceeded(
-                "pair budget of %d exhausted" % max_pairs
-            )
         (i, j) = min(
             pairs, key=lambda ij: (pairs[ij][0], pairs[ij][1], ij[1], ij[0])
         )
@@ -223,48 +219,43 @@ def _reduce_basis(term_lists, pack: OrderPack):
 
 @dataclass
 class GroebnerBasis:
-    """A reduced basis; elements are content-free with positive lead."""
+    """A reduced basis as kernel term lists; `elements` unpacks them lazily."""
 
     ring: PolyRing
     order: MonomialOrder
-    elements: tuple[MultiPoly, ...]
+    _terms: list = field(repr=False)
     stats: dict = field(default_factory=dict, repr=False)
-    _terms: list = field(default=None, repr=False)
-    _pack: OrderPack = field(default=None, repr=False)
-    _reducers: list = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.ring.nvars and self._pack is None:
-            self._pack = self.order.pack_for(self.ring.nvars)
-        if self._terms is None:
-            self._terms = (
-                [_to_kernel(g, self._pack) for g in self.elements]
-                if self.ring.nvars
-                else []
-            )
-        if self._reducers is None:
-            self._reducers = _prepare(self._terms)
+    @cached_property
+    def _pack(self) -> OrderPack:
+        return self.order.pack_for(self.ring.nvars)
+
+    @cached_property
+    def _reducers(self):
+        return _prepare(self._terms)
+
+    @cached_property
+    def elements(self) -> tuple[MultiPoly, ...]:
+        return tuple(_from_kernel(terms, self._pack, self.ring) for terms in self._terms)
 
     def normal_form(self, f: MultiPoly) -> MultiPoly:
         """Canonical remainder (content-free, positive leading coefficient)."""
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
-        if f.is_zero() or not self.ring.nvars:
-            return f
         terms = _to_kernel(f, self._pack)
         reduced = kernel.normal_form(terms, self._reducers, self._pack.corr, self._pack.hmask)
         return _from_kernel(reduced, self._pack, self.ring)
 
     def contains(self, f: MultiPoly) -> bool:
-        if not self.ring.nvars:
-            return bool(self.elements) or f.is_zero()
         return self.normal_form(f).is_zero()
 
     def leading_exponents(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self._pack.unpack(terms[0][1]) for terms in self._terms)
 
     def is_homogeneous(self) -> bool:
-        return all(g.is_homogeneous() for g in self.elements)
+        # graded order: the first term has the top degree, the last the lowest
+        degree = self._pack.key_degree
+        return all(degree(terms[0][0]) == degree(terms[-1][0]) for terms in self._terms)
 
     def check_certificate(self, budget_ms=None) -> bool:
         """Directly verify that every S-pair reduces to zero."""
@@ -281,38 +272,16 @@ class GroebnerBasis:
         return True
 
 
-def buchberger(
-    ideal: Ideal,
-    order: MonomialOrder = GREVLEX,
-    budget_ms=None,
-    max_pairs=None,
-) -> GroebnerBasis:
+def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX, budget_ms=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order."""
-    ring = ideal.ring
-    gens = [g for g in ideal.generators if not g.is_zero()]
-    if ring.nvars == 0:
-        elements = (ring.one(),) if gens else ()
-        return GroebnerBasis(ring, order, elements, {"basis_size": len(elements)})
-    if not gens:
-        return GroebnerBasis(ring, order, (), {"basis_size": 0})
-    pack = order.pack_for(ring.nvars)
-    kgens = [_to_kernel(g, pack) for g in gens]
-    final, stats = _buchberger_terms(kgens, pack, budget_ms, max_pairs)
-    elements = tuple(_from_kernel(terms, pack, ring) for terms in final)
-    return GroebnerBasis(ring, order, elements, stats, _terms=final, _pack=pack)
+    pack = order.pack_for(ideal.ring.nvars)
+    kgens = [_to_kernel(g, pack) for g in ideal.generators]
+    final, stats = _buchberger_terms(kgens, pack, budget_ms)
+    return GroebnerBasis(ideal.ring, order, final, stats)
 
 
 def normal_form(f: MultiPoly, basis: GroebnerBasis) -> MultiPoly:
     return basis.normal_form(f)
-
-
-def _basis_from_known(term_lists, pack, ring, order) -> GroebnerBasis:
-    """Wrap term lists that are already a basis into reduced canonical form."""
-    final = _reduce_basis(term_lists, pack)
-    elements = tuple(_from_kernel(terms, pack, ring) for terms in final)
-    return GroebnerBasis(
-        ring, order, elements, {"basis_size": len(final)}, _terms=final, _pack=pack
-    )
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -322,56 +291,51 @@ def _fresh_name(base: str, taken) -> str:
     return name
 
 
-def _tangent_cone(ideal: Ideal, budget_ms=None):
+def _tangent_cone(ideal: Ideal, deadline: _Deadline):
     """Returns (cone ideal with attached grevlex basis, source homogeneous?)."""
     ring = ideal.ring
-    gens = [g for g in ideal.generators if not g.is_zero()]
-    if ring.nvars == 0 or not gens:
-        basis = buchberger(Ideal(ring, tuple(gens)), GREVLEX, budget_ms)
-        cone = Ideal(ring, basis.elements, provenance="tangent-cone")
-        cone.groebner = basis
-        return cone, True
-    basis1 = buchberger(Ideal(ring, tuple(gens)), GREVLEX, budget_ms)
-    if basis1.is_homogeneous():
-        cone = Ideal(ring, basis1.elements, provenance="tangent-cone")
-        cone.groebner = basis1
-        return cone, True
-    tname = _fresh_name("t", ring.names)
-    hring = PolyRing((tname,) + ring.names)
-    hgens = []
-    for g in basis1.elements:
-        top = int(g.degree())
-        hgens.append(
-            MultiPoly(
-                hring, {(top - sum(e),) + e: c for e, c in g.terms.items()}
-            )
-        )
-    basis2 = buchberger(
-        Ideal(hring, tuple(hgens)), MonomialOrder("grevlex_t"), budget_ms
-    )
-    pack = GREVLEX.pack_for(ring.nvars)
-    lowest = []
-    for g in basis2.elements:
-        dehom: dict = {}
-        for e, c in g.terms.items():
-            dehom[e[1:]] = dehom.get(e[1:], 0) + c
-        f = MultiPoly(ring, {e: c for e, c in dehom.items() if c})
-        if f.is_zero():
-            continue
-        lowest.append(_to_kernel(f.lowest_form(), pack))
-    cone_basis = _basis_from_known(lowest, pack, ring, GREVLEX)
-    cone = Ideal(ring, cone_basis.elements, provenance="tangent-cone")
-    cone.groebner = cone_basis
-    return cone, False
+    basis = buchberger(ideal, GREVLEX, deadline.remaining_ms())
+    homogeneous = basis.is_homogeneous()
+    if not homogeneous:
+        # Homogenize with t as variable 0 and take the t-heavy basis.  Each
+        # of its elements is homogeneous with the top power of t in its
+        # leading term, so its lowest form is the terms with that power, and
+        # raw >> SHIFT drops t.
+        pack = basis._pack
+        hring = PolyRing((_fresh_name("t", ring.names),) + ring.names)
+        hgens = []
+        for terms in basis._terms:
+            top = pack.key_degree(terms[0][0])
+            hterms = {
+                (top - pack.key_degree(k),) + pack.unpack(r): Fraction(c)
+                for (k, r, c) in terms
+            }
+            hgens.append(MultiPoly(hring, hterms))
+        lazard = buchberger(Ideal(hring, tuple(hgens)), GREVLEX_T, deadline.remaining_ms())
+        lowest = []
+        for terms in lazard._terms:
+            top_t = terms[0][1] & FIELD
+            low = [
+                (pack.keyof(r >> SHIFT), r >> SHIFT, c)
+                for (_, r, c) in terms
+                if r & FIELD == top_t
+            ]
+            low.sort(reverse=True)
+            lowest.append(kernel.content_normalize(low))
+        final = _reduce_basis(lowest, pack)
+        basis = GroebnerBasis(ring, GREVLEX, final, {"basis_size": len(final)})
+    cone = Ideal(ring, basis.elements, provenance="tangent-cone")
+    cone.groebner = basis
+    return cone, homogeneous
 
 
 def lowest_degree_forms_ideal(ideal: Ideal, budget_ms=None) -> Ideal:
     """The ideal of lowest-degree homogeneous forms of all elements.
 
     The returned generators are its reduced grevlex basis, attached as the
-    `groebner` certificate.
+    `groebner` certificate.  The budget covers both basis computations.
     """
-    return _tangent_cone(ideal, budget_ms)[0]
+    return _tangent_cone(ideal, _Deadline(budget_ms))[0]
 
 
 # ----------------------------------------------------------------------
@@ -494,27 +458,11 @@ def postulation_number(K: UniPoly, nvars: int):
         raise ValueError("zero K-polynomial")
     dim = nvars - K.one_minus_q_multiplicity()
     deg_k = int(K.degree())
-    alt = deg_k - dim
-    if nvars == 0:
-        return deg_k, alt
-    hs = K.series_coefficients(nvars, deg_k)
-
-    def poly_value(t: int) -> Fraction:
-        total = Fraction(0)
-        for j, c in enumerate(K.coeffs):
-            if not c:
-                continue
-            prod = Fraction(1)
-            for step in range(1, nvars):
-                prod *= Fraction(t - j + step, step)
-            total += c * prod
-        return total
-
-    post = -inf
-    for t in range(deg_k + 1):
-        if hs[t] != poly_value(t):
-            post = t
-    return post, alt
+    # K = Q (1-q)^nvars + R with deg R < nvars: the series of R / (1-q)^nvars
+    # is polynomial in t for every t >= 0, so the function and the polynomial
+    # differ exactly on the support of Q, whose degree is deg K - nvars.
+    post = deg_k - nvars if deg_k >= nvars else -inf
+    return post, deg_k - dim
 
 
 # ----------------------------------------------------------------------
@@ -539,24 +487,20 @@ class HilbertData:
 
 
 def hilbert_data(v: Permutation, w: Permutation, budget_ms=None) -> HilbertData:
-    """Tangent-cone Hilbert data of the chart of X_w attached to v."""
+    """Tangent-cone Hilbert data of the chart of X_w attached to v.
+
+    One budget covers minor generation, both bases and the numerator step.
+    """
     start = time.monotonic()
+    deadline = _Deadline(budget_ms)
     chart_ideal = kl_generators(v, w)
+    deadline.check("minor generation")
     n_vars = chart_ideal.ring.nvars
     expected_dim = length(w) - length(v)
     expected_height = comb(w.n, 2) - length(w)
-    if n_vars == 0:
-        if expected_dim or expected_height:
-            raise RuntimeError("empty chart with nonzero expected dimensions")
-        one = UniPoly.one()
-        cone = Ideal(chart_ideal.ring, (), provenance="tangent-cone")
-        return HilbertData(
-            v, w, 0, 0, 0, one, one, True, chart_ideal, cone,
-            (time.monotonic() - start) * 1000.0,
-        )
-    cone, homogeneous = _tangent_cone(chart_ideal, budget_ms)
-    basis = cone.groebner
-    K = hilbert_numerator(basis.leading_exponents(), n_vars)
+    cone, homogeneous = _tangent_cone(chart_ideal, deadline)
+    deadline.check("tangent cone")
+    K = hilbert_numerator(cone.groebner.leading_exponents(), n_vars)
     if K.is_zero():
         raise RuntimeError("chart ideal defines the empty scheme; conventions broken")
     dim = n_vars - K.one_minus_q_multiplicity()

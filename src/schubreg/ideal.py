@@ -16,7 +16,6 @@ those are the only corners imposed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .perm import Permutation, bruhat_leq, diagram, essential_set, length, sw_rank
@@ -299,10 +298,4 @@ def is_homogeneous_ideal(ideal: Ideal, budget_ms: Optional[int] = None) -> bool:
         return True
     from . import gb
 
-    basis = gb.buchberger(ideal, budget_ms=budget_ms)
-    return all(g.is_homogeneous() for g in basis.elements)
-
-
-def evaluate_point(ideal: Ideal, values) -> list[Fraction]:
-    """Evaluate every generator at a point given in ring-variable order."""
-    return [g.evaluate(values) for g in ideal.generators]
+    return gb.buchberger(ideal, budget_ms=budget_ms).is_homogeneous()

@@ -7,7 +7,6 @@ realizes the order; keys are multiplicative up to an additive constant
 
 raw layout:   variable k occupies bits [16k, 16k+16).
 grevlex key:  [total degree][0xFFFF - e_last] ... [0xFFFF - e_first]
-lex key:      [e_first] ... [e_last]
 grevlex_t:    [total degree][e_t][grevlex fields of the remaining variables]
               (variable 0 is the homogenization variable; higher t wins ties,
               which makes dehomogenized leading terms pick lowest forms).
@@ -22,7 +21,7 @@ SHIFT = 16
 FIELD = 0xFFFF
 MAX_EXP = 1 << 14
 
-KINDS = ("grevlex", "lex", "grevlex_t")
+KINDS = ("grevlex", "grevlex_t")
 
 
 def assert_exponent(e: int) -> None:
@@ -33,35 +32,20 @@ def assert_exponent(e: int) -> None:
 class OrderPack:
     """Order-aware packing for a fixed number of variables."""
 
-    __slots__ = ("nvars", "kind", "priority", "hmask", "corr", "deg_shift")
+    __slots__ = ("nvars", "kind", "hmask", "corr", "deg_shift")
 
-    def __init__(self, nvars: int, kind: str = "grevlex", priority=None):
+    def __init__(self, nvars: int, kind: str = "grevlex"):
         if kind not in KINDS:
             raise ValueError("unknown order kind %r" % kind)
-        if nvars < 1:
-            raise ValueError("OrderPack needs at least one variable")
-        if priority is not None:
-            priority = tuple(priority)
-            if sorted(priority) != list(range(nvars)):
-                raise ValueError("priority must be a permutation of 0..nvars-1")
-            if kind == "grevlex_t":
-                raise ValueError("grevlex_t does not take a priority permutation")
+        # grevlex_t compares its own fields only, not the t field
+        compared = nvars - 1 if kind == "grevlex_t" else nvars
+        if compared < 0:
+            raise ValueError("too few variables for %s" % kind)
         self.nvars = nvars
         self.kind = kind
-        self.priority = priority
         self.hmask = sum(0x8000 << (SHIFT * k) for k in range(nvars))
         self.deg_shift = SHIFT * nvars
-        if kind == "grevlex":
-            self.corr = sum(FIELD << (SHIFT * k) for k in range(nvars))
-        elif kind == "grevlex_t":
-            self.corr = sum(FIELD << (SHIFT * k) for k in range(nvars - 1))
-        else:
-            self.corr = 0
-
-    def _effective(self, exps):
-        if self.priority is None:
-            return tuple(exps)
-        return tuple(exps[p] for p in self.priority)
+        self.corr = sum(FIELD << (SHIFT * k) for k in range(compared))
 
     def pack(self, exps) -> int:
         raw = 0
@@ -86,35 +70,26 @@ class OrderPack:
             raise ValueError("expected %d exponents" % self.nvars)
         for e in exps:
             assert_exponent(e)
-        eff = self._effective(exps)
         n = self.nvars
-        if self.kind == "lex":
-            key = 0
-            for k, e in enumerate(eff):
-                key |= e << (SHIFT * (n - 1 - k))
-            return key
+        key = sum(exps) << self.deg_shift
         if self.kind == "grevlex":
             # Reversed comparison: the last variable sits in the top field,
             # complemented so that a smaller trailing exponent wins.
-            key = sum(eff) << self.deg_shift
-            for k, e in enumerate(eff):
+            for k, e in enumerate(exps):
                 key |= (FIELD - e) << (SHIFT * k)
             return key
         # grevlex_t: variable 0 dominates after total degree, the rest are
         # compared by grevlex among themselves.
-        key = sum(eff) << self.deg_shift
-        key |= eff[0] << (SHIFT * (n - 1))
+        key |= exps[0] << (SHIFT * (n - 1))
         for k in range(1, n):
-            key |= (FIELD - eff[k]) << (SHIFT * (k - 1))
+            key |= (FIELD - exps[k]) << (SHIFT * (k - 1))
         return key
 
     def keyof(self, raw: int) -> int:
         return self.key_from_exps(self.unpack(raw))
 
     def key_degree(self, key: int) -> int:
-        """Total degree, available only for the graded kinds."""
-        if self.kind == "lex":
-            raise ValueError("lex keys do not carry the degree")
+        """Total degree of the monomial with this key."""
         return key >> self.deg_shift
 
 

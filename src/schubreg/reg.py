@@ -10,7 +10,9 @@ regularity; the two are never silently reconciled.
 from __future__ import annotations
 
 import json
+import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, inf
@@ -486,10 +488,39 @@ def scan_record(v: Permutation, w: Permutation, checks=(), budget_ms=None) -> Sc
 
 
 def _scan_worker(payload):
-    v_text, w_text, checks, budget_ms = payload
-    v = Permutation.from_string(v_text)
-    w = Permutation.from_string(w_text)
+    v, w, checks, budget_ms = payload
     return scan_record(v, w, checks=checks, budget_ms=budget_ms)
+
+
+def _read_cache(path):
+    """(pair, line, record) for every readable line of a scan cache file."""
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        return
+    with handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = ScanRecord.from_json_line(line)
+            except (ValueError, KeyError, TypeError):
+                continue  # corrupt line: its pair is recomputed
+            yield (record.v, record.w), line, record
+
+
+def _compact_cache(path):
+    """Rewrite a scan cache with one line per pair, the pair's last one.
+
+    The new file is written beside the cache and moved over it, so an
+    interrupted rewrite leaves the old cache whole.
+    """
+    latest = {pair: line for pair, line, _ in _read_cache(path)}
+    tmp = "%s.tmp" % os.fspath(path)
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.writelines(line + "\n" for line in latest.values())
+    os.replace(tmp, path)
 
 
 @dataclass
@@ -538,60 +569,51 @@ def max_reg_scan(
     Groebner pipeline under the budget.  A pair's last record in the cache
     file is reused verbatim when it has no error and carries every requested
     check, so a rerun is free and the reported summary is reproducible;
-    any other pair is recomputed and appended.  A budget overrun marks the
-    scan partial and the reported max is only a lower bound.
+    any other pair is recomputed and appended.  When that leaves a pair with
+    more than one line, the cache is rewritten with one line per pair (lines
+    of pairs outside this scan are kept, unreadable lines dropped).  A budget
+    overrun marks the scan partial and the reported max is only a lower
+    bound.
     """
     pairs = scan_pairs(n, restrict)
-    cached = {}
+    on_file = {}
+    duplicated = False
     if cache_path is not None:
-        try:
-            with open(cache_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = ScanRecord.from_json_line(line)
-                    except (ValueError, KeyError, TypeError):
-                        continue  # corrupt line: recomputed below
-                    cached[(record.v, record.w)] = record
-        except FileNotFoundError:
-            pass
+        for pair, _, record in _read_cache(cache_path):
+            duplicated = duplicated or pair in on_file
+            on_file[pair] = record
     wanted = ALL_CHECKS if checks == "all" else tuple(checks)
     cached = {
-        key: record
-        for key, record in cached.items()
+        pair: record
+        for pair, record in on_file.items()
         if record.error is None and all(name in record.conjectures for name in wanted)
     }
 
     todo = [(v, w) for (v, w) in pairs if (str(v), str(w)) not in cached]
+    payloads = [(v, w, wanted, budget_ms) for (v, w) in todo]
     fresh = {}
-    handle = open(cache_path, "a", encoding="utf-8") if cache_path is not None else None
-    try:
+    with ExitStack() as stack:
+        handle = (
+            stack.enter_context(open(cache_path, "a", encoding="utf-8"))
+            if cache_path is not None
+            else None
+        )
         if workers > 1 and todo:
             from multiprocessing import Pool
 
-            payloads = [(str(v), str(w), wanted, budget_ms) for (v, w) in todo]
-            with Pool(workers) as pool:
-                for record in pool.imap(_scan_worker, payloads, chunksize=4):
-                    fresh[(record.v, record.w)] = record
-                    if handle is not None:
-                        handle.write(record.to_json_line() + "\n")
-                        handle.flush()
-                    if record_sink is not None:
-                        record_sink(record)
+            pool = stack.enter_context(Pool(workers))
+            results = pool.imap(_scan_worker, payloads, chunksize=4)
         else:
-            for (v, w) in todo:
-                record = scan_record(v, w, checks=checks, budget_ms=budget_ms)
-                fresh[(record.v, record.w)] = record
-                if handle is not None:
-                    handle.write(record.to_json_line() + "\n")
-                    handle.flush()
-                if record_sink is not None:
-                    record_sink(record)
-    finally:
-        if handle is not None:
-            handle.close()
+            results = map(_scan_worker, payloads)
+        for record in results:
+            fresh[(record.v, record.w)] = record
+            if handle is not None:
+                handle.write(record.to_json_line() + "\n")
+                handle.flush()
+            if record_sink is not None:
+                record_sink(record)
+    if duplicated or any(pair in on_file for pair in fresh):
+        _compact_cache(cache_path)
 
     records = []
     for (v, w) in pairs:

@@ -57,10 +57,6 @@ def ref_grevlex_less(a, b):
     return False
 
 
-def ref_lex_less(a, b):
-    return a < b
-
-
 def ref_grevlex_t_less(a, b):
     if sum(a) != sum(b):
         return sum(a) < sum(b)

@@ -358,11 +358,34 @@ def test_max_reg_scan_cache_retries_budget_errors(tmp_path):
     rerun = max_reg_scan(4, cache_path=cache)
     assert rerun.complete and rerun.max_reg == 1
     assert all(r.error is None for r in rerun.records)
-    # the retried records were appended, and the last line wins on reload
+    # the retried records replaced the error lines, and they load as computed
     final = max_reg_scan(4, cache_path=cache)
     assert final.complete
     assert [stable_fields(r) for r in final.records] == [
         stable_fields(r) for r in rerun.records
+    ]
+
+
+def test_max_reg_scan_compacts_the_cache(tmp_path):
+    cache = tmp_path / "scan4.jsonl"
+    for _ in range(3):
+        # budget errors are recomputed on every run, never piled up
+        assert max_reg_scan(4, budget_ms=0, cache_path=str(cache)).partial
+        lines = cache.read_text().splitlines()
+        pairs = {(r.v, r.w) for r in map(ScanRecord.from_json_line, lines)}
+        assert len(lines) == len(pairs) == 213
+
+
+def test_compaction_keeps_pairs_outside_the_scan(tmp_path):
+    cache = str(tmp_path / "mixed.jsonl")
+    s3 = max_reg_scan(3, cache_path=cache)
+    max_reg_scan(4, budget_ms=0, cache_path=cache)
+    max_reg_scan(4, budget_ms=0, cache_path=cache)
+    with open(cache, encoding="utf-8") as fh:
+        assert len(fh.read().splitlines()) == len(s3.records) + 213
+    again = max_reg_scan(3, cache_path=cache)
+    assert [stable_fields(r) for r in again.records] == [
+        stable_fields(r) for r in s3.records
     ]
 
 
