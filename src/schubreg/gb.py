@@ -3,11 +3,15 @@
 Bases are computed under grevlex, or under grevlex_t (t-heavy) for
 homogenized ideals.
 
-The Buchberger loop uses the normal selection strategy keyed by sugar degree,
-the product and chain criteria in Gebauer-Moeller form, and fraction-free
-integer arithmetic.  Reduced bases normalize every element to content 1 with
-a positive leading coefficient and sort by ascending leading monomial, so a
-basis is a canonical artifact of (ideal, order).
+The Buchberger loop uses the normal selection strategy keyed by sugar degree
+(a heap of pairs), the product and chain criteria in Gebauer-Moeller form,
+and fraction-free integer arithmetic.  Divisors are found through one
+`kernel.Reducers` table per computation, whose positions are the basis
+indices: it serves the normal forms and the Gebauer-Moeller test, because
+lcm(j, t) divides lcm(i, t) exactly when lm_j does.  Reduced bases normalize
+every element to content 1 with a positive leading coefficient and sort by
+ascending leading monomial, so a basis is a canonical artifact of (ideal,
+order).
 
 Tangent cones come from the homogenization route: a Groebner basis under a
 graded order homogenizes to a generating set of the homogenized ideal, and a
@@ -24,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from heapq import heappop, heappush
 from math import comb, inf, lcm
 
 from . import kernel
@@ -58,25 +63,14 @@ def _to_kernel(f: MultiPoly, pack: OrderPack):
     denom = 1
     for c in f.terms.values():
         denom = lcm(denom, c.denominator)
-    terms = [
-        (pack.key_from_exps(e), pack.pack(e), int(c * denom))
-        for e, c in f.terms.items()
-    ]
+    raws = [(pack.pack(e), int(c * denom)) for e, c in f.terms.items()]
+    terms = [(pack.keyof(r), r, c) for r, c in raws]
     terms.sort(reverse=True)
     return kernel.content_normalize(terms)
 
 
 def _from_kernel(terms, pack: OrderPack, ring: PolyRing) -> MultiPoly:
     return MultiPoly(ring, {pack.unpack(r): Fraction(c) for (_, r, c) in terms})
-
-
-def _prepare(term_lists):
-    """Reducer table sorted by ascending leading key."""
-    prepared = [
-        (terms[0][0], terms[0][1], terms[0][2], tuple(terms[1:])) for terms in term_lists
-    ]
-    prepared.sort(key=lambda red: red[0])
-    return prepared
 
 
 def _sugar(terms, pack: OrderPack) -> int:
@@ -111,42 +105,25 @@ def _buchberger_terms(kgens, pack: OrderPack, budget_ms=None):
     deadline = _Deadline(budget_ms)
     basis = []  # term lists
     sugars = []
-    reducers = []  # kept sorted by leading key
-    pairs: dict = {}  # (i, j) -> (sugar, lcm_key, lcm_raw), i < j
+    reducers = kernel.Reducers(pack.hmask)  # position = basis index
+    pairs: dict = {}  # live pairs: (i, j) -> lcm_raw, i < j
+    queue = []  # (sugar, lcm_key, j, i); pairs deleted since are skipped
     stats = {"pairs_processed": 0, "zero_reductions": 0, "updates": 0}
     corr, hmask = pack.corr, pack.hmask
-
-    def insert_reducer(terms):
-        red = (terms[0][0], terms[0][1], terms[0][2], tuple(terms[1:]))
-        lo, hi = 0, len(reducers)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if reducers[mid][0] < red[0]:
-                lo = mid + 1
-            else:
-                hi = mid
-        reducers.insert(lo, red)
 
     def update(new_terms, new_sugar):
         """Gebauer-Moeller pair update for one accepted element."""
         t = len(basis)
         lmf = new_terms[0][1]
         lcmf = [raw_lcm(basis[i][0][1], lmf, hmask) for i in range(t)]
-        survivors = []
+        # lcm(j, t) strictly divides lcm(i, t) exactly when lm_j divides
+        # lcm(i, t) and the two lcms differ
+        groups: dict = {}
         for i in range(t):
             li = lcmf[i]
-            dominated = False
-            for j in range(t):
-                if j != i and lcmf[j] != li and divides(lcmf[j], li, hmask):
-                    dominated = True
-                    break
-            if not dominated:
-                survivors.append(i)
-        groups: dict = {}
-        for i in survivors:
-            groups.setdefault(lcmf[i], []).append(i)
-        for value in sorted(groups):
-            members = groups[value]
+            if not any(lcmf[j] != li for j in reducers.divisors(li)):
+                groups.setdefault(li, []).append(i)
+        for value, members in groups.items():
             if any(basis[i][0][1] + lmf == value for i in members):
                 continue  # a coprime pair certifies the whole class
             i = min(members)
@@ -154,11 +131,11 @@ def _buchberger_terms(kgens, pack: OrderPack, budget_ms=None):
                 sugars[i] + pack.degree_of_raw(value - basis[i][0][1]),
                 new_sugar + pack.degree_of_raw(value - lmf),
             )
-            pairs[(i, t)] = (sugar, pack.keyof(value), value)
-        for (i, j) in list(pairs):
+            pairs[(i, t)] = value
+            heappush(queue, (sugar, pack.keyof(value), t, i))
+        for (i, j), lcm_ij in list(pairs.items()):
             if j == t:
                 continue
-            lcm_ij = pairs[(i, j)][2]
             if (
                 divides(lmf, lcm_ij, hmask)
                 and lcmf[i] != lcm_ij
@@ -167,7 +144,7 @@ def _buchberger_terms(kgens, pack: OrderPack, budget_ms=None):
                 del pairs[(i, j)]
         basis.append(new_terms)
         sugars.append(new_sugar)
-        insert_reducer(new_terms)
+        reducers.insert(new_terms)
         stats["updates"] += 1
 
     for gen in sorted(kgens):
@@ -176,12 +153,12 @@ def _buchberger_terms(kgens, pack: OrderPack, budget_ms=None):
         if reduced:
             update(reduced, _sugar(reduced, pack))
 
-    while pairs:
+    while queue:
+        pair_sugar, _, j, i = heappop(queue)
+        if (i, j) not in pairs:
+            continue  # deleted by the chain criterion
+        del pairs[(i, j)]
         deadline.check("pair processing")
-        (i, j) = min(
-            pairs, key=lambda ij: (pairs[ij][0], pairs[ij][1], ij[1], ij[0])
-        )
-        pair_sugar = pairs.pop((i, j))[0]
         spoly = kernel.s_polynomial(basis[i], basis[j], pack)
         stats["pairs_processed"] += 1
         if not spoly:
@@ -199,21 +176,21 @@ def _buchberger_terms(kgens, pack: OrderPack, budget_ms=None):
 
 
 def _reduce_basis(term_lists, pack: OrderPack):
-    """Minimalize and tail-reduce known basis elements (stays a basis)."""
+    """Minimalize and tail-reduce known basis elements (stays a basis).
+
+    Elements go in ascending leading key, each reduced against the ones kept
+    before it: a larger leading monomial cannot divide a smaller term, and
+    the reduced basis is unique, so this equals reducing against all others.
+    """
     corr, hmask = pack.corr, pack.hmask
-    kept = []
-    for terms in sorted((t for t in term_lists if t), key=lambda ts: ts[0][0]):
-        lm = terms[0][1]
-        if any(other[0][1] != lm and divides(other[0][1], lm, hmask) for other in kept):
-            continue
-        if any(other[0][1] == lm for other in kept):
-            continue
-        kept.append(terms)
+    reducers = kernel.Reducers(hmask)
     out = []
-    for idx, terms in enumerate(kept):
-        others = _prepare(kept[:idx] + kept[idx + 1 :])
-        out.append(kernel.normal_form(terms, others, corr, hmask))
-    out.sort(key=lambda ts: ts[0][0])
+    for terms in sorted((t for t in term_lists if t), key=lambda ts: ts[0][0]):
+        if reducers.find(terms[0][1]) is not None:
+            continue  # a kept leading monomial divides this one
+        reduced = kernel.normal_form(terms, reducers, corr, hmask)
+        reducers.insert(reduced)
+        out.append(reduced)
     return out
 
 
@@ -232,7 +209,7 @@ class GroebnerBasis:
 
     @cached_property
     def _reducers(self):
-        return _prepare(self._terms)
+        return kernel.Reducers(self._pack.hmask, self._terms)
 
     @cached_property
     def elements(self) -> tuple[MultiPoly, ...]:

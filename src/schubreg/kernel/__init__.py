@@ -1,11 +1,14 @@
 """Polynomial reduction kernel.
 
-Terms travel as (key, raw, coeff) triples sorted by descending key; reducers
-are prepared as (lm_key, lm_raw, lm_coeff, tail).  Coefficients are integers;
-reduction is fraction-free, scaling the work polynomial by the smallest
-integer that cancels each leading term, with periodic content stripping to
-keep growth in check.  Results are defined up to a positive integer scalar;
-callers normalize content and sign.
+Terms travel as (key, raw, coeff) triples sorted by descending key.  A
+`Reducers` table holds the divisors a normal form may use, each as
+(lm_key, lm_raw, lm_coeff, tail), and finds the one for a term through an
+index on the variables its leading monomial uses (a support filter, after the
+short exponent vectors of Bachmann-Schoenemann 1998) rather than by a scan.
+Coefficients are integers; reduction is fraction-free, scaling the work
+polynomial by the smallest integer that cancels each leading term, with
+periodic content stripping to keep growth in check.  Results are defined up
+to a positive integer scalar; callers normalize content and sign.
 
 Callers look these functions up on this module at call time
 (kernel.normal_form, not a from-import), so that a tracer installed from
@@ -14,13 +17,18 @@ outside the package can wrap them.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .orders import divides, raw_lcm
+from .orders import SHIFT, raw_lcm
 
 _STRIP_EVERY = 64
 _STRIP_BITS = 4096
+
+# the index splits the variables into blocks of this many fields
+_BLOCK_FIELDS = 4
+_BLOCK_MASK = sum(0x8000 << (SHIFT * k) for k in range(_BLOCK_FIELDS))
 
 
 def implementation_name() -> str:
@@ -44,12 +52,109 @@ def content_normalize(terms):
     return [(k, r, c // g) for (k, r, c) in terms]
 
 
-def normal_form(fterms, reducers, corr, hmask):
-    """Remainder of fterms under the prepared reducers.
+@lru_cache(maxsize=None)
+def _index_layout(hmask):
+    """(shift, lacking) for each block of fields of a `Reducers` index.
 
-    `reducers` must be sorted by ascending lm_key; the scan stops early
-    because divisibility implies key order.  Returns a descending term list
-    with content stripped and a positive leading coefficient.
+    `lacking` maps each pattern of the block to the patterns that miss one
+    of its variables, that is, the table entries a leading monomial with
+    that pattern is entered in.
+    """
+    layout = []
+    nfields = hmask.bit_length() // SHIFT
+    for first in range(0, nfields, _BLOCK_FIELDS):
+        patterns = [0]
+        for k in range(min(_BLOCK_FIELDS, nfields - first)):
+            patterns += [p | (0x8000 << (SHIFT * k)) for p in patterns]
+        lacking = {
+            need: tuple(p for p in patterns if need & ~p) for need in patterns
+        }
+        layout.append((SHIFT * first, lacking))
+    return tuple(layout)
+
+
+class Reducers:
+    """Reducer term lists indexed by the variables of their leading monomials.
+
+    Each reducer is stored as (lm_key, lm_raw, lm_coeff, tail) and keeps the
+    position it was inserted at, so a caller's own numbering survives.  The
+    variables fall into blocks of four 16-bit fields.  A monomial's pattern
+    has the top bit of every field whose exponent is nonzero.  For each
+    block, `_tables` maps every pattern of the block to the bitset of
+    reducers whose leading monomial uses a variable of the block that the
+    pattern lacks; those reducers cannot divide a term with that pattern.
+    One lookup per block therefore leaves a few candidates, and only they
+    get the fieldwise divisibility test.
+    """
+
+    __slots__ = ("hmask", "entries", "_ones", "_all", "_layout", "_tables")
+
+    def __init__(self, hmask, term_lists=()):
+        self.hmask = hmask
+        self.entries = []
+        self._ones = hmask >> (SHIFT - 1)
+        self._all = 0
+        self._layout = _index_layout(hmask)
+        self._tables = [
+            (shift, dict.fromkeys(lacking, 0)) for shift, lacking in self._layout
+        ]
+        for terms in term_lists:
+            self.insert(terms)
+
+    def insert(self, terms):
+        """Append a reducer; its position is the number inserted before it."""
+        lm_raw = terms[0][1]
+        bit = 1 << len(self.entries)
+        self.entries.append((terms[0][0], lm_raw, terms[0][2], tuple(terms[1:])))
+        self._all |= bit
+        used = ((lm_raw | self.hmask) - self._ones) & self.hmask
+        for (shift, lacking), (_, table) in zip(self._layout, self._tables):
+            for pattern in lacking[(used >> shift) & _BLOCK_MASK]:
+                table[pattern] |= bit
+
+    def _candidates(self, r_high):
+        """Bitset of reducers whose leading variables all occur in the term."""
+        have = (r_high - self._ones) & self.hmask
+        ruled_out = 0
+        for shift, table in self._tables:
+            ruled_out |= table[(have >> shift) & _BLOCK_MASK]
+        return self._all ^ ruled_out
+
+    def find(self, r):
+        """The reducer of smallest leading key that divides raw r, or None."""
+        hmask = self.hmask
+        r_high = r | hmask
+        cand = self._candidates(r_high)
+        entries = self.entries
+        best = None
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            red = entries[low.bit_length() - 1]
+            if (r_high - red[1]) & hmask == hmask and (best is None or red[0] < best[0]):
+                best = red
+        return best
+
+    def divisors(self, r):
+        """Positions of all reducers whose leading monomial divides raw r."""
+        hmask = self.hmask
+        r_high = r | hmask
+        cand = self._candidates(r_high)
+        entries = self.entries
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            pos = low.bit_length() - 1
+            if (r_high - entries[pos][1]) & hmask == hmask:
+                yield pos
+
+
+def normal_form(fterms, reducers, corr, hmask):
+    """Remainder of fterms under a `Reducers` table.
+
+    Each term is reduced by the divisor of smallest leading key.  Returns a
+    descending term list with content stripped and a positive leading
+    coefficient.
     """
     acc: dict = {}
     heap = []
@@ -65,13 +170,7 @@ def normal_form(fterms, reducers, corr, hmask):
         if not c:
             continue
         k = -nk
-        hit = None
-        for red in reducers:
-            if red[0] > k:
-                break
-            if divides(red[1], r, hmask):
-                hit = red
-                break
+        hit = reducers.find(r)
         if hit is None:
             out.append((k, r, c))
             continue
@@ -121,7 +220,7 @@ def normal_form(fterms, reducers, corr, hmask):
 
 
 def s_polynomial(p, q, pack):
-    """S-polynomial of two prepared-or-plain term lists (descending)."""
+    """S-polynomial of two term lists (descending)."""
     pk, pr, pc = p[0][0], p[0][1], p[0][2]
     qk, qr, qc = q[0][0], q[0][1], q[0][2]
     lcm = raw_lcm(pr, qr, pack.hmask)

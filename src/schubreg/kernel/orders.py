@@ -12,7 +12,11 @@ grevlex_t:    [total degree][e_t][grevlex fields of the remaining variables]
               which makes dehomogenized leading terms pick lowest forms).
 
 Divisibility and lcm of raws use carry-free field tricks, which requires all
-exponents to stay below 2^14; assert_exponent guards that.
+exponents to stay below 2^14; assert_exponent guards that.  The degree of a
+raw is one multiplication, the sum of all fields landing in field n-1, which
+is exact while the total degree stays below 2^16; pack and key_from_exps
+reject a total degree of MAX_EXP or more.  Both orders are graded, so lcms
+and the terms met during reduction then stay below 2^15.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ def assert_exponent(e: int) -> None:
 class OrderPack:
     """Order-aware packing for a fixed number of variables."""
 
-    __slots__ = ("nvars", "kind", "hmask", "corr", "deg_shift")
+    __slots__ = ("nvars", "kind", "hmask", "corr", "deg_shift", "_ones", "_sum_shift")
 
     def __init__(self, nvars: int, kind: str = "grevlex"):
         if kind not in KINDS:
@@ -46,23 +50,24 @@ class OrderPack:
         self.hmask = sum(0x8000 << (SHIFT * k) for k in range(nvars))
         self.deg_shift = SHIFT * nvars
         self.corr = sum(FIELD << (SHIFT * k) for k in range(compared))
+        # raw * _ones sums every field into field nvars - 1
+        self._ones = sum(1 << (SHIFT * k) for k in range(nvars))
+        self._sum_shift = SHIFT * max(nvars - 1, 0)
 
     def pack(self, exps) -> int:
-        raw = 0
+        raw = total = 0
         for k, e in enumerate(exps):
             assert_exponent(e)
             raw |= e << (SHIFT * k)
+            total += e
+        _assert_total_degree(total)
         return raw
 
     def unpack(self, raw: int) -> tuple[int, ...]:
         return tuple((raw >> (SHIFT * k)) & FIELD for k in range(self.nvars))
 
     def degree_of_raw(self, raw: int) -> int:
-        total = 0
-        while raw:
-            total += raw & FIELD
-            raw >>= SHIFT
-        return total
+        return ((raw * self._ones) >> self._sum_shift) & FIELD
 
     def key_from_exps(self, exps) -> int:
         exps = tuple(exps)
@@ -70,6 +75,7 @@ class OrderPack:
             raise ValueError("expected %d exponents" % self.nvars)
         for e in exps:
             assert_exponent(e)
+        _assert_total_degree(sum(exps))
         n = self.nvars
         key = sum(exps) << self.deg_shift
         if self.kind == "grevlex":
@@ -86,11 +92,21 @@ class OrderPack:
         return key
 
     def keyof(self, raw: int) -> int:
-        return self.key_from_exps(self.unpack(raw))
+        """key_from_exps(unpack(raw)) without unpacking: corr - raw
+        complements every compared field at once."""
+        key = self.degree_of_raw(raw) << self.deg_shift
+        if self.kind == "grevlex":
+            return key | (self.corr - raw)
+        return key | (raw & FIELD) << self._sum_shift | (self.corr - (raw >> SHIFT))
 
     def key_degree(self, key: int) -> int:
         """Total degree of the monomial with this key."""
         return key >> self.deg_shift
+
+
+def _assert_total_degree(total: int) -> None:
+    if total >= MAX_EXP:
+        raise OverflowError("total degree %d exceeds the packed field limit" % total)
 
 
 def divides(d: int, m: int, hmask: int) -> bool:

@@ -19,7 +19,7 @@ from math import comb, inf
 
 from . import kernel
 from ._version import __version__
-from .gb import HilbertData, ResourceBudgetExceeded, hilbert_data
+from .gb import HilbertData, ResourceBudgetExceeded, _Deadline, hilbert_data
 from .groth import groth_spec_1mq
 from .perm import (
     Permutation,
@@ -194,9 +194,11 @@ def regularity(
     Hilbert-series pipeline, "both" runs and compares them, and "auto" picks
     the formula for covexillary w (upgraded to "both" under verify) and the
     Groebner route otherwise.  Outside the covexillary theorem the reported
-    value is deg H with cm_status "conjectural".
+    value is deg H with cm_status "conjectural".  budget_ms bounds the
+    Groebner work of the pair, conjecture checks included.
     """
     start = time.monotonic()
+    deadline = _Deadline(budget_ms)
     _require_bruhat(v, w)
     cov = is_covexillary(w)
     if method == "auto":
@@ -215,7 +217,7 @@ def regularity(
     hd = None
     groebner_reg = None
     if method in ("groebner", "both"):
-        hd = hilbert_data(v, w, budget_ms=budget_ms)
+        hd = hilbert_data(v, w, budget_ms=deadline.remaining_ms())
         groebner_reg = int(hd.H.degree())
 
     discrepant = (
@@ -256,7 +258,7 @@ def regularity(
     )
     if checks:
         report.conjecture_flags = check_conjectures(
-            v, w, checks=checks, hd=hd, budget_ms=budget_ms
+            v, w, checks=checks, hd=hd, budget_ms=deadline.remaining_ms()
         )
     report.elapsed_ms = (time.monotonic() - start) * 1000.0
     return report
@@ -336,6 +338,8 @@ def check_conjectures(
     dual-path         covexillary only: formula reg = deg H
     kl-degree         covexillary only: deg P_{v,w} = formula reg
     reg-le-deg-p      informational: reg <= deg P (speculation, never fatal)
+
+    budget_ms bounds every Hilbert-data computation of the checks together.
     """
     _require_bruhat(v, w)
     selected = ALL_CHECKS if checks == "all" else tuple(checks)
@@ -346,11 +350,13 @@ def check_conjectures(
         return {name: "pass" for name in selected}
     cov = is_covexillary(w)
     flags = {}
+    # one budget for every chart the checks compute
+    deadline = _Deadline(budget_ms)
 
     def data() -> HilbertData:
         nonlocal hd
         if hd is None:
-            hd = hilbert_data(v, w, budget_ms=budget_ms)
+            hd = hilbert_data(v, w, budget_ms=deadline.remaining_ms())
         return hd
 
     for name in selected:
@@ -363,7 +369,7 @@ def check_conjectures(
             ok = True
             h_here = data().H
             for u in _covers_below(v):
-                h_below = hilbert_data(u, w, budget_ms=budget_ms).H
+                h_below = hilbert_data(u, w, budget_ms=deadline.remaining_ms()).H
                 top = max(int(h_below.degree()), int(h_here.degree()))
                 if any(h_below[t] < h_here[t] for t in range(top + 1)):
                     ok = False

@@ -432,6 +432,26 @@ def test_budget_covers_the_whole_chart(monkeypatch):
     assert 60000 > budgets[0] > budgets[1]
 
 
+def test_buchberger_path_is_pinned(monkeypatch):
+    # the pair order and the criteria fix the path the algorithm takes, so
+    # its counts, not only its answer, must not move
+    import schubreg.gb as gb
+
+    stats = {}
+    run = gb.buchberger
+
+    def recording_buchberger(ideal, order, budget_ms):
+        basis = run(ideal, order, budget_ms)
+        stats[order.kind] = tuple(
+            basis.stats[k] for k in ("pairs_processed", "zero_reductions", "basis_size")
+        )
+        return basis
+
+    monkeypatch.setattr(gb, "buchberger", recording_buchberger)
+    hilbert_data(Permutation((1, 2, 3, 4, 5, 6)), Permutation((6, 4, 5, 1, 2, 3)))
+    assert stats == {"grevlex": (9, 9, 10), "grevlex_t": (997, 793, 214)}
+
+
 def test_regularity_from_K():
     assert regularity_from_K(UniPoly([1, 0, -1]), 1) == 1
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from conftest import (
 
 from schubreg import kernel
 from schubreg.kernel import orders
-from schubreg.kernel.orders import FIELD, OrderPack, assert_exponent
+from schubreg.kernel.orders import FIELD, MAX_EXP, OrderPack, assert_exponent
 
 
 def random_exps(r, nvars, max_e=9):
@@ -109,6 +109,83 @@ def test_keyof_matches_key_from_exps():
             assert pack.keyof(pack.pack(e)) == pack.key_from_exps(e)
 
 
+def test_keyof_and_degree_match_unpacked_reference():
+    r = rng(310)
+    for kind in ("grevlex", "grevlex_t"):
+        for nvars in range(1 if kind == "grevlex_t" else 0, 24):
+            pack = OrderPack(nvars, kind)
+            samples = [random_exps(r, nvars, r.choice((3, 300))) for _ in range(40)]
+            if nvars:
+                # every field at once near the total-degree limit
+                top = [0] * nvars
+                top[r.randrange(nvars)] = MAX_EXP - 1
+                samples += [tuple(top), tuple([(MAX_EXP - 1) // nvars] * nvars)]
+            for e in samples:
+                raw = pack.pack(e)
+                assert pack.keyof(raw) == pack.key_from_exps(pack.unpack(raw))
+                assert pack.degree_of_raw(raw) == sum(e)
+
+
+def test_total_degree_guard():
+    # degree_of_raw sums the fields in one, so the total must stay in range
+    pack = OrderPack(3)
+    below = (MAX_EXP - 3, 1, 1)
+    assert pack.degree_of_raw(pack.pack(below)) == MAX_EXP - 1
+    assert pack.key_degree(pack.key_from_exps(below)) == MAX_EXP - 1
+    at = (MAX_EXP - 2, 1, 1)
+    with pytest.raises(OverflowError):
+        pack.pack(at)
+    with pytest.raises(OverflowError):
+        pack.key_from_exps(at)
+
+
+def _linear_scan(prepared, r, hmask):
+    """The lookup the index replaced: first divisor by ascending leading key."""
+    for red in prepared:
+        if orders.divides(red[1], r, hmask):
+            return red
+    return None
+
+
+def _sparse_exps(r, nvars, density, max_e):
+    return tuple(r.randint(1, max_e) if r.random() < density else 0 for _ in range(nvars))
+
+
+def test_reducer_index_matches_linear_scan():
+    # block boundaries fall after every fourth variable
+    r = rng(311)
+    hits = 0
+    for nvars in (1, 3, 4, 5, 8, 9, 16, 17, 22, 23):
+        pack = OrderPack(nvars)
+        for _ in range(15):
+            term_lists = []
+            for _ in range(r.randint(0, 40)):
+                lead = _sparse_exps(r, nvars, r.choice((0.1, 0.3)), 2)
+                tail = [(k, raw, 1) for (k, raw, _) in _random_terms(r, pack, 2, 1)]
+                term_lists.append([(pack.key_from_exps(lead), pack.pack(lead), 2)] + tail)
+            reducers = kernel.Reducers(pack.hmask, term_lists)
+            prepared = sorted(
+                ((t[0][0], t[0][1], t[0][2], tuple(t[1:])) for t in term_lists),
+                key=lambda red: red[0],
+            )
+            assert reducers.entries == [
+                (t[0][0], t[0][1], t[0][2], tuple(t[1:])) for t in term_lists
+            ]
+            for _ in range(30):
+                m = _sparse_exps(r, nvars, 0.6, 3)
+                raw = pack.pack(m)
+                hit = reducers.find(raw)
+                assert hit == _linear_scan(prepared, raw, pack.hmask)
+                dividing = [
+                    pos
+                    for pos, t in enumerate(term_lists)
+                    if tuple_divides(pack.unpack(t[0][1]), m)
+                ]
+                assert sorted(reducers.divisors(raw)) == dividing
+                hits += hit is not None
+    assert hits > 500
+
+
 def _random_terms(r, pack, nterms=4, max_e=4, max_c=9):
     seen = {}
     for _ in range(nterms):
@@ -156,7 +233,7 @@ def test_normal_form_by_monomial_reducers_drops_divisible_terms():
             [(pack.key_from_exps(e), pack.pack(e), 1)] for e in lead_exps
         ]
         reducers.sort(key=lambda t: t[0][0])
-        prepared = [(t[0][0], t[0][1], t[0][2], t[1:]) for t in reducers]
+        prepared = kernel.Reducers(pack.hmask, reducers)
         got = kernel.normal_form(list(f), prepared, pack.corr, pack.hmask)
         kept = [
             (k, m, c)
@@ -186,7 +263,7 @@ def test_normal_form_certifies_membership_of_multiples():
         m = random_exps(r, nvars, 3)
         mk, mr = pack.key_from_exps(m), pack.pack(m)
         prod = [(k + mk - pack.corr, raw + mr, c) for (k, raw, c) in g]
-        prepared = [(g[0][0], g[0][1], g[0][2], g[1:])]
+        prepared = kernel.Reducers(pack.hmask, [g])
         assert (
             kernel.normal_form(prod, prepared, pack.corr, pack.hmask) == []
         )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from math import comb
 
 import pytest
@@ -263,6 +264,26 @@ def test_scan_record_round_trip():
     )
     assert strict.reg is None
     assert "budget" in strict.error
+
+
+def test_budget_covers_the_charts_of_the_checks(monkeypatch):
+    import schubreg.reg as reg
+
+    compute = reg.hilbert_data
+
+    def slow_hilbert_data(v, w, budget_ms=None):
+        time.sleep(0.03)
+        return compute(v, w, budget_ms=budget_ms)
+
+    monkeypatch.setattr(reg, "hilbert_data", slow_hilbert_data)
+    # the pair and its checks compute three charts, 30 ms each at least
+    rec = scan_record(
+        Permutation((1, 2, 5, 3, 4)),
+        Permutation((4, 1, 5, 2, 3)),
+        checks=ALL_CHECKS,
+        budget_ms=50,
+    )
+    assert rec.error is not None and rec.error.startswith("budget:")
 
 
 def test_kernel_version_shape():
