@@ -17,7 +17,6 @@ from .gb import (
     hilbert_data,
     hilbert_numerator,
     lowest_degree_forms_ideal,
-    normal_form,
     postulation_number,
     regularity_from_K,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "schubert_determinantal_generators",
     "is_homogeneous_ideal",
     "buchberger",
-    "normal_form",
     "lowest_degree_forms_ideal",
     "hilbert_numerator",
     "hilbert_data",

@@ -20,20 +20,25 @@ degree forms.  Because the t-heavy order ties break toward high t powers,
 the dehomogenized leading terms are leading terms of the lowest forms under
 plain grevlex, so the lowest forms are already a grevlex basis of the
 tangent-cone ideal; no third basis computation is needed.
+
+From the chart's generators to the Hilbert numerator every polynomial is a
+packed integer term list: `buchberger` keys an `Ideal`'s (raw, coeff) terms,
+homogenization shifts raws to make room for t, and the cone is returned as
+its `GroebnerBasis`.  MultiPoly appears only at the edges, in
+`GroebnerBasis.elements` and `GroebnerBasis.normal_form`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from heapq import heappop, heappush
-from math import comb, inf, lcm
+from math import comb, inf
 
 from . import kernel
-from .ideal import Ideal, kl_generators
-from .kernel.orders import FIELD, SHIFT, OrderPack, divides, raw_lcm
+from .ideal import Ideal, kl_generators, pack_poly, unpack_poly
+from .kernel.orders import FIELD, SHIFT, OrderPack, divides, order_pack, raw_lcm
 from .perm import Permutation, length
 from .poly import MultiPoly, PolyRing, UniPoly
 
@@ -49,28 +54,17 @@ class MonomialOrder:
     kind: str = "grevlex"
 
     def pack_for(self, nvars: int) -> OrderPack:
-        return _pack_cache(nvars, self.kind)
+        return order_pack(nvars, self.kind)
 
 
 GREVLEX = MonomialOrder()
 GREVLEX_T = MonomialOrder("grevlex_t")
 
 
-_pack_cache = lru_cache(maxsize=None)(OrderPack)
-
-
-def _to_kernel(f: MultiPoly, pack: OrderPack):
-    denom = 1
-    for c in f.terms.values():
-        denom = lcm(denom, c.denominator)
-    raws = [(pack.pack(e), int(c * denom)) for e, c in f.terms.items()]
-    terms = [(pack.keyof(r), r, c) for r, c in raws]
-    terms.sort(reverse=True)
-    return kernel.content_normalize(terms)
-
-
-def _from_kernel(terms, pack: OrderPack, ring: PolyRing) -> MultiPoly:
-    return MultiPoly(ring, {pack.unpack(r): Fraction(c) for (_, r, c) in terms})
+def _keyed(terms, pack: OrderPack):
+    """Kernel term list of packed (raw, coeff) terms under the pack's order."""
+    keyof = pack.keyof
+    return kernel.content_normalize(sorted(((keyof(r), r, c) for r, c in terms), reverse=True))
 
 
 def _sugar(terms, pack: OrderPack) -> int:
@@ -213,15 +207,17 @@ class GroebnerBasis:
 
     @cached_property
     def elements(self) -> tuple[MultiPoly, ...]:
-        return tuple(_from_kernel(terms, self._pack, self.ring) for terms in self._terms)
+        return tuple(
+            unpack_poly(self.ring, [(r, c) for _, r, c in terms]) for terms in self._terms
+        )
 
     def normal_form(self, f: MultiPoly) -> MultiPoly:
         """Canonical remainder (content-free, positive leading coefficient)."""
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
-        terms = _to_kernel(f, self._pack)
+        terms = _keyed(pack_poly(f), self._pack)
         reduced = kernel.normal_form(terms, self._reducers, self._pack.corr, self._pack.hmask)
-        return _from_kernel(reduced, self._pack, self.ring)
+        return unpack_poly(self.ring, [(r, c) for _, r, c in reduced])
 
     def contains(self, f: MultiPoly) -> bool:
         return self.normal_form(f).is_zero()
@@ -252,13 +248,9 @@ class GroebnerBasis:
 def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX, budget_ms=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order."""
     pack = order.pack_for(ideal.ring.nvars)
-    kgens = [_to_kernel(g, pack) for g in ideal.generators]
+    kgens = [_keyed(g, pack) for g in ideal.terms]
     final, stats = _buchberger_terms(kgens, pack, budget_ms)
     return GroebnerBasis(ideal.ring, order, final, stats)
-
-
-def normal_form(f: MultiPoly, basis: GroebnerBasis) -> MultiPoly:
-    return basis.normal_form(f)
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -269,25 +261,23 @@ def _fresh_name(base: str, taken) -> str:
 
 
 def _tangent_cone(ideal: Ideal, deadline: _Deadline):
-    """Returns (cone ideal with attached grevlex basis, source homogeneous?)."""
+    """Returns (grevlex basis of the cone, source homogeneous?)."""
     ring = ideal.ring
     basis = buchberger(ideal, GREVLEX, deadline.remaining_ms())
     homogeneous = basis.is_homogeneous()
     if not homogeneous:
-        # Homogenize with t as variable 0 and take the t-heavy basis.  Each
-        # of its elements is homogeneous with the top power of t in its
-        # leading term, so its lowest form is the terms with that power, and
-        # raw >> SHIFT drops t.
+        # Homogenize with t as variable 0 (raw << SHIFT | power of t) and
+        # take the t-heavy basis.  Each of its elements is homogeneous with
+        # the top power of t in its leading term, so its lowest form is the
+        # terms with that power, and raw >> SHIFT drops t.
         pack = basis._pack
         hring = PolyRing((_fresh_name("t", ring.names),) + ring.names)
         hgens = []
         for terms in basis._terms:
             top = pack.key_degree(terms[0][0])
-            hterms = {
-                (top - pack.key_degree(k),) + pack.unpack(r): Fraction(c)
-                for (k, r, c) in terms
-            }
-            hgens.append(MultiPoly(hring, hterms))
+            hgens.append(
+                tuple((r << SHIFT | (top - pack.key_degree(k)), c) for (k, r, c) in terms)
+            )
         lazard = buchberger(Ideal(hring, tuple(hgens)), GREVLEX_T, deadline.remaining_ms())
         lowest = []
         for terms in lazard._terms:
@@ -301,16 +291,14 @@ def _tangent_cone(ideal: Ideal, deadline: _Deadline):
             lowest.append(kernel.content_normalize(low))
         final = _reduce_basis(lowest, pack)
         basis = GroebnerBasis(ring, GREVLEX, final, {"basis_size": len(final)})
-    cone = Ideal(ring, basis.elements, provenance="tangent-cone")
-    cone.groebner = basis
-    return cone, homogeneous
+    return basis, homogeneous
 
 
-def lowest_degree_forms_ideal(ideal: Ideal, budget_ms=None) -> Ideal:
+def lowest_degree_forms_ideal(ideal: Ideal, budget_ms=None) -> GroebnerBasis:
     """The ideal of lowest-degree homogeneous forms of all elements.
 
-    The returned generators are its reduced grevlex basis, attached as the
-    `groebner` certificate.  The budget covers both basis computations.
+    It is returned as its reduced grevlex basis.  The budget covers both
+    basis computations.
     """
     return _tangent_cone(ideal, _Deadline(budget_ms))[0]
 
@@ -394,22 +382,13 @@ def _numerator(gens, memo) -> UniPoly:
     return result
 
 
-def hilbert_numerator(monomials, nvars=None) -> UniPoly:
-    """Numerator K with PS(S/M; q) = K(q) / (1-q)^nvars for monomial M."""
-    if isinstance(monomials, Ideal):
-        nvars = monomials.ring.nvars
-        exps = []
-        for g in monomials.generators:
-            if len(g.terms) != 1:
-                raise ValueError("hilbert_numerator needs a monomial ideal")
-            exps.append(next(iter(g.terms)))
-    else:
-        exps = [tuple(e) for e in monomials]
-        if nvars is None:
-            raise ValueError("nvars is required for raw exponent input")
-        for e in exps:
-            if len(e) != nvars:
-                raise ValueError("exponent arity mismatch")
+def hilbert_numerator(monomials, nvars: int) -> UniPoly:
+    """Numerator K with PS(S/M; q) = K(q) / (1-q)^nvars for the monomial
+    ideal M generated by the given exponent tuples."""
+    exps = [tuple(e) for e in monomials]
+    for e in exps:
+        if len(e) != nvars:
+            raise ValueError("exponent arity mismatch")
     minimal = _minimalize_monomials(exps)
     return _numerator(tuple(minimal), {})
 
@@ -459,7 +438,7 @@ class HilbertData:
     H: UniPoly
     homogeneous: bool
     kl_ideal: Ideal
-    cone_ideal: Ideal
+    cone: GroebnerBasis  # reduced grevlex basis of the tangent-cone ideal
     elapsed_ms: float
 
 
@@ -477,7 +456,7 @@ def hilbert_data(v: Permutation, w: Permutation, budget_ms=None) -> HilbertData:
     expected_height = comb(w.n, 2) - length(w)
     cone, homogeneous = _tangent_cone(chart_ideal, deadline)
     deadline.check("tangent cone")
-    K = hilbert_numerator(cone.groebner.leading_exponents(), n_vars)
+    K = hilbert_numerator(cone.leading_exponents(), n_vars)
     if K.is_zero():
         raise RuntimeError("chart ideal defines the empty scheme; conventions broken")
     dim = n_vars - K.one_minus_q_multiplicity()

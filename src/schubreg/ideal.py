@@ -11,14 +11,26 @@ size r_w(s, t) + 1 of every southwest s x t corner, where r_w(s, t) counts
 {h <= t : w(h) >= n - s + 1}.  By Fulton's essential-set theorem (Fulton
 1992) the corners at the essential set of w already generate that ideal, so
 those are the only corners imposed.
+
+Minors are expanded straight into packed integer term lists (raws as in
+kernel.orders), and an `Ideal` stores its generators that way.  MultiPoly
+appears only at the edges: `Ideal.from_polys` packs polynomials given by a
+caller, and `Ideal.generators` unpacks on first use (parsing, printing, the
+Macaulay2 export).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from math import lcm
 from typing import Optional
 
-from .perm import Permutation, bruhat_leq, diagram, essential_set, length, sw_rank
+from .kernel import content_normalize
+from .kernel.orders import SHIFT, order_pack
+from .perm import Permutation, bruhat_leq, diagram, essential_set, sw_rank
 from .poly import MultiPoly, PolyRing
 
 ZERO = 0
@@ -105,158 +117,123 @@ def full_generic_matrix(n: int) -> GenericMatrix:
     )
 
 
+def pack_poly(f: MultiPoly) -> tuple[tuple[int, int], ...]:
+    """The (raw, coeff) terms of f, scaled to integer coefficients."""
+    denom = 1
+    for c in f.terms.values():
+        denom = lcm(denom, c.denominator)
+    pack = order_pack(f.ring.nvars)
+    return tuple((pack.pack(e), int(c * denom)) for e, c in f.terms.items())
+
+
+def unpack_poly(ring: PolyRing, terms) -> MultiPoly:
+    """The MultiPoly of (raw, coeff) terms."""
+    unpack = order_pack(ring.nvars).unpack
+    return MultiPoly(ring, {unpack(r): Fraction(c) for r, c in terms})
+
+
 @dataclass
 class Ideal:
-    """A finite generating set over a PolyRing, with optional provenance and
-    an optional attached Groebner basis certificate."""
+    """A finite generating set over a PolyRing, with optional provenance.
+
+    Each generator is a tuple of packed (raw, coeff) terms with integer
+    coefficients, in no particular order; `generators` unpacks them into
+    MultiPolys on first use.
+    """
 
     ring: PolyRing
-    generators: tuple[MultiPoly, ...]
+    terms: tuple[tuple[tuple[int, int], ...], ...]
     provenance: str = ""
-    groebner: Optional[object] = field(default=None, repr=False)
+
+    @classmethod
+    def from_polys(cls, ring: PolyRing, polys) -> "Ideal":
+        """The ideal generated by the given MultiPolys over `ring`."""
+        return cls(ring, tuple(pack_poly(f) for f in polys))
+
+    @cached_property
+    def generators(self) -> tuple[MultiPoly, ...]:
+        return tuple(unpack_poly(self.ring, g) for g in self.terms)
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self.terms)
 
 
 class _DetTable:
     """Memoized cofactor expansion over a patterned matrix.
 
     Rows and columns are display coordinates; the expansion walks the line
-    (row or column) with the most structural zeros.
+    (row or column) with the most structural zeros.  Determinants are
+    {raw: int} dicts: a 1 cell multiplies by raw 0, a free cell by the raw
+    of its variable.
     """
 
     def __init__(self, matrix: GenericMatrix):
-        self.matrix = matrix
-        self.ring = matrix.ring
+        var_raw = {ij: 1 << (SHIFT * k) for k, ij in enumerate(matrix.free_cells)}
+        # entry[r - 1][c - 1]: None for a zero cell, else the raw it multiplies by
+        self.entry = [
+            [None if kind[0] == ZERO else 0 if kind[0] == ONE else var_raw[kind[1:]]
+             for kind in row]
+            for row in matrix.cells
+        ]
         self.memo: dict = {}
 
-    def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> MultiPoly:
-        if len(rows) != len(cols):
-            raise ValueError("determinant needs a square selection")
-        if not rows:
-            return self.ring.one()
+    def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
         key = (rows, cols)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        value = self._expand(rows, cols)
-        self.memo[key] = value
-        return value
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = self._expand(rows, cols) if rows else {0: 1}
+        return found
 
-    def _expand(self, rows, cols) -> MultiPoly:
-        cell = self.matrix.cell
-        # pick the row or column with the fewest nonzero cells
-        best_score = None
-        best = None
-        for axis, line in (("row", rows), ("col", cols)):
-            for idx, label in enumerate(line):
-                if axis == "row":
-                    nonzero = sum(1 for c in cols if cell(label, c)[0] != ZERO)
+    def _expand(self, rows, cols) -> dict:
+        size = len(rows)
+        grid = [[self.entry[r - 1][c - 1] for c in cols] for r in rows]
+        # every row, then every column, as (row index, column index) cells;
+        # expand along the first line with the fewest nonzero cells
+        lines = [[(i, j) for j in range(size)] for i in range(size)]
+        lines += [[(i, j) for i in range(size)] for j in range(size)]
+        line = min(lines, key=lambda cells: sum(grid[i][j] is not None for i, j in cells))
+        total: dict = {}
+        for i, j in line:
+            shift = grid[i][j]
+            if shift is None:
+                continue
+            minor = self.det(rows[:i] + rows[i + 1 :], cols[:j] + cols[j + 1 :])
+            sign = -1 if (i + j) % 2 else 1
+            for r, c in minor.items():
+                r += shift
+                s = total.get(r, 0) + sign * c
+                if s:
+                    total[r] = s
                 else:
-                    nonzero = sum(1 for r in rows if cell(r, label)[0] != ZERO)
-                if best_score is None or nonzero < best_score:
-                    best_score = nonzero
-                    best = (axis, idx)
-        if best_score == 0:
-            return self.ring.zero()
-        axis, idx = best
-        total = self.ring.zero()
-        if axis == "row":
-            r = rows[idx]
-            sub_rows = rows[:idx] + rows[idx + 1 :]
-            for cidx, c in enumerate(cols):
-                kind = cell(r, c)
-                if kind[0] == ZERO:
-                    continue
-                minor = self.det(sub_rows, cols[:cidx] + cols[cidx + 1 :])
-                if minor.is_zero():
-                    continue
-                sign = -1 if (idx + cidx) % 2 else 1
-                if kind[0] == ONE:
-                    total = total + minor * sign
-                else:
-                    z = self.ring.var(var_name(kind[1], kind[2]))
-                    total = total + z * minor * sign
-        else:
-            c = cols[idx]
-            sub_cols = cols[:idx] + cols[idx + 1 :]
-            for ridx, r in enumerate(rows):
-                kind = cell(r, c)
-                if kind[0] == ZERO:
-                    continue
-                minor = self.det(rows[:ridx] + rows[ridx + 1 :], sub_cols)
-                if minor.is_zero():
-                    continue
-                sign = -1 if (ridx + idx) % 2 else 1
-                if kind[0] == ONE:
-                    total = total + minor * sign
-                else:
-                    z = self.ring.var(var_name(kind[1], kind[2]))
-                    total = total + z * minor * sign
+                    del total[r]
         return total
 
 
-def _subsets(pool: list[int], k: int):
-    n = len(pool)
-    if k > n:
-        return
-    idx = list(range(k))
-    while True:
-        yield tuple(pool[i] for i in idx)
-        for pos in range(k - 1, -1, -1):
-            if idx[pos] != pos + n - k:
-                break
-        else:
-            return
-        idx[pos] += 1
-        for later in range(pos + 1, k):
-            idx[later] = idx[later - 1] + 1
+def _minors_for_conditions(matrix: GenericMatrix, conditions) -> tuple:
+    """All minors of size rank+1 of southwest s x t corners, packed.
 
-
-def _canonical_sign(f: MultiPoly) -> MultiPoly:
-    lead = max(f.terms.items(), key=lambda item: (sum(item[0]), item[0]))
-    return -f if lead[1] < 0 else f
-
-
-def _minors_for_conditions(matrix: GenericMatrix, conditions) -> list[MultiPoly]:
-    """All minors of size rank+1 of southwest s x t corners.
-
-    `conditions` yields (s, t, rank) in bottom-up coordinates; duplicate
-    (rows, cols) selections are expanded once and duplicate or zero
-    polynomials are dropped.  Each minor is sign-normalized so mirrored
-    selections deduplicate.
+    `conditions` yields (s, t, rank) in bottom-up coordinates.  Each minor
+    is normalized to content 1 with a positive grevlex leading coefficient,
+    and zero or repeated minors are dropped.
     """
     n = matrix.n
+    keyof = order_pack(matrix.ring.nvars).keyof
     table = _DetTable(matrix)
-    seen_selection = set()
-    seen_poly = set()
+    seen = set()
     out = []
     for (s, t, rank) in conditions:
-        k = rank + 1
-        if k > min(s, t):
-            continue
-        display_rows = list(range(n - s + 1, n + 1))
-        cols = list(range(1, t + 1))
-        for row_sel in _subsets(display_rows, k):
-            for col_sel in _subsets(cols, k):
-                key = (row_sel, col_sel)
-                if key in seen_selection:
-                    continue
-                seen_selection.add(key)
-                det = table.det(row_sel, col_sel)
-                if det.is_zero():
-                    continue
-                det = _canonical_sign(det)
-                fingerprint = frozenset(det.terms.items())
-                if fingerprint in seen_poly:
-                    continue
-                seen_poly.add(fingerprint)
-                out.append(det)
-    return out
+        for rows in combinations(range(n - s + 1, n + 1), rank + 1):
+            for cols in combinations(range(1, t + 1), rank + 1):
+                det = table.det(rows, cols)
+                terms = sorted(((keyof(r), r, c) for r, c in det.items()), reverse=True)
+                poly = tuple((r, c) for _, r, c in content_normalize(terms))
+                if poly and poly not in seen:
+                    seen.add(poly)
+                    out.append(poly)
+    return tuple(out)
 
 
 def _essential_conditions(w: Permutation) -> list[tuple[int, int, int]]:
@@ -272,10 +249,9 @@ def kl_generators(v: Permutation, w: Permutation) -> Ideal:
     if not bruhat_leq(v, w):
         raise ValueError("%s is not below %s in Bruhat order" % (v, w))
     matrix = generic_matrix(v)
-    gens = _minors_for_conditions(matrix, _essential_conditions(w))
     return Ideal(
         matrix.ring,
-        tuple(gens),
+        _minors_for_conditions(matrix, _essential_conditions(w)),
         provenance="rank-conditions(v=%s, w=%s)" % (v, w),
     )
 
@@ -283,8 +259,11 @@ def kl_generators(v: Permutation, w: Permutation) -> Ideal:
 def schubert_determinantal_generators(w: Permutation) -> Ideal:
     """The one-variety rank ideal of w over a fully generic matrix."""
     matrix = full_generic_matrix(w.n)
-    gens = _minors_for_conditions(matrix, _essential_conditions(w))
-    return Ideal(matrix.ring, tuple(gens), provenance="rank-conditions(matrix; w=%s)" % w)
+    return Ideal(
+        matrix.ring,
+        _minors_for_conditions(matrix, _essential_conditions(w)),
+        provenance="rank-conditions(matrix; w=%s)" % w,
+    )
 
 
 def is_homogeneous_ideal(ideal: Ideal, budget_ms: Optional[int] = None) -> bool:
@@ -293,8 +272,8 @@ def is_homogeneous_ideal(ideal: Ideal, budget_ms: Optional[int] = None) -> bool:
     Homogeneous generators settle it immediately; otherwise the reduced
     Groebner basis decides.
     """
-    gens = [g for g in ideal.generators if not g.is_zero()]
-    if all(g.is_homogeneous() for g in gens):
+    degree = order_pack(ideal.ring.nvars).degree_of_raw
+    if all(len({degree(r) for r, _ in g}) <= 1 for g in ideal.terms):
         return True
     from . import gb
 

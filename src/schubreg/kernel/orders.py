@@ -21,6 +21,8 @@ and the terms met during reduction then stay below 2^15.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 SHIFT = 16
 FIELD = 0xFFFF
 MAX_EXP = 1 << 14
@@ -102,6 +104,10 @@ class OrderPack:
     def key_degree(self, key: int) -> int:
         """Total degree of the monomial with this key."""
         return key >> self.deg_shift
+
+
+# one shared pack per (nvars, kind)
+order_pack = lru_cache(maxsize=None)(OrderPack)
 
 
 def _assert_total_degree(total: int) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from ._version import __version__
-from .ideal import Ideal, kl_generators
+from .ideal import kl_generators
 from .perm import Permutation, free_cell_count, length
 
 _VAR = re.compile(r"z_(\d+)_(\d+)")
@@ -33,7 +33,8 @@ def m2_script(v: Permutation, w: Permutation) -> str:
         "-- expected: dim %d, codim %d in %d variables"
         % (length(w) - length(v), free_cell_count(v) - (length(w) - length(v)), ring.nvars),
     ]
-    gens = [g for g in chart_ideal.generators if not g.is_zero()]
+    # printed with a positive first term (MultiPoly prints by degree first)
+    gens = [g if g.sorted_terms()[0][1] > 0 else -g for g in chart_ideal.generators if g.terms]
     if ring.nvars == 0 or not gens:
         # Nothing for Macaulay2 to chew on: the quotient is the whole ring.
         lines += [

@@ -1,7 +1,11 @@
 """Exact sparse polynomials.
 
 MultiPoly keeps a dict from dense exponent tuples to Fraction coefficients
-over a fixed ring of named variables.  UniPoly is a plain integer-coefficient
+over a fixed ring of named variables.  It is the form for the edges of the
+library: parsing, Grothendieck polynomials, printing and the Macaulay2
+export, and the `Ideal.generators` and `GroebnerBasis.elements` views.  The
+Groebner pipeline itself works on packed integer term lists (ideal, gb,
+kernel) and builds no MultiPoly.  UniPoly is a plain integer-coefficient
 polynomial in one variable q used for Hilbert numerators, h-polynomials and
 Kazhdan-Lusztig polynomials.
 """

@@ -94,13 +94,13 @@ def kl_polynomial(v: Permutation, w: Permutation) -> UniPoly:
             total = total + rp * kl_polynomial(z, w)
     bound = (gap - 1) // 2
     p = UniPoly([-total[k] for k in range(bound + 1)])
-    assert p[0] == 1, "KL polynomial without constant term 1 for (%s, %s)" % (v, w)
+    if p[0] != 1:
+        raise RuntimeError("KL polynomial without constant term 1 for (%s, %s)" % (v, w))
     # The mirrored half of the functional equation is an exact certificate.
     full = p + total
     top = int(full.degree()) if not full.is_zero() else 0
-    assert top <= gap and all(
-        full[d] == p[gap - d] for d in range(gap + 1)
-    ), "KL functional equation violated for (%s, %s)" % (v, w)
+    if top > gap or any(full[d] != p[gap - d] for d in range(gap + 1)):
+        raise RuntimeError("KL functional equation violated for (%s, %s)" % (v, w))
     return p
 
 
@@ -234,8 +234,11 @@ def regularity(
     dim = length(w) - length(v)
     height = comb(w.n, 2) - length(w)
     n_vars = free_cell_count(v)
-    if hd is not None:
-        assert (hd.dim, hd.height, hd.n_vars) == (dim, height, n_vars)
+    if hd is not None and (hd.dim, hd.height, hd.n_vars) != (dim, height, n_vars):
+        raise RuntimeError(
+            "shape mismatch for (%s, %s): pipeline (dim, height, n_vars) %s, theory %s"
+            % (v, w, (hd.dim, hd.height, hd.n_vars), (dim, height, n_vars))
+        )
 
     report = RegularityReport(
         v=v,

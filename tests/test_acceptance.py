@@ -222,7 +222,7 @@ def test_criterion_11_kernel_oracles():
             nvars = r.choice((2, 2, 3, 3, 4))
             ideal = random_ideal(r, nvars, max_gens=3, max_deg=3, at_origin=True)
             cone = lowest_degree_forms_ideal(ideal)
-            ours = initial_ideal_dims(cone.groebner.leading_exponents(), nvars, 6)
+            ours = initial_ideal_dims(cone.leading_exponents(), nvars, 6)
             gens = [poly_to_int_dict(f) for f in ideal.generators]
             assert ours == macaulay_lowest_form_dims(gens, nvars, work[nvars], 6)
         checked = 0

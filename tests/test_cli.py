@@ -130,6 +130,17 @@ def test_exit_4_when_an_internal_invariant_fails(monkeypatch, capsys):
     assert err == "error: internal invariant failed: height mismatch for (1234, 3412): 3 vs 4\n"
 
 
+def test_exit_4_when_the_report_shape_disagrees(monkeypatch, capsys):
+    # the shape check runs as a real check, also under python -O
+    real = schubreg.reg.free_cell_count
+    monkeypatch.setattr(schubreg.reg, "free_cell_count", lambda v: real(v) + 1)
+    code, text = run(["analyze", "--v", "1234", "--w", "3412"])
+    err = capsys.readouterr().err
+    assert code == 4 and text == ""
+    assert err.startswith("error: internal invariant failed: shape mismatch for (1234, 3412)")
+    assert err.count("\n") == 1
+
+
 def test_budget_flag_and_environment(capsys, monkeypatch):
     slow = ["analyze", "--v", GOLDEN[0], "--w", GOLDEN[1], "--method", "groebner"]
     code, _ = run(slow + ["--budget-ms", "0"])

@@ -115,7 +115,7 @@ def poly_from_terms(ring, fingerprint):
 def all_corner_ideal(v, w):
     """The chart ideal cut out by every southwest corner (the oracle)."""
     matrix = generic_matrix(v)
-    return Ideal(matrix.ring, tuple(_minors_for_conditions(matrix, all_corners(w))))
+    return Ideal(matrix.ring, _minors_for_conditions(matrix, all_corners(w)))
 
 
 def assert_same_ideal_as_all_corners(n):
@@ -224,7 +224,7 @@ def test_kl_generators_match_sympy_minors_small():
         ours = {our_terms(f) for f in ideal}
         oracle = sympy_kl_polys(v, w)
         assert ours <= oracle, (v, w)
-        oracle_ideal = Ideal(
+        oracle_ideal = Ideal.from_polys(
             ideal.ring, tuple(poly_from_terms(ideal.ring, f) for f in oracle)
         )
         assert buchberger(ideal).elements == buchberger(oracle_ideal).elements, (v, w)
@@ -280,9 +280,7 @@ def test_determinantal_generators_span_all_corner_minors():
         matrix = full_generic_matrix(n)
         for w in all_permutations(n):
             ours = schubert_determinantal_generators(w)
-            oracle = Ideal(
-                matrix.ring, tuple(_minors_for_conditions(matrix, all_corners(w)))
-            )
+            oracle = Ideal(matrix.ring, _minors_for_conditions(matrix, all_corners(w)))
             assert ours.ring == matrix.ring
             assert buchberger(ours).elements == buchberger(oracle).elements, w
 

@@ -3,8 +3,9 @@
 perfbench/tracing.py wraps library functions in the module namespaces where
 their callers look them up (for example kernel.normal_form, called through
 the kernel module at call time).  A refactor that moves a call behind a
-from-import silently empties a layer; this test catches that in the default
-tier.  The tracer patches modules for good, so it runs in a child
+from-import silently empties a layer, and a change to the generators or to
+the algorithm's path moves the work counts the tracer reads; this test
+catches both in the default tier.  The tracer patches modules for good, so it runs in a child
 interpreter and leaves this process untouched.
 """
 
@@ -39,7 +40,23 @@ data = reg.hilbert_data(
 assert list(data.H.coeffs) == [1, 3, 1]
 for layer in sys.argv[3:]:
     print(layer, tracer.layer_calls(layer))
+for layer, fields in sorted(tracer.counts.items()):
+    for field, amount in sorted(fields.items()):
+        print("%s.%s" % (layer, field), amount)
 """
+
+# Work counts of the golden chart, as the benchmark's per-layer metrics read
+# them.  They depend only on the generators and the path of the algorithm.
+GOLDEN_COUNTS = {
+    "ideal.kl_generators.generators": 51,
+    "gb.buchberger.grevlex.pairs": 35,
+    "gb.buchberger.grevlex.zero_reductions": 35,
+    "gb.buchberger.grevlex.basis_size": 19,
+    "gb.buchberger.grevlex_t.pairs": 51,
+    "gb.buchberger.grevlex_t.zero_reductions": 48,
+    "gb.buchberger.grevlex_t.basis_size": 22,
+    "gb.hilbert_numerator.monomials": 12,
+}
 
 
 def test_tracer_records_every_pipeline_layer_on_the_golden_chart():
@@ -50,10 +67,10 @@ def test_tracer_records_every_pipeline_layer_on_the_golden_chart():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    calls = {}
+    values = {}
     for line in done.stdout.splitlines():
-        layer, count = line.split()
-        calls[layer] = int(count)
-    assert sorted(calls) == sorted(LAYERS)
-    silent = [layer for layer in LAYERS if calls[layer] == 0]
+        name, value = line.split()
+        values[name] = int(value)
+    silent = [layer for layer in LAYERS if values[layer] == 0]
     assert not silent, silent
+    assert {name: values.get(name) for name in GOLDEN_COUNTS} == GOLDEN_COUNTS
