@@ -30,7 +30,6 @@ from .groth import (
 from .ideal import (
     Ideal,
     generic_matrix,
-    is_homogeneous_ideal,
     kl_generators,
     schubert_determinantal_generators,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "generic_matrix",
     "kl_generators",
     "schubert_determinantal_generators",
-    "is_homogeneous_ideal",
     "buchberger",
     "lowest_degree_forms_ideal",
     "hilbert_numerator",

@@ -26,7 +26,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from typing import Optional
 
 from .kernel import content_normalize
 from .kernel.orders import SHIFT, order_pack
@@ -264,17 +263,3 @@ def schubert_determinantal_generators(w: Permutation) -> Ideal:
         _minors_for_conditions(matrix, _essential_conditions(w)),
         provenance="rank-conditions(matrix; w=%s)" % w,
     )
-
-
-def is_homogeneous_ideal(ideal: Ideal, budget_ms: Optional[int] = None) -> bool:
-    """Whether the ideal is homogeneous (not merely its given generators).
-
-    Homogeneous generators settle it immediately; otherwise the reduced
-    Groebner basis decides.
-    """
-    degree = order_pack(ideal.ring.nvars).degree_of_raw
-    if all(len({degree(r) for r, _ in g}) <= 1 for g in ideal.terms):
-        return True
-    from . import gb
-
-    return gb.buchberger(ideal, budget_ms=budget_ms).is_homogeneous()

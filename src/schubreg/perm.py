@@ -154,13 +154,50 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def covers_below(w: Permutation) -> tuple[Permutation, ...]:
+    """Every u covered by w in Bruhat order: u = w t with l(u) = l(w) - 1.
+
+    Swapping the values at positions i < j lowers w by one cover exactly
+    when w(i) > w(j) and no value between them sits between the positions.
+    """
+    word = w.word
+    n = w.n
+    out = []
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            if word[i] > word[j] and not any(
+                word[i] > word[k] > word[j] for k in range(i + 1, j)
+            ):
+                u = list(word)
+                u[i], u[j] = u[j], u[i]
+                out.append(Permutation(tuple(u)))
+    return tuple(out)
+
+
 def bruhat_interval(v: Permutation, w: Permutation) -> frozenset[Permutation]:
-    """All u with v <= u <= w.  Errors unless v <= w."""
+    """All u with v <= u <= w.  Errors unless v <= w.
+
+    Walks down from w by covers and keeps what stays above v; every element
+    of the interval lies on a chain of covers from w, so the walk costs the
+    interval's size rather than n!.
+    """
     if not bruhat_leq(v, w):
         raise ValueError("%s is not below %s in Bruhat order" % (v, w))
-    return frozenset(
-        u for u in all_permutations(v.n) if bruhat_leq(v, u) and bruhat_leq(u, w)
-    )
+    inside = {w}
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        below = []
+        for u in frontier:
+            for z in covers_below(u):
+                if z not in seen:
+                    seen.add(z)
+                    if bruhat_leq(v, z):
+                        inside.add(z)
+                        below.append(z)
+        frontier = below
+    return frozenset(inside)
 
 
 @lru_cache(maxsize=None)
@@ -267,27 +304,6 @@ def permutation_from_reversed_code(code: tuple[int, ...]) -> Permutation:
         u.append(available.pop(c))
     lehmer = Permutation(tuple(u))
     return w0_compose(lehmer.inverse())
-
-
-def diagram_ascii(w: Permutation) -> str:
-    """Grid picture: `#` diagram box, `e` essential box, `o` the dots of w."""
-    n = w.n
-    boxes = diagram(w)
-    ess = essential_set(w)
-    rows = []
-    for i in range(1, n + 1):
-        cells = []
-        for j in range(1, n + 1):
-            if (i, j) in ess:
-                cells.append("e")
-            elif (i, j) in boxes:
-                cells.append("#")
-            elif w.word[j - 1] == i:
-                cells.append("o")
-            else:
-                cells.append(".")
-        rows.append(" ".join(cells))
-    return "\n".join(rows)
 
 
 def free_cell_count(v: Permutation) -> int:

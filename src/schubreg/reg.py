@@ -19,13 +19,14 @@ from math import comb, inf
 
 from . import kernel
 from ._version import __version__
-from .gb import HilbertData, ResourceBudgetExceeded, _Deadline, hilbert_data
+from .gb import ResourceBudgetExceeded, _Deadline, hilbert_data
 from .groth import groth_spec_1mq
 from .perm import (
     Permutation,
     all_permutations,
     bruhat_interval,
     bruhat_leq,
+    covers_below,
     free_cell_count,
     is_covexillary,
     length,
@@ -106,6 +107,40 @@ def kl_polynomial(v: Permutation, w: Permutation) -> UniPoly:
 
 def kl_degree(v: Permutation, w: Permutation) -> int:
     return int(kl_polynomial(v, w).degree())
+
+
+# ----------------------------------------------------------------------
+# The chart memo
+
+# (v, w) -> (H, homogeneous) for every chart computed in this process.
+# Only the h-polynomial and the flag are kept: a HilbertData also holds the
+# chart ideal and the cone basis, too much to keep for every pair of a scan.
+_CHARTS: dict = {}
+
+
+def _chart(v: Permutation, w: Permutation, deadline: _Deadline):
+    """(H_{v,w}, whether the chart ideal is homogeneous), computed once.
+
+    A miss runs hilbert_data under what remains of the deadline and checks
+    the pipeline's shape against theory before storing the result; a
+    budget overrun propagates and stores nothing.  A stored chart is
+    returned without consulting the deadline.
+    """
+    found = _CHARTS.get((v, w))
+    if found is None:
+        hd = hilbert_data(v, w, budget_ms=deadline.remaining_ms())
+        theory = (
+            length(w) - length(v),
+            comb(w.n, 2) - length(w),
+            free_cell_count(v),
+        )
+        if (hd.dim, hd.height, hd.n_vars) != theory:
+            raise RuntimeError(
+                "shape mismatch for (%s, %s): pipeline (dim, height, n_vars) %s, theory %s"
+                % (v, w, (hd.dim, hd.height, hd.n_vars), theory)
+            )
+        found = _CHARTS[(v, w)] = (hd.H, hd.homogeneous)
+    return found
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +230,8 @@ def regularity(
     the formula for covexillary w (upgraded to "both" under verify) and the
     Groebner route otherwise.  Outside the covexillary theorem the reported
     value is deg H with cm_status "conjectural".  budget_ms bounds the
-    Groebner work of the pair, conjecture checks included.
+    Groebner work of the pair, conjecture checks included; a chart already
+    in the per-process chart memo costs no budget.
     """
     start = time.monotonic()
     deadline = _Deadline(budget_ms)
@@ -214,11 +250,10 @@ def regularity(
     if method in ("formula", "both"):
         formula_reg = regularity_formula(v, w)
 
-    hd = None
-    groebner_reg = None
+    H = homogeneous = groebner_reg = None
     if method in ("groebner", "both"):
-        hd = hilbert_data(v, w, budget_ms=deadline.remaining_ms())
-        groebner_reg = int(hd.H.degree())
+        H, homogeneous = _chart(v, w, deadline)
+        groebner_reg = int(H.degree())
 
     discrepant = (
         method == "both"
@@ -231,15 +266,6 @@ def regularity(
     else:
         reg = formula_reg if formula_reg is not None else groebner_reg
 
-    dim = length(w) - length(v)
-    height = comb(w.n, 2) - length(w)
-    n_vars = free_cell_count(v)
-    if hd is not None and (hd.dim, hd.height, hd.n_vars) != (dim, height, n_vars):
-        raise RuntimeError(
-            "shape mismatch for (%s, %s): pipeline (dim, height, n_vars) %s, theory %s"
-            % (v, w, (hd.dim, hd.height, hd.n_vars), (dim, height, n_vars))
-        )
-
     report = RegularityReport(
         v=v,
         w=w,
@@ -248,20 +274,20 @@ def regularity(
         formula_reg=formula_reg,
         groebner_reg=groebner_reg,
         discrepant=discrepant,
-        H=hd.H if hd is not None else None,
-        dim=dim,
-        height=height,
-        n_vars=n_vars,
+        H=H,
+        dim=length(w) - length(v),
+        height=comb(w.n, 2) - length(w),
+        n_vars=free_cell_count(v),
         covexillary=cov,
         cm_status="proven" if cov else "conjectural",
-        homogeneous_ideal=hd.homogeneous if hd is not None else None,
+        homogeneous_ideal=homogeneous,
         kl_degree=kl_degree(v, w) if with_kl else None,
         conjecture_flags={},
         elapsed_ms=0.0,
     )
     if checks:
         report.conjecture_flags = check_conjectures(
-            v, w, checks=checks, hd=hd, budget_ms=deadline.remaining_ms()
+            v, w, checks=checks, budget_ms=deadline.remaining_ms()
         )
     report.elapsed_ms = (time.monotonic() - start) * 1000.0
     return report
@@ -309,27 +335,10 @@ def finalps_check(
 # Conjecture checks
 
 
-def _covers_below(v: Permutation):
-    """All u lowered from v by one Bruhat cover (u = v t, l(u) = l(v) - 1)."""
-    word = v.word
-    n = v.n
-    out = []
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if word[i] > word[j] and not any(
-                word[i] > word[k] > word[j] for k in range(i + 1, j)
-            ):
-                u = list(word)
-                u[i], u[j] = u[j], u[i]
-                out.append(Permutation(tuple(u)))
-    return out
-
-
 def check_conjectures(
     v: Permutation,
     w: Permutation,
     checks="all",
-    hd=None,
     budget_ms=None,
 ) -> dict:
     """Evaluate the conjecture suite on one pair; values pass/fail/not-checkable.
@@ -342,7 +351,9 @@ def check_conjectures(
     kl-degree         covexillary only: deg P_{v,w} = formula reg
     reg-le-deg-p      informational: reg <= deg P (speculation, never fatal)
 
-    budget_ms bounds every Hilbert-data computation of the checks together.
+    budget_ms bounds the checks together: it covers every chart they compute
+    and is checked again after each KL polynomial.  Charts come from the
+    per-process chart memo, and a memoised chart costs no budget.
     """
     _require_bruhat(v, w)
     selected = ALL_CHECKS if checks == "all" else tuple(checks)
@@ -353,26 +364,23 @@ def check_conjectures(
         return {name: "pass" for name in selected}
     cov = is_covexillary(w)
     flags = {}
-    # one budget for every chart the checks compute
+    # one budget for every chart and KL polynomial the checks compute
     deadline = _Deadline(budget_ms)
 
-    def data() -> HilbertData:
-        nonlocal hd
-        if hd is None:
-            hd = hilbert_data(v, w, budget_ms=deadline.remaining_ms())
-        return hd
+    def h() -> UniPoly:
+        return _chart(v, w, deadline)[0]
 
     for name in selected:
         if name == "h-nonneg":
-            flags[name] = "pass" if all(c >= 0 for c in data().H.coeffs) else "fail"
+            flags[name] = "pass" if all(c >= 0 for c in h().coeffs) else "fail"
         elif name == "deg-bound":
             gap = length(w) - length(v)
-            flags[name] = "pass" if 2 * int(data().H.degree()) <= gap - 1 else "fail"
+            flags[name] = "pass" if 2 * int(h().degree()) <= gap - 1 else "fail"
         elif name == "h-semicontinuity":
             ok = True
-            h_here = data().H
-            for u in _covers_below(v):
-                h_below = hilbert_data(u, w, budget_ms=deadline.remaining_ms()).H
+            h_here = h()
+            for u in covers_below(v):
+                h_below = _chart(u, w, deadline)[0]
                 top = max(int(h_below.degree()), int(h_here.degree()))
                 if any(h_below[t] < h_here[t] for t in range(top + 1)):
                     ok = False
@@ -383,7 +391,7 @@ def check_conjectures(
                 flags[name] = "not-checkable"
                 continue
             here = regularity_formula(v, w)
-            ok = all(regularity_formula(u, w) >= here for u in _covers_below(v))
+            ok = all(regularity_formula(u, w) >= here for u in covers_below(v))
             flags[name] = "pass" if ok else "fail"
         elif name == "dual-path":
             if not cov:
@@ -391,23 +399,23 @@ def check_conjectures(
                 continue
             flags[name] = (
                 "pass"
-                if regularity_formula(v, w) == int(data().H.degree())
+                if regularity_formula(v, w) == int(h().degree())
                 else "fail"
             )
         elif name == "kl-degree":
             if not cov:
                 flags[name] = "not-checkable"
                 continue
-            flags[name] = (
-                "pass" if kl_degree(v, w) == regularity_formula(v, w) else "fail"
-            )
+            degree = kl_degree(v, w)
+            deadline.check("kl-degree")
+            flags[name] = "pass" if degree == regularity_formula(v, w) else "fail"
         elif name == "reg-le-deg-p":
             if not cov:
                 flags[name] = "not-checkable"
                 continue
-            flags[name] = (
-                "pass" if regularity_formula(v, w) <= kl_degree(v, w) else "fail"
-            )
+            degree = kl_degree(v, w)
+            deadline.check("kl-degree")
+            flags[name] = "pass" if regularity_formula(v, w) <= degree else "fail"
     return flags
 
 

@@ -229,6 +229,7 @@ def diag_level_sum(filling: Filling) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
 def regularity_formula(v: Permutation, w: Permutation) -> int:
     """Tangent-cone regularity of the (v, w) chart by the tableau rule."""
     return diag_level_sum(rank_filling(v, w))

@@ -3,7 +3,22 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from schubreg import reg, shapes
 from schubreg.poly import MultiPoly, PolyRing
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Start each test with an empty chart memo and tableau-regularity cache.
+
+    Tests assume a cold process, as the CLI has: a budget of 0 or a patched
+    hilbert_data must reach the computation, not a chart an earlier test
+    stored.
+    """
+    reg._CHARTS.clear()
+    shapes.regularity_formula.cache_clear()
 
 
 def rng(seed):

@@ -12,6 +12,7 @@ from schubreg.perm import (
     bruhat_leq,
     code_and_shape,
     contains_pattern,
+    covers_below,
     diagram,
     essential_set,
     free_cell_count,
@@ -144,6 +145,30 @@ def test_bruhat_interval_counts():
     assert small == frozenset(
         {Permutation((2, 1, 3)), Permutation((3, 1, 2))}
     )
+
+
+def test_covers_below_matches_the_length_filter():
+    for n in (3, 4, 5):
+        perms = list(all_permutations(n))
+        for w in perms:
+            expected = {
+                u for u in perms if length(u) == length(w) - 1 and bruhat_leq(u, w)
+            }
+            covers = covers_below(w)
+            assert len(covers) == len(expected) and set(covers) == expected, w
+
+
+def test_bruhat_interval_matches_the_filter_on_s5():
+    # the oracle filters all of S_5: u is in [v, w] when v <= u and u <= w
+    perms = list(all_permutations(5))
+    above = {v: {u for u in perms if bruhat_leq(v, u)} for v in perms}
+    below = {w: {u for u in perms if bruhat_leq(u, w)} for w in perms}
+    pairs = 0
+    for w in perms:
+        for v in below[w]:
+            assert bruhat_interval(v, w) == above[v] & below[w], (v, w)
+            pairs += 1
+    assert pairs == 3781
 
 
 def test_pattern_containment_matches_brute_force():

@@ -3,6 +3,7 @@
 import json
 import os
 import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from schubreg.perm import (
     is_covexillary,
     length,
 )
+from schubreg.gb import ResourceBudgetExceeded
 from schubreg.poly import UniPoly
 from schubreg.reg import (
     ALL_CHECKS,
@@ -284,6 +286,56 @@ def test_budget_covers_the_charts_of_the_checks(monkeypatch):
         budget_ms=50,
     )
     assert rec.error is not None and rec.error.startswith("budget:")
+
+
+def test_budget_covers_the_kl_checks(monkeypatch):
+    import schubreg.reg as reg
+
+    compute = reg.kl_polynomial
+
+    def slow_kl_polynomial(v, w):
+        time.sleep(0.03)
+        return compute(v, w)
+
+    monkeypatch.setattr(reg, "kl_polynomial", slow_kl_polynomial)
+    v, w = Permutation.identity(4), Permutation((4, 2, 3, 1))
+    assert is_covexillary(w)
+    for check in ("kl-degree", "reg-le-deg-p"):
+        rec = scan_record(v, w, checks=(check,), budget_ms=10)
+        assert rec.error is not None and rec.error.startswith("budget:"), check
+        assert scan_record(v, w, checks=(check,)).conjectures == {check: "pass"}
+
+
+def test_s4_sweep_computes_each_chart_once(monkeypatch):
+    import schubreg.reg as reg
+
+    compute = reg.hilbert_data
+    calls = Counter()
+
+    def counting_hilbert_data(v, w, budget_ms=None):
+        calls[(v, w)] += 1
+        return compute(v, w, budget_ms=budget_ms)
+
+    monkeypatch.setattr(reg, "hilbert_data", counting_hilbert_data)
+    result = max_reg_scan(4, checks="all")
+    assert result.complete and not result.conjecture_failures
+    assert calls and set(calls.values()) == {1}
+
+
+def test_budget_error_is_not_memoised():
+    v, w = Permutation.identity(4), Permutation((3, 4, 1, 2))
+    with pytest.raises(ResourceBudgetExceeded):
+        regularity(v, w, budget_ms=0)
+    H = regularity(v, w).H
+    # a stored chart costs no budget
+    again = regularity(v, w, budget_ms=0)
+    assert H is not None and again.H == H and again.reg == int(H.degree())
+
+
+def test_kl_polynomials_of_two_s7_pairs():
+    w = Permutation.from_string("7314562")
+    assert kl_polynomial(GOLDEN_V, w) == UniPoly([1, 2, 1])
+    assert kl_polynomial(Permutation.identity(7), w) == UniPoly([1, 3, 3, 1])
 
 
 def test_kernel_version_shape():
