@@ -1,11 +1,11 @@
 """Command-line surface.
 
 Exit codes separate operational failures from mathematical ones: 0 success,
-1 usage or resource errors (including a companion permutation outside the
-supported search), 2 the two regularity routes disagreed, 3 a falsifiable
-conjecture check failed, 4 an internal invariant failed (a bug in the
-pipeline, never a property of the input).  A CI wrapper can therefore tell a
-bug from a discovery.  Every failure prints one `error:` line on stderr.
+1 usage or resource errors, 2 the two regularity routes disagreed, 3 a
+falsifiable conjecture check failed, 4 an internal invariant failed (a bug in
+the pipeline, never a property of the input).  A CI wrapper can therefore
+tell a bug from a discovery.  Every failure prints one `error:` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 
 from ._version import __version__
-from .gb import ResourceBudgetExceeded, hilbert_data
+from .gb import ResourceBudgetExceeded
 from .groth import groth_degree, groth_min_degree, groth_spec_1mq, grothendieck, vexillary_degree_formula
 from .m2 import write_m2_script
 from .perm import Permutation, is_covexillary, is_vexillary, length
@@ -26,9 +26,9 @@ from .reg import (
     check_conjectures,
     finalps_check,
     max_reg_scan,
+    ps_series,
     regularity,
 )
-from .shapes import CompanionSearchError
 
 
 class _UsageError(Exception):
@@ -147,12 +147,8 @@ def _cmd_analyze(args, out) -> int:
     if args.ps_order is not None:
         if args.ps_order < 0:
             raise _UsageError("--ps-order: must be nonnegative")
-        H = report.H
-        if H is None:
-            hd = hilbert_data(v, w, budget_ms=budget)
-            H = hd.H
-        coeffs = H.series_coefficients(report.dim, args.ps_order)
-        ps_payload = {"ps_coeffs": coeffs, "multiplicity": int(H.evaluate(1))}
+        coeffs, multiplicity = ps_series(v, w, args.ps_order, budget_ms=budget)
+        ps_payload = {"ps_coeffs": coeffs, "multiplicity": multiplicity}
     if args.json:
         payload = report.to_json()
         if ps_payload is not None:
@@ -294,7 +290,7 @@ def _cmd_verify(args, out) -> int:
     )
     finalps = None
     if cov:
-        finalps = finalps_check(v, w, H=report.H, height=report.height)
+        finalps = finalps_check(v, w, budget_ms=budget)
     failures = [
         name
         for name, value in sorted(report.conjecture_flags.items())
@@ -353,9 +349,7 @@ def entry(argv=None, out=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out)
-    except (
-        _UsageError, ValueError, ResourceBudgetExceeded, CompanionSearchError
-    ) as exc:
+    except (_UsageError, ValueError, ResourceBudgetExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except RuntimeError as exc:

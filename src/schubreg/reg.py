@@ -214,6 +214,25 @@ class RegularityReport:
         )
 
 
+def _fixed_fields(v: Permutation, w: Permutation, method="auto", verify=False) -> dict:
+    """The report fields that the pair and the requested method fix in advance.
+
+    "auto" picks the formula for covexillary w (upgraded to "both" under
+    verify) and the Groebner route otherwise.
+    """
+    cov = is_covexillary(w)
+    if method == "auto":
+        method = ("both" if verify else "formula") if cov else "groebner"
+    return {
+        "method": method,
+        "covexillary": cov,
+        "cm_status": "proven" if cov else "conjectural",
+        "dim": length(w) - length(v),
+        "height": comb(w.n, 2) - length(w),
+        "n_vars": free_cell_count(v),
+    }
+
+
 def regularity(
     v: Permutation,
     w: Permutation,
@@ -236,12 +255,11 @@ def regularity(
     start = time.monotonic()
     deadline = _Deadline(budget_ms)
     _require_bruhat(v, w)
-    cov = is_covexillary(w)
-    if method == "auto":
-        method = ("both" if verify else "formula") if cov else "groebner"
+    fixed = _fixed_fields(v, w, method, verify)
+    method = fixed["method"]
     if method not in ("formula", "groebner", "both"):
         raise ValueError("unknown method %r" % method)
-    if method in ("formula", "both") and not cov:
+    if method in ("formula", "both") and not fixed["covexillary"]:
         raise NotCovexillaryError(
             "method %s needs a 3412-avoiding w; %s is not" % (method, w)
         )
@@ -269,17 +287,12 @@ def regularity(
     report = RegularityReport(
         v=v,
         w=w,
-        method=method,
+        **fixed,
         reg=reg,
         formula_reg=formula_reg,
         groebner_reg=groebner_reg,
         discrepant=discrepant,
         H=H,
-        dim=length(w) - length(v),
-        height=comb(w.n, 2) - length(w),
-        n_vars=free_cell_count(v),
-        covexillary=cov,
-        cm_status="proven" if cov else "conjectural",
         homogeneous_ideal=homogeneous,
         kl_degree=kl_degree(v, w) if with_kl else None,
         conjecture_flags={},
@@ -297,37 +310,33 @@ def regularity(
 # Series and the Grothendieck cross-identity
 
 
-def ps_series(v: Permutation, w: Permutation, order: int, budget_ms=None, hd=None):
+def ps_series(v: Permutation, w: Permutation, order: int, budget_ms=None):
     """Hilbert function of the tangent cone, degrees 0..order inclusive.
 
     Returns (coefficients, multiplicity) where multiplicity = H(1) is the
-    Hilbert-Samuel multiplicity of the chart.
+    Hilbert-Samuel multiplicity of the chart.  H comes from the chart memo,
+    computed under budget_ms on a miss.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if hd is None:
-        hd = hilbert_data(v, w, budget_ms=budget_ms)
-    coeffs = tuple(hd.H.series_coefficients(hd.dim, order))
-    return coeffs, int(hd.H.evaluate(1))
+    H = _chart(v, w, _Deadline(budget_ms))[0]
+    coeffs = tuple(H.series_coefficients(length(w) - length(v), order))
+    return coeffs, int(H.evaluate(1))
 
 
-def finalps_check(
-    v: Permutation, w: Permutation, budget_ms=None, H=None, height=None
-) -> bool:
+def finalps_check(v: Permutation, w: Permutation, budget_ms=None) -> bool:
     """Exact identity between the Grothendieck specialization and H.
 
     The companion's partner polynomial specialized at 1-q must equal
-    H_{v,w}(q) * (1-q)^{codim X_w}; both sides are computed independently
-    (divided differences vs the Groebner pipeline) unless H and height are
-    supplied by the caller.
+    H_{v,w}(q) * (1-q)^{codim X_w}; the two sides come from independent
+    routes (divided differences vs the Groebner pipeline).  H comes from the
+    chart memo, computed under budget_ms on a miss.
     """
     _require_bruhat(v, w)
     companion = companion_permutation(v, w).perm
     lhs = groth_spec_1mq(w0_compose(companion))
-    if H is None or height is None:
-        hd = hilbert_data(v, w, budget_ms=budget_ms)
-        H, height = hd.H, hd.height
-    rhs = H * UniPoly.one_minus_q() ** height
+    H = _chart(v, w, _Deadline(budget_ms))[0]
+    rhs = H * UniPoly.one_minus_q() ** (comb(w.n, 2) - length(w))
     return lhs == rhs
 
 
@@ -459,49 +468,41 @@ def kernel_version() -> str:
 
 
 def scan_record(v: Permutation, w: Permutation, checks=(), budget_ms=None) -> ScanRecord:
-    """Compute one pair for a scan; budget overruns become error records."""
+    """Compute one pair for a scan; budget overruns become error records.
+
+    Both kinds of record carry the fields the pair fixes in advance, so an
+    error record is labelled as the pair's report would be.
+    """
     start = time.monotonic()
+    fixed = _fixed_fields(v, w)
     try:
-        report = regularity(v, w, method="auto", checks=checks, budget_ms=budget_ms)
-        return ScanRecord(
-            n=v.n,
-            v=str(v),
-            w=str(w),
+        report = regularity(v, w, checks=checks, budget_ms=budget_ms)
+        outcome = dict(
             reg=report.reg,
-            method=report.method,
-            covexillary=report.covexillary,
-            cm_status=report.cm_status,
-            dim=report.dim,
-            height=report.height,
-            n_vars=report.n_vars,
             h_coeffs=list(report.H.coeffs) if report.H is not None else None,
             kl_degree=report.kl_degree,
             homogeneous_ideal=report.homogeneous_ideal,
             conjectures=dict(report.conjecture_flags),
             error=None,
-            kernel=kernel_version(),
-            elapsed_ms=round((time.monotonic() - start) * 1000.0, 3),
         )
     except ResourceBudgetExceeded as exc:
-        return ScanRecord(
-            n=v.n,
-            v=str(v),
-            w=str(w),
+        outcome = dict(
             reg=None,
-            method="groebner",
-            covexillary=is_covexillary(w),
-            cm_status="conjectural",
-            dim=length(w) - length(v),
-            height=comb(w.n, 2) - length(w),
-            n_vars=free_cell_count(v),
             h_coeffs=None,
             kl_degree=None,
             homogeneous_ideal=None,
             conjectures={},
             error="budget: %s" % exc,
-            kernel=kernel_version(),
-            elapsed_ms=round((time.monotonic() - start) * 1000.0, 3),
         )
+    return ScanRecord(
+        n=v.n,
+        v=str(v),
+        w=str(w),
+        **fixed,
+        **outcome,
+        kernel=kernel_version(),
+        elapsed_ms=round((time.monotonic() - start) * 1000.0, 3),
+    )
 
 
 def _scan_worker(payload):

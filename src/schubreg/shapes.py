@@ -15,7 +15,6 @@ from functools import lru_cache
 from .perm import (
     Box,
     Permutation,
-    all_permutations,
     bruhat_leq,
     code_and_shape,
     diagram,
@@ -28,10 +27,6 @@ from .perm import (
 
 class NotCovexillaryError(ValueError):
     """Raised when the tableau rule is asked about a 3412-containing w."""
-
-
-class CompanionSearchError(RuntimeError):
-    """Raised when the companion permutation is not determined uniquely."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,26 +48,6 @@ class Filling:
     n: int
     shape: tuple[int, ...]
     entries: dict[Box, int]
-
-    def cells(self) -> tuple[Box, ...]:
-        return tuple(sorted(self.entries))
-
-    def entry(self, cell: Box) -> int:
-        return self.entries[cell]
-
-    def rows_bottom_up(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for k, width in enumerate(self.shape):
-            row = self.n - k
-            rows.append(tuple(self.entries[(row, col)] for col in range(1, width + 1)))
-        return tuple(rows)
-
-    def ascii(self) -> str:
-        """French orientation: shortest row printed on top."""
-        lines = []
-        for values in reversed(self.rows_bottom_up()):
-            lines.append(" ".join(str(x) for x in values))
-        return "\n".join(lines)
 
 
 def push_to_partition(boxes, n: int) -> tuple[tuple[int, ...], dict[Box, Box]]:
@@ -117,11 +92,18 @@ def companion_permutation(v: Permutation, w: Permutation) -> CompanionData:
     """The covexillary permutation carrying the tangent-cone data of (v, w).
 
     Each essential box e of D(w) moves rho = R_v(e) steps southwest along its
-    antidiagonal and imposes the rank R_w(e) - rho there.  The companion is
-    the unique covexillary permutation with the length and shape of w meeting
-    the imposed ranks.  When every rho vanishes the constraints are met by w
-    itself, which is the unique solution; this shortcut is what keeps large
-    staircase charts (n > 9) within reach.
+    antidiagonal and imposes the rank R_w(e) - rho there.  The companion
+    kappa is the covexillary permutation with the length and shape of w that
+    meets the imposed ranks (Li-Yong 2012).  Its rank function is the
+    largest southwest rank function meeting them,
+
+        R(a, j) = min(n - a + 1, j, min_e r_e + max(0, i_e - a) + max(0, j - j_e))
+
+    over the moved boxes (i_e, j_e) with imposed ranks r_e, and kappa(j) is
+    the row a where R(a, j) - R(a, j-1) - R(a+1, j) + R(a+1, j-1) = 1.  When
+    no box moves, this is the rank function of w itself (Fulton 1992).  The
+    result is checked against every defining property; a failure raises
+    RuntimeError, since for v <= w it is a bug, not a property of the input.
     """
     if not is_covexillary(w):
         raise NotCovexillaryError("%s contains 3412" % w)
@@ -129,46 +111,53 @@ def companion_permutation(v: Permutation, w: Permutation) -> CompanionData:
         raise ValueError("%s is not below %s in Bruhat order" % (v, w))
     n = w.n
     moved = []
-    all_zero = True
     for (i, j) in sorted(essential_set(w)):
         rho = sw_rank(v, i, j)
-        all_zero = all_zero and rho == 0
-        target = (i + rho, j - rho)
-        if target[0] > n or target[1] < 1:
-            raise CompanionSearchError(
-                "moved box %r leaves the grid for pair (%s, %s)" % (target, v, w)
-            )
         imposed = sw_rank(w, i, j) - rho
-        if imposed < 0:
-            raise CompanionSearchError(
-                "negative imposed rank at %r for pair (%s, %s)" % (target, v, w)
+        if i + rho > n or j - rho < 1 or imposed < 0:
+            raise RuntimeError(
+                "essential box %r of %s moves to %r with rank %d for v = %s"
+                % ((i, j), w, (i + rho, j - rho), imposed, v)
             )
-        moved.append((target, imposed))
+        moved.append(((i + rho, j - rho), imposed))
     moved_tuple = tuple(moved)
-    if all_zero:
-        return CompanionData(moved_tuple, w)
-    if n > 9:
-        raise CompanionSearchError(
-            "companion search is only supported up to S_9 unless all moves vanish"
+
+    # rank[a][j] = R(a, j), padded with a zero row n + 1 and a zero column 0
+    rank = [[0] * (n + 1) for _ in range(n + 2)]
+    for a in range(1, n + 1):
+        for j in range(1, n + 1):
+            rank[a][j] = min(
+                [n - a + 1, j]
+                + [r + max(0, i - a) + max(0, j - c) for (i, c), r in moved_tuple]
+            )
+    word = []  # a column without exactly one dot gets 0, which fails below
+    for j in range(1, n + 1):
+        dots = [
+            a
+            for a in range(1, n + 1)
+            if rank[a][j] - rank[a][j - 1] - rank[a + 1][j] + rank[a + 1][j - 1] == 1
+        ]
+        word.append(dots[0] if len(dots) == 1 else 0)
+    if sorted(word) != list(range(1, n + 1)):
+        raise RuntimeError(
+            "the ranks imposed by (%s, %s) are not a permutation's" % (v, w)
         )
-    target_len = length(w)
-    target_shape = code_and_shape(w)[1]
-    found = []
-    for u in all_permutations(n):
-        if any(sw_rank(u, box[0], box[1]) != rank for box, rank in moved_tuple):
-            continue
-        if length(u) != target_len:
-            continue
-        if code_and_shape(u)[1] != target_shape:
-            continue
-        if not is_covexillary(u):
-            continue
-        found.append(u)
-    if len(found) != 1:
-        raise CompanionSearchError(
-            "expected one companion for (%s, %s), found %d" % (v, w, len(found))
+    kappa = Permutation(tuple(word))
+    broken = [
+        name
+        for name, ok in (
+            ("length", length(kappa) == length(w)),
+            ("shape", code_and_shape(kappa)[1] == code_and_shape(w)[1]),
+            ("covexillary", is_covexillary(kappa)),
+            ("ranks", all(sw_rank(kappa, *box) == r for box, r in moved_tuple)),
         )
-    return CompanionData(moved_tuple, found[0])
+        if not ok
+    ]
+    if broken:
+        raise RuntimeError(
+            "companion %s of (%s, %s) fails: %s" % (kappa, v, w, ", ".join(broken))
+        )
+    return CompanionData(moved_tuple, kappa)
 
 
 def covexillary_rank_filling(u: Permutation) -> Filling:

@@ -11,7 +11,7 @@ from schubreg.poly import MultiPoly, PolyRing
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Start each test with an empty chart memo and tableau-regularity cache.
+    """Start each test with an empty chart memo and cold tableau-route caches.
 
     Tests assume a cold process, as the CLI has: a budget of 0 or a patched
     hilbert_data must reach the computation, not a chart an earlier test
@@ -19,6 +19,7 @@ def cold_memos():
     """
     reg._CHARTS.clear()
     shapes.regularity_formula.cache_clear()
+    shapes.companion_permutation.cache_clear()
 
 
 def rng(seed):

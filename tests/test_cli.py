@@ -13,6 +13,7 @@ import pytest
 
 import schubreg.cli as cli
 import schubreg.reg
+import schubreg.shapes
 from schubreg.cli import entry
 from schubreg.perm import Permutation
 from schubreg.reg import ScanResult, regularity
@@ -109,14 +110,31 @@ def test_usage_and_math_errors_exit_1(capsys):
         assert err.startswith("error:") and fragment in err, argv
 
 
-def test_companion_search_beyond_s9_exits_1(capsys):
-    code, _ = run(
-        ["analyze", "--v", "2,1,3,4,5,6,7,8,9,10", "--w", "3,1,2,6,5,4,10,7,9,8"]
+def test_companion_beyond_s9_with_moved_boxes_runs_both_routes():
+    # n = 10 with nonzero moves: the companion is built, not searched for
+    code, text = run(
+        [
+            "analyze",
+            "--v", "10,9,7,5,3,1,4,8,6,2",
+            "--w", "10,9,8,7,4,2,5,6,3,1",
+            "--method", "both",
+        ]
     )
+    assert code == 0
+    report = kv(text)
+    assert report["formula_reg"] == report["groebner_reg"] == "1"
+    assert report["n_vars"] == "12"
+
+
+def test_exit_4_when_the_companion_fails_its_invariants(monkeypatch, capsys):
+    # without its essential set w imposes no rank, and the largest rank
+    # function left is that of w0, whose length is not that of w
+    monkeypatch.setattr(schubreg.shapes, "essential_set", lambda w: frozenset())
+    code, _ = run(["analyze", "--v", "1234", "--w", "2143"])
     err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "S_9" in err
+    assert code == 4
+    assert err.startswith("error: internal invariant failed:") and err.count("\n") == 1
+    assert "length" in err
 
 
 def test_exit_4_when_an_internal_invariant_fails(monkeypatch, capsys):

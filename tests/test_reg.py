@@ -219,6 +219,24 @@ def test_finalps_identity_golden():
     assert finalps_check(GOLDEN_W, GOLDEN_W)
 
 
+def test_series_and_finalps_read_the_chart_memo(monkeypatch):
+    import schubreg.reg as reg
+
+    compute = reg.hilbert_data
+    calls = []
+
+    def counting_hilbert_data(v, w, budget_ms=None):
+        calls.append((v, w))
+        return compute(v, w, budget_ms=budget_ms)
+
+    monkeypatch.setattr(reg, "hilbert_data", counting_hilbert_data)
+    H = regularity(GOLDEN_V, GOLDEN_W, method="groebner").H
+    coeffs, mult = ps_series(GOLDEN_V, GOLDEN_W, 3, budget_ms=0)
+    assert coeffs == tuple(H.series_coefficients(8, 3)) and mult == 5
+    assert finalps_check(GOLDEN_V, GOLDEN_W, budget_ms=0)
+    assert calls == [(GOLDEN_V, GOLDEN_W)]
+
+
 def test_check_conjectures_trivial_and_flagging():
     flags = check_conjectures(GOLDEN_W, GOLDEN_W)
     assert all(val == "pass" for val in flags.values())
@@ -266,6 +284,17 @@ def test_scan_record_round_trip():
     )
     assert strict.reg is None
     assert "budget" in strict.error
+
+
+def test_budget_error_records_keep_the_pair_labels():
+    v, w = Permutation.identity(5), Permutation((5, 2, 3, 4, 1))
+    over = scan_record(v, w, checks="all", budget_ms=0)
+    assert over.error is not None and over.error.startswith("budget:")
+    assert (over.method, over.cm_status, over.covexillary) == ("formula", "proven", True)
+    done = scan_record(v, w, checks="all")
+    assert done.error is None
+    for name in ("method", "cm_status", "covexillary", "dim", "height", "n_vars"):
+        assert getattr(over, name) == getattr(done, name), name
 
 
 def test_budget_covers_the_charts_of_the_checks(monkeypatch):

@@ -8,6 +8,7 @@ from schubreg.perm import (
     Permutation,
     all_permutations,
     bruhat_leq,
+    essential_set,
     is_covexillary,
     length,
     shape,
@@ -67,10 +68,48 @@ def test_companion_golden_values():
     assert data.moved == (((4, 1), 0), ((5, 2), 0), ((5, 4), 1), ((6, 5), 1))
 
 
+def companion_by_search(v, w, candidates):
+    """The companion as the one permutation of S_n with its defining properties.
+
+    `candidates` maps (length, shape) to the covexillary permutations of S_n
+    with that length and shape; the imposed ranks pick one of them.
+    """
+    moved = []
+    for (i, j) in sorted(essential_set(w)):
+        rho = sw_rank(v, i, j)
+        moved.append(((i + rho, j - rho), sw_rank(w, i, j) - rho))
+    found = [
+        u
+        for u in candidates[(length(w), shape(w))]
+        if all(sw_rank(u, i, j) == rank for (i, j), rank in moved)
+    ]
+    assert len(found) == 1, (v, w, found)
+    return CompanionData(tuple(moved), found[0])
+
+
+def check_companion_against_search(n, expected_pairs):
+    candidates = {}
+    for u in all_permutations(n):
+        if is_covexillary(u):
+            candidates.setdefault((length(u), shape(u)), []).append(u)
+    count = 0
+    for v, w in covexillary_pairs(n):
+        assert companion_permutation(v, w) == companion_by_search(v, w, candidates), (v, w)
+        count += 1
+    assert count == expected_pairs
+
+
+def test_companion_matches_the_search_on_s5():
+    check_companion_against_search(5, 2967)
+
+
+@pytest.mark.slow
+def test_companion_matches_the_search_on_s6():
+    check_companion_against_search(6, 57847)
+
+
 def test_companion_is_w_exactly_when_no_box_moves():
     # rho = rank of v at an essential box; kappa equals w iff every rho is 0
-    from schubreg.perm import essential_set
-
     for n in (3, 4):
         for v, w in covexillary_pairs(n):
             rhos = [sw_rank(v, i, j) for (i, j) in essential_set(w)]
