@@ -19,6 +19,7 @@ from .gb import (
     lowest_degree_forms_ideal,
     postulation_number,
     regularity_from_K,
+    time_budget,
 )
 from .groth import (
     groth_degree,
@@ -80,6 +81,7 @@ __all__ = [
     "Filling",
     "NotCovexillaryError",
     "ResourceBudgetExceeded",
+    "time_budget",
     "length",
     "sw_rank",
     "bruhat_leq",

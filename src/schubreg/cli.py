@@ -16,7 +16,7 @@ import os
 import sys
 
 from ._version import __version__
-from .gb import ResourceBudgetExceeded
+from .gb import ResourceBudgetExceeded, time_budget
 from .groth import groth_degree, groth_min_degree, groth_spec_1mq, grothendieck, vexillary_degree_formula
 from .m2 import write_m2_script
 from .perm import Permutation, is_covexillary, is_vexillary, length
@@ -134,21 +134,16 @@ def _kv(out, key, value):
 def _cmd_analyze(args, out) -> int:
     v = _parse_perm(args.v, "--v")
     w = _parse_perm(args.w, "--w")
-    budget = _budget(args)
-    report = regularity(
-        v,
-        w,
-        method=args.method,
-        verify=args.verify,
-        with_kl=args.with_kl,
-        budget_ms=budget,
-    )
+    if args.ps_order is not None and args.ps_order < 0:
+        raise _UsageError("--ps-order: must be nonnegative")
     ps_payload = None
-    if args.ps_order is not None:
-        if args.ps_order < 0:
-            raise _UsageError("--ps-order: must be nonnegative")
-        coeffs, multiplicity = ps_series(v, w, args.ps_order, budget_ms=budget)
-        ps_payload = {"ps_coeffs": coeffs, "multiplicity": multiplicity}
+    with time_budget(_budget(args)):
+        report = regularity(
+            v, w, method=args.method, verify=args.verify, with_kl=args.with_kl
+        )
+        if args.ps_order is not None:
+            coeffs, multiplicity = ps_series(v, w, args.ps_order)
+            ps_payload = {"ps_coeffs": coeffs, "multiplicity": multiplicity}
     if args.json:
         payload = report.to_json()
         if ps_payload is not None:
@@ -278,19 +273,12 @@ def _cmd_groth(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     v = _parse_perm(args.v, "--v")
     w = _parse_perm(args.w, "--w")
-    budget = _budget(args)
     cov = is_covexillary(w)
-    report = regularity(
-        v,
-        w,
-        method="both" if cov else "groebner",
-        with_kl=cov,
-        checks="all",
-        budget_ms=budget,
-    )
-    finalps = None
-    if cov:
-        finalps = finalps_check(v, w, budget_ms=budget)
+    with time_budget(_budget(args)):
+        report = regularity(
+            v, w, method="both" if cov else "groebner", with_kl=cov, checks="all"
+        )
+        finalps = finalps_check(v, w) if cov else None
     failures = [
         name
         for name, value in sorted(report.conjecture_flags.items())

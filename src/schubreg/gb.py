@@ -31,6 +31,8 @@ its `GroebnerBasis`.  MultiPoly appears only at the edges, in
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
@@ -44,7 +46,37 @@ from .poly import MultiPoly, PolyRing, UniPoly
 
 
 class ResourceBudgetExceeded(RuntimeError):
-    """A Groebner computation ran past its time budget."""
+    """A computation ran past its time budget."""
+
+
+# The monotonic time by which the work in the current scope must end; None
+# while no scope bounds it.
+_DEADLINE: ContextVar = ContextVar("schubreg_deadline", default=None)
+
+
+@contextmanager
+def time_budget(budget_ms):
+    """Bound all work inside the scope to budget_ms; None adds no bound.
+
+    A nested scope keeps the earlier of its own deadline and the enclosing
+    one, and the enclosing deadline is back once the scope is left.
+    """
+    at = _DEADLINE.get()
+    if budget_ms is not None:
+        mine = time.monotonic() + budget_ms / 1000.0
+        at = mine if at is None else min(at, mine)
+    token = _DEADLINE.set(at)
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def check_budget(what: str):
+    """Raise ResourceBudgetExceeded if the scope's deadline has passed."""
+    at = _DEADLINE.get()
+    if at is not None and time.monotonic() > at:
+        raise ResourceBudgetExceeded("%s ran past the time budget" % what)
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,32 +103,8 @@ def _sugar(terms, pack: OrderPack) -> int:
     return max(pack.degree_of_raw(r) for (_, r, _) in terms)
 
 
-class _Deadline:
-    __slots__ = ("at",)
-
-    def __init__(self, budget_ms):
-        self.at = (
-            time.monotonic() + budget_ms / 1000.0
-            if budget_ms is not None
-            else None
-        )
-
-    def check(self, what: str):
-        # no figure in the message: a nested step gets only what remains of
-        # the caller's budget, which is not the budget the caller set
-        if self.at is not None and time.monotonic() > self.at:
-            raise ResourceBudgetExceeded("%s ran past the time budget" % what)
-
-    def remaining_ms(self):
-        """The budget left for a nested step; None when unbounded."""
-        if self.at is None:
-            return None
-        return max(0.0, (self.at - time.monotonic()) * 1000.0)
-
-
-def _buchberger_terms(kgens, pack: OrderPack, budget_ms=None):
+def _buchberger_terms(kgens, pack: OrderPack):
     """Core loop over kernel term lists; returns (reduced term lists, stats)."""
-    deadline = _Deadline(budget_ms)
     basis = []  # term lists
     sugars = []
     reducers = kernel.Reducers(pack.hmask)  # position = basis index
@@ -142,7 +150,7 @@ def _buchberger_terms(kgens, pack: OrderPack, budget_ms=None):
         stats["updates"] += 1
 
     for gen in sorted(kgens):
-        deadline.check("generator interreduction")
+        check_budget("generator interreduction")
         reduced = kernel.normal_form(gen, reducers, corr, hmask)
         if reduced:
             update(reduced, _sugar(reduced, pack))
@@ -152,7 +160,7 @@ def _buchberger_terms(kgens, pack: OrderPack, budget_ms=None):
         if (i, j) not in pairs:
             continue  # deleted by the chain criterion
         del pairs[(i, j)]
-        deadline.check("pair processing")
+        check_budget("pair processing")
         spoly = kernel.s_polynomial(basis[i], basis[j], pack)
         stats["pairs_processed"] += 1
         if not spoly:
@@ -230,13 +238,12 @@ class GroebnerBasis:
         degree = self._pack.key_degree
         return all(degree(terms[0][0]) == degree(terms[-1][0]) for terms in self._terms)
 
-    def check_certificate(self, budget_ms=None) -> bool:
+    def check_certificate(self) -> bool:
         """Directly verify that every S-pair reduces to zero."""
-        deadline = _Deadline(budget_ms)
         n = len(self._terms)
         for i in range(n):
             for j in range(i + 1, n):
-                deadline.check("certificate check")
+                check_budget("certificate check")
                 spoly = kernel.s_polynomial(self._terms[i], self._terms[j], self._pack)
                 if spoly and kernel.normal_form(
                     spoly, self._reducers, self._pack.corr, self._pack.hmask
@@ -245,11 +252,11 @@ class GroebnerBasis:
         return True
 
 
-def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX, budget_ms=None) -> GroebnerBasis:
+def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order."""
     pack = order.pack_for(ideal.ring.nvars)
     kgens = [_keyed(g, pack) for g in ideal.terms]
-    final, stats = _buchberger_terms(kgens, pack, budget_ms)
+    final, stats = _buchberger_terms(kgens, pack)
     return GroebnerBasis(ideal.ring, order, final, stats)
 
 
@@ -260,10 +267,10 @@ def _fresh_name(base: str, taken) -> str:
     return name
 
 
-def _tangent_cone(ideal: Ideal, deadline: _Deadline):
+def _tangent_cone(ideal: Ideal):
     """Returns (grevlex basis of the cone, source homogeneous?)."""
     ring = ideal.ring
-    basis = buchberger(ideal, GREVLEX, deadline.remaining_ms())
+    basis = buchberger(ideal, GREVLEX)
     homogeneous = basis.is_homogeneous()
     if not homogeneous:
         # Homogenize with t as variable 0 (raw << SHIFT | power of t) and
@@ -278,7 +285,7 @@ def _tangent_cone(ideal: Ideal, deadline: _Deadline):
             hgens.append(
                 tuple((r << SHIFT | (top - pack.key_degree(k)), c) for (k, r, c) in terms)
             )
-        lazard = buchberger(Ideal(hring, tuple(hgens)), GREVLEX_T, deadline.remaining_ms())
+        lazard = buchberger(Ideal(hring, tuple(hgens)), GREVLEX_T)
         lowest = []
         for terms in lazard._terms:
             top_t = terms[0][1] & FIELD
@@ -294,13 +301,13 @@ def _tangent_cone(ideal: Ideal, deadline: _Deadline):
     return basis, homogeneous
 
 
-def lowest_degree_forms_ideal(ideal: Ideal, budget_ms=None) -> GroebnerBasis:
+def lowest_degree_forms_ideal(ideal: Ideal) -> GroebnerBasis:
     """The ideal of lowest-degree homogeneous forms of all elements.
 
-    It is returned as its reduced grevlex basis.  The budget covers both
-    basis computations.
+    It is returned as its reduced grevlex basis.  Both basis computations
+    run under the enclosing `time_budget` scope.
     """
-    return _tangent_cone(ideal, _Deadline(budget_ms))[0]
+    return _tangent_cone(ideal)[0]
 
 
 # ----------------------------------------------------------------------
@@ -442,20 +449,20 @@ class HilbertData:
     elapsed_ms: float
 
 
-def hilbert_data(v: Permutation, w: Permutation, budget_ms=None) -> HilbertData:
+def hilbert_data(v: Permutation, w: Permutation) -> HilbertData:
     """Tangent-cone Hilbert data of the chart of X_w attached to v.
 
-    One budget covers minor generation, both bases and the numerator step.
+    Minor generation and both bases run under the enclosing `time_budget`
+    scope.
     """
     start = time.monotonic()
-    deadline = _Deadline(budget_ms)
     chart_ideal = kl_generators(v, w)
-    deadline.check("minor generation")
+    check_budget("minor generation")
     n_vars = chart_ideal.ring.nvars
     expected_dim = length(w) - length(v)
     expected_height = comb(w.n, 2) - length(w)
-    cone, homogeneous = _tangent_cone(chart_ideal, deadline)
-    deadline.check("tangent cone")
+    cone, homogeneous = _tangent_cone(chart_ideal)
+    check_budget("tangent cone")
     K = hilbert_numerator(cone.leading_exponents(), n_vars)
     if K.is_zero():
         raise RuntimeError("chart ideal defines the empty scheme; conventions broken")

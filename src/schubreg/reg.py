@@ -19,7 +19,7 @@ from math import comb, inf
 
 from . import kernel
 from ._version import __version__
-from .gb import ResourceBudgetExceeded, _Deadline, hilbert_data
+from .gb import ResourceBudgetExceeded, check_budget, hilbert_data, time_budget
 from .groth import groth_spec_1mq
 from .perm import (
     Permutation,
@@ -81,8 +81,13 @@ def r_polynomial(v: Permutation, w: Permutation) -> UniPoly:
 
 @lru_cache(maxsize=None)
 def kl_polynomial(v: Permutation, w: Permutation) -> UniPoly:
-    """P_{v,w} extracted from q^L P(1/q) = sum_z R_{v,z} P_{z,w}."""
+    """P_{v,w} extracted from q^L P(1/q) = sum_z R_{v,z} P_{z,w}.
+
+    Each computed polynomial tests the enclosing `time_budget` scope, so a
+    recursion stops soon after the deadline; a memoised one costs nothing.
+    """
     _require_bruhat(v, w)
+    check_budget("kl polynomial")
     if v.word == w.word:
         return UniPoly.one()
     gap = length(w) - length(v)
@@ -118,17 +123,17 @@ def kl_degree(v: Permutation, w: Permutation) -> int:
 _CHARTS: dict = {}
 
 
-def _chart(v: Permutation, w: Permutation, deadline: _Deadline):
+def _chart(v: Permutation, w: Permutation):
     """(H_{v,w}, whether the chart ideal is homogeneous), computed once.
 
-    A miss runs hilbert_data under what remains of the deadline and checks
-    the pipeline's shape against theory before storing the result; a
+    A miss runs hilbert_data under the enclosing `time_budget` scope and
+    checks the pipeline's shape against theory before storing the result; a
     budget overrun propagates and stores nothing.  A stored chart is
-    returned without consulting the deadline.
+    returned without consulting the budget.
     """
     found = _CHARTS.get((v, w))
     if found is None:
-        hd = hilbert_data(v, w, budget_ms=deadline.remaining_ms())
+        hd = hilbert_data(v, w)
         theory = (
             length(w) - length(v),
             comb(w.n, 2) - length(w),
@@ -240,7 +245,6 @@ def regularity(
     verify: bool = False,
     with_kl: bool = False,
     checks=(),
-    budget_ms=None,
 ) -> RegularityReport:
     """Regularity of the tangent cone of the chart of X_w attached to v.
 
@@ -248,12 +252,12 @@ def regularity(
     Hilbert-series pipeline, "both" runs and compares them, and "auto" picks
     the formula for covexillary w (upgraded to "both" under verify) and the
     Groebner route otherwise.  Outside the covexillary theorem the reported
-    value is deg H with cm_status "conjectural".  budget_ms bounds the
-    Groebner work of the pair, conjecture checks included; a chart already
-    in the per-process chart memo costs no budget.
+    value is deg H with cm_status "conjectural".  The enclosing
+    `time_budget` scope bounds the Groebner and KL work of the pair,
+    conjecture checks included; a chart already in the per-process chart
+    memo costs no budget.
     """
     start = time.monotonic()
-    deadline = _Deadline(budget_ms)
     _require_bruhat(v, w)
     fixed = _fixed_fields(v, w, method, verify)
     method = fixed["method"]
@@ -270,7 +274,7 @@ def regularity(
 
     H = homogeneous = groebner_reg = None
     if method in ("groebner", "both"):
-        H, homogeneous = _chart(v, w, deadline)
+        H, homogeneous = _chart(v, w)
         groebner_reg = int(H.degree())
 
     discrepant = (
@@ -299,9 +303,7 @@ def regularity(
         elapsed_ms=0.0,
     )
     if checks:
-        report.conjecture_flags = check_conjectures(
-            v, w, checks=checks, budget_ms=deadline.remaining_ms()
-        )
+        report.conjecture_flags = check_conjectures(v, w, checks=checks)
     report.elapsed_ms = (time.monotonic() - start) * 1000.0
     return report
 
@@ -310,32 +312,32 @@ def regularity(
 # Series and the Grothendieck cross-identity
 
 
-def ps_series(v: Permutation, w: Permutation, order: int, budget_ms=None):
+def ps_series(v: Permutation, w: Permutation, order: int):
     """Hilbert function of the tangent cone, degrees 0..order inclusive.
 
     Returns (coefficients, multiplicity) where multiplicity = H(1) is the
     Hilbert-Samuel multiplicity of the chart.  H comes from the chart memo,
-    computed under budget_ms on a miss.
+    computed under the enclosing `time_budget` scope on a miss.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    H = _chart(v, w, _Deadline(budget_ms))[0]
+    H = _chart(v, w)[0]
     coeffs = tuple(H.series_coefficients(length(w) - length(v), order))
     return coeffs, int(H.evaluate(1))
 
 
-def finalps_check(v: Permutation, w: Permutation, budget_ms=None) -> bool:
+def finalps_check(v: Permutation, w: Permutation) -> bool:
     """Exact identity between the Grothendieck specialization and H.
 
     The companion's partner polynomial specialized at 1-q must equal
     H_{v,w}(q) * (1-q)^{codim X_w}; the two sides come from independent
     routes (divided differences vs the Groebner pipeline).  H comes from the
-    chart memo, computed under budget_ms on a miss.
+    chart memo, computed under the enclosing `time_budget` scope on a miss.
     """
     _require_bruhat(v, w)
     companion = companion_permutation(v, w).perm
     lhs = groth_spec_1mq(w0_compose(companion))
-    H = _chart(v, w, _Deadline(budget_ms))[0]
+    H = _chart(v, w)[0]
     rhs = H * UniPoly.one_minus_q() ** (comb(w.n, 2) - length(w))
     return lhs == rhs
 
@@ -344,12 +346,7 @@ def finalps_check(v: Permutation, w: Permutation, budget_ms=None) -> bool:
 # Conjecture checks
 
 
-def check_conjectures(
-    v: Permutation,
-    w: Permutation,
-    checks="all",
-    budget_ms=None,
-) -> dict:
+def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
     """Evaluate the conjecture suite on one pair; values pass/fail/not-checkable.
 
     h-nonneg          H has nonnegative coefficients
@@ -360,9 +357,10 @@ def check_conjectures(
     kl-degree         covexillary only: deg P_{v,w} = formula reg
     reg-le-deg-p      informational: reg <= deg P (speculation, never fatal)
 
-    budget_ms bounds the checks together: it covers every chart they compute
-    and is checked again after each KL polynomial.  Charts come from the
-    per-process chart memo, and a memoised chart costs no budget.
+    The enclosing `time_budget` scope bounds the checks together: it covers
+    every chart and KL polynomial they compute, and is tested again after
+    each KL degree.  Charts come from the per-process chart memo, and a
+    memoised chart or KL polynomial costs no budget.
     """
     _require_bruhat(v, w)
     selected = ALL_CHECKS if checks == "all" else tuple(checks)
@@ -373,11 +371,9 @@ def check_conjectures(
         return {name: "pass" for name in selected}
     cov = is_covexillary(w)
     flags = {}
-    # one budget for every chart and KL polynomial the checks compute
-    deadline = _Deadline(budget_ms)
 
     def h() -> UniPoly:
-        return _chart(v, w, deadline)[0]
+        return _chart(v, w)[0]
 
     for name in selected:
         if name == "h-nonneg":
@@ -389,7 +385,7 @@ def check_conjectures(
             ok = True
             h_here = h()
             for u in covers_below(v):
-                h_below = _chart(u, w, deadline)[0]
+                h_below = _chart(u, w)[0]
                 top = max(int(h_below.degree()), int(h_here.degree()))
                 if any(h_below[t] < h_here[t] for t in range(top + 1)):
                     ok = False
@@ -416,14 +412,14 @@ def check_conjectures(
                 flags[name] = "not-checkable"
                 continue
             degree = kl_degree(v, w)
-            deadline.check("kl-degree")
+            check_budget("kl-degree")
             flags[name] = "pass" if degree == regularity_formula(v, w) else "fail"
         elif name == "reg-le-deg-p":
             if not cov:
                 flags[name] = "not-checkable"
                 continue
             degree = kl_degree(v, w)
-            deadline.check("kl-degree")
+            check_budget("kl-degree")
             flags[name] = "pass" if regularity_formula(v, w) <= degree else "fail"
     return flags
 
@@ -470,13 +466,15 @@ def kernel_version() -> str:
 def scan_record(v: Permutation, w: Permutation, checks=(), budget_ms=None) -> ScanRecord:
     """Compute one pair for a scan; budget overruns become error records.
 
-    Both kinds of record carry the fields the pair fixes in advance, so an
+    One `time_budget(budget_ms)` scope bounds all of the pair's work.  Both
+    kinds of record carry the fields the pair fixes in advance, so an
     error record is labelled as the pair's report would be.
     """
     start = time.monotonic()
     fixed = _fixed_fields(v, w)
     try:
-        report = regularity(v, w, checks=checks, budget_ms=budget_ms)
+        with time_budget(budget_ms):
+            report = regularity(v, w, checks=checks)
         outcome = dict(
             reg=report.reg,
             h_coeffs=list(report.H.coeffs) if report.H is not None else None,

@@ -45,7 +45,6 @@ class Filling:
     `entries` is keyed by grid cells (row, col).
     """
 
-    n: int
     shape: tuple[int, ...]
     entries: dict[Box, int]
 
@@ -99,11 +98,12 @@ def companion_permutation(v: Permutation, w: Permutation) -> CompanionData:
 
         R(a, j) = min(n - a + 1, j, min_e r_e + max(0, i_e - a) + max(0, j - j_e))
 
-    over the moved boxes (i_e, j_e) with imposed ranks r_e, and kappa(j) is
-    the row a where R(a, j) - R(a, j-1) - R(a+1, j) + R(a+1, j-1) = 1.  When
-    no box moves, this is the rank function of w itself (Fulton 1992).  The
-    result is checked against every defining property; a failure raises
-    RuntimeError, since for v <= w it is a bug, not a property of the input.
+    over the moved boxes (i_e, j_e) with imposed ranks r_e.  Since
+    R(a, j) - R(a, j-1) is 1 exactly for a <= kappa(j), kappa(j) is the
+    column sum of R at j minus that at j-1.  When no box moves, this is the
+    rank function of w itself (Fulton 1992).  The result is checked against
+    every defining property; a failure raises RuntimeError, since for v <= w
+    it is a bug, not a property of the input.
     """
     if not is_covexillary(w):
         raise NotCovexillaryError("%s contains 3412" % w)
@@ -122,22 +122,18 @@ def companion_permutation(v: Permutation, w: Permutation) -> CompanionData:
         moved.append(((i + rho, j - rho), imposed))
     moved_tuple = tuple(moved)
 
-    # rank[a][j] = R(a, j), padded with a zero row n + 1 and a zero column 0
-    rank = [[0] * (n + 1) for _ in range(n + 2)]
-    for a in range(1, n + 1):
-        for j in range(1, n + 1):
-            rank[a][j] = min(
+    # sums[j] = sum over a of R(a, j); column 0 is zero
+    sums = [0] + [
+        sum(
+            min(
                 [n - a + 1, j]
                 + [r + max(0, i - a) + max(0, j - c) for (i, c), r in moved_tuple]
             )
-    word = []  # a column without exactly one dot gets 0, which fails below
-    for j in range(1, n + 1):
-        dots = [
-            a
             for a in range(1, n + 1)
-            if rank[a][j] - rank[a][j - 1] - rank[a + 1][j] + rank[a + 1][j - 1] == 1
-        ]
-        word.append(dots[0] if len(dots) == 1 else 0)
+        )
+        for j in range(1, n + 1)
+    ]
+    word = [sums[j] - sums[j - 1] for j in range(1, n + 1)]
     if sorted(word) != list(range(1, n + 1)):
         raise RuntimeError(
             "the ranks imposed by (%s, %s) are not a permutation's" % (v, w)
@@ -166,7 +162,7 @@ def covexillary_rank_filling(u: Permutation) -> Filling:
         raise NotCovexillaryError("%s contains 3412" % u)
     shape, phi = push_to_partition(diagram(u), u.n)
     entries = {cell: sw_rank(u, src[0], src[1]) for cell, src in phi.items()}
-    return Filling(u.n, shape, entries)
+    return Filling(shape, entries)
 
 
 def rank_filling(v: Permutation, w: Permutation) -> Filling:

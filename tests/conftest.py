@@ -11,13 +11,16 @@ from schubreg.poly import MultiPoly, PolyRing
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Start each test with an empty chart memo and cold tableau-route caches.
+    """Start each test with an empty chart memo and cold tableau-route and KL
+    caches.
 
     Tests assume a cold process, as the CLI has: a budget of 0 or a patched
-    hilbert_data must reach the computation, not a chart an earlier test
-    stored.
+    hilbert_data must reach the computation, not a chart or KL polynomial
+    an earlier test stored.
     """
     reg._CHARTS.clear()
+    reg.kl_polynomial.cache_clear()
+    reg.r_polynomial.cache_clear()
     shapes.regularity_formula.cache_clear()
     shapes.companion_permutation.cache_clear()
 

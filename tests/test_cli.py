@@ -8,6 +8,7 @@ backend and confirming the wiring.
 
 import io
 import json
+import time
 
 import pytest
 
@@ -173,6 +174,29 @@ def test_budget_flag_and_environment(capsys, monkeypatch):
     monkeypatch.setenv("SCHUBREG_BUDGET_MS", "abc")
     assert run(slow)[0] == 1
     assert "SCHUBREG_BUDGET_MS must be an integer" in capsys.readouterr().err
+
+
+def test_negative_ps_order_is_rejected_before_any_work(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the report was computed")
+
+    monkeypatch.setattr(cli, "regularity", no_work)
+    code, _ = run(["analyze", "--v", "123456", "--w", "645123", "--ps-order", "-1"])
+    assert code == 1 and "must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["analyze", "--with-kl"], ["verify"]])
+def test_budget_bounds_the_kl_work(command, capsys):
+    # P_{v,w} of this S7 pair takes over a second; the budget must stop the
+    # KL recursion itself, not only the steps after it
+    argv = command + ["--v", "1234567", "--w", "7314562", "--budget-ms", "50"]
+    start = time.monotonic()
+    code, _ = run(argv)
+    elapsed = time.monotonic() - start
+    err = capsys.readouterr().err
+    assert code == 1 and elapsed < 1.0, (code, elapsed)
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "ran past the time budget" in err
 
 
 def test_scan_text_output():

@@ -22,11 +22,13 @@ from schubreg.gb import (
     MonomialOrder,
     ResourceBudgetExceeded,
     buchberger,
+    check_budget,
     hilbert_data,
     hilbert_numerator,
     lowest_degree_forms_ideal,
     postulation_number,
     regularity_from_K,
+    time_budget,
 )
 from schubreg.ideal import Ideal, kl_generators
 from schubreg.perm import Permutation, all_permutations, bruhat_leq
@@ -388,10 +390,34 @@ def test_budget_and_pair_caps():
     v = Permutation((1, 4, 2, 3, 5, 7, 6))
     w = Permutation((7, 3, 1, 4, 5, 6, 2))
     ideal = kl_generators(v, w)
-    with pytest.raises(ResourceBudgetExceeded):
-        buchberger(ideal, budget_ms=0)
+    with pytest.raises(ResourceBudgetExceeded), time_budget(0):
+        buchberger(ideal)
     # a generous budget changes nothing
-    assert buchberger(ideal, budget_ms=600000).stats["pairs_processed"] == 35
+    with time_budget(600000):
+        assert buchberger(ideal).stats["pairs_processed"] == 35
+
+
+def test_time_budget_scopes_nest():
+    import schubreg.gb as gb
+
+    with time_budget(60000):
+        outer = gb._DEADLINE.get()
+        # a nested scope keeps the earlier deadline
+        with time_budget(600000):
+            assert gb._DEADLINE.get() == outer
+        with time_budget(None):
+            assert gb._DEADLINE.get() == outer
+        with pytest.raises(ResourceBudgetExceeded, match="^probe ran past the time budget$"):
+            with time_budget(0):
+                assert gb._DEADLINE.get() < outer
+                time.sleep(0.001)
+                check_budget("probe")
+        # the exception left the inner scope and the outer deadline is back
+        assert gb._DEADLINE.get() == outer
+        check_budget("probe")
+    assert gb._DEADLINE.get() is None
+    with time_budget(None):
+        check_budget("probe")
 
 
 def test_budget_covers_the_whole_chart(monkeypatch):
@@ -405,21 +431,23 @@ def test_budget_covers_the_whole_chart(monkeypatch):
         return generate(v, w)
 
     monkeypatch.setattr(gb, "kl_generators", slow_generators)
-    with pytest.raises(ResourceBudgetExceeded):
-        hilbert_data(v, w, budget_ms=100)
+    with pytest.raises(ResourceBudgetExceeded), time_budget(100):
+        hilbert_data(v, w)
     monkeypatch.setattr(gb, "kl_generators", generate)
-    # each basis computation gets only what is left of the chart's budget
-    budgets = []
+    # each basis computation runs under the chart's deadline
+    deadlines = []
     run = gb.buchberger
 
-    def recording_buchberger(ideal, order, budget_ms):
-        budgets.append(budget_ms)
-        return run(ideal, order, budget_ms)
+    def recording_buchberger(ideal, order):
+        deadlines.append(gb._DEADLINE.get())
+        return run(ideal, order)
 
     monkeypatch.setattr(gb, "buchberger", recording_buchberger)
-    assert not hilbert_data(v, w, budget_ms=60000).homogeneous
-    assert len(budgets) == 2
-    assert 60000 > budgets[0] > budgets[1]
+    with time_budget(60000):
+        chart_deadline = gb._DEADLINE.get()
+        assert not hilbert_data(v, w).homogeneous
+    assert deadlines == [chart_deadline] * 2 and chart_deadline is not None
+    assert gb._DEADLINE.get() is None
 
 
 def test_chart_pipeline_builds_no_multipoly(monkeypatch):
@@ -449,8 +477,8 @@ def test_buchberger_path_is_pinned(monkeypatch):
     stats = {}
     run = gb.buchberger
 
-    def recording_buchberger(ideal, order, budget_ms):
-        basis = run(ideal, order, budget_ms)
+    def recording_buchberger(ideal, order):
+        basis = run(ideal, order)
         stats[order.kind] = tuple(
             basis.stats[k] for k in ("pairs_processed", "zero_reductions", "basis_size")
         )

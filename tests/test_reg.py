@@ -18,7 +18,7 @@ from schubreg.perm import (
     is_covexillary,
     length,
 )
-from schubreg.gb import ResourceBudgetExceeded
+from schubreg.gb import ResourceBudgetExceeded, time_budget
 from schubreg.poly import UniPoly
 from schubreg.reg import (
     ALL_CHECKS,
@@ -225,15 +225,16 @@ def test_series_and_finalps_read_the_chart_memo(monkeypatch):
     compute = reg.hilbert_data
     calls = []
 
-    def counting_hilbert_data(v, w, budget_ms=None):
+    def counting_hilbert_data(v, w):
         calls.append((v, w))
-        return compute(v, w, budget_ms=budget_ms)
+        return compute(v, w)
 
     monkeypatch.setattr(reg, "hilbert_data", counting_hilbert_data)
     H = regularity(GOLDEN_V, GOLDEN_W, method="groebner").H
-    coeffs, mult = ps_series(GOLDEN_V, GOLDEN_W, 3, budget_ms=0)
+    with time_budget(0):
+        coeffs, mult = ps_series(GOLDEN_V, GOLDEN_W, 3)
+        assert finalps_check(GOLDEN_V, GOLDEN_W)
     assert coeffs == tuple(H.series_coefficients(8, 3)) and mult == 5
-    assert finalps_check(GOLDEN_V, GOLDEN_W, budget_ms=0)
     assert calls == [(GOLDEN_V, GOLDEN_W)]
 
 
@@ -302,9 +303,9 @@ def test_budget_covers_the_charts_of_the_checks(monkeypatch):
 
     compute = reg.hilbert_data
 
-    def slow_hilbert_data(v, w, budget_ms=None):
+    def slow_hilbert_data(v, w):
         time.sleep(0.03)
-        return compute(v, w, budget_ms=budget_ms)
+        return compute(v, w)
 
     monkeypatch.setattr(reg, "hilbert_data", slow_hilbert_data)
     # the pair and its checks compute three charts, 30 ms each at least
@@ -341,9 +342,9 @@ def test_s4_sweep_computes_each_chart_once(monkeypatch):
     compute = reg.hilbert_data
     calls = Counter()
 
-    def counting_hilbert_data(v, w, budget_ms=None):
+    def counting_hilbert_data(v, w):
         calls[(v, w)] += 1
-        return compute(v, w, budget_ms=budget_ms)
+        return compute(v, w)
 
     monkeypatch.setattr(reg, "hilbert_data", counting_hilbert_data)
     result = max_reg_scan(4, checks="all")
@@ -353,11 +354,12 @@ def test_s4_sweep_computes_each_chart_once(monkeypatch):
 
 def test_budget_error_is_not_memoised():
     v, w = Permutation.identity(4), Permutation((3, 4, 1, 2))
-    with pytest.raises(ResourceBudgetExceeded):
-        regularity(v, w, budget_ms=0)
+    with pytest.raises(ResourceBudgetExceeded), time_budget(0):
+        regularity(v, w)
     H = regularity(v, w).H
     # a stored chart costs no budget
-    again = regularity(v, w, budget_ms=0)
+    with time_budget(0):
+        again = regularity(v, w)
     assert H is not None and again.H == H and again.reg == int(H.degree())
 
 
