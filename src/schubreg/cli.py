@@ -16,14 +16,13 @@ import os
 import sys
 
 from ._version import __version__
-from .gb import ResourceBudgetExceeded, time_budget
+from .gb import ResourceBudgetExceeded, hilbert_data, time_budget
 from .groth import groth_degree, groth_min_degree, groth_spec_1mq, grothendieck, vexillary_degree_formula
 from .m2 import write_m2_script
 from .perm import Permutation, is_covexillary, is_vexillary, length
 from .reg import (
     FALSIFIABLE_CHECKS,
     ALL_CHECKS,
-    check_conjectures,
     finalps_check,
     max_reg_scan,
     ps_series,
@@ -270,6 +269,22 @@ def _cmd_groth(args, out) -> int:
     return 0
 
 
+def _check_inverse_chart(v: Permutation, w: Permutation, H):
+    """Compute the charts of (v, w) and (v^-1, w^-1) afresh, outside the
+    chart memo, and compare both H with the report's.
+
+    The report may have read H off either chart, and the two chart ideals
+    differ, so this checks the Groebner pipeline against the symmetry.  A
+    mismatch is an internal invariant failure.
+    """
+    for pair in ((v, w), (v.inverse(), w.inverse())):
+        found = hilbert_data(*pair).H
+        if found != H:
+            raise RuntimeError(
+                "the chart (%s, %s) has H = %s, the report says %s" % (*pair, found, H)
+            )
+
+
 def _cmd_verify(args, out) -> int:
     v = _parse_perm(args.v, "--v")
     w = _parse_perm(args.w, "--w")
@@ -279,6 +294,7 @@ def _cmd_verify(args, out) -> int:
             v, w, method="both" if cov else "groebner", with_kl=cov, checks="all"
         )
         finalps = finalps_check(v, w) if cov else None
+        _check_inverse_chart(v, w, report.H)
     failures = [
         name
         for name, value in sorted(report.conjecture_flags.items())
@@ -289,6 +305,7 @@ def _cmd_verify(args, out) -> int:
     if args.json:
         payload = report.to_json()
         payload["finalps_identity"] = finalps
+        payload["inverse_chart"] = True
         payload["failures"] = failures
         out.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
@@ -306,6 +323,7 @@ def _cmd_verify(args, out) -> int:
             _kv(out, "check %s" % name, value)
         if finalps is not None:
             _kv(out, "check finalps-identity", "pass" if finalps else "fail")
+        _kv(out, "check inverse-chart", "pass")
     if report.discrepant:
         return 2
     return 3 if failures else 0

@@ -34,7 +34,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from math import comb, inf
 
@@ -267,10 +267,10 @@ def _fresh_name(base: str, taken) -> str:
     return name
 
 
-def _tangent_cone(ideal: Ideal):
-    """Returns (grevlex basis of the cone, source homogeneous?)."""
-    ring = ideal.ring
-    basis = buchberger(ideal, GREVLEX)
+def _tangent_cone(basis: GroebnerBasis):
+    """(grevlex basis of the cone, source homogeneous?) from the reduced
+    grevlex basis of the source ideal."""
+    ring = basis.ring
     homogeneous = basis.is_homogeneous()
     if not homogeneous:
         # Homogenize with t as variable 0 (raw << SHIFT | power of t) and
@@ -307,7 +307,7 @@ def lowest_degree_forms_ideal(ideal: Ideal) -> GroebnerBasis:
     It is returned as its reduced grevlex basis.  Both basis computations
     run under the enclosing `time_budget` scope.
     """
-    return _tangent_cone(ideal)[0]
+    return _tangent_cone(buchberger(ideal, GREVLEX))[0]
 
 
 # ----------------------------------------------------------------------
@@ -449,19 +449,31 @@ class HilbertData:
     elapsed_ms: float
 
 
+@lru_cache(maxsize=2)
+def chart_basis(v: Permutation, w: Permutation) -> tuple[Ideal, GroebnerBasis]:
+    """The chart ideal of X_w at v and its reduced grevlex basis.
+
+    This is the first stage of `hilbert_data`, run under the enclosing
+    `time_budget` scope.  The last two results are kept, so a chart whose
+    basis was computed to compare it with another's is not computed again.
+    """
+    chart_ideal = kl_generators(v, w)
+    check_budget("minor generation")
+    return chart_ideal, buchberger(chart_ideal, GREVLEX)
+
+
 def hilbert_data(v: Permutation, w: Permutation) -> HilbertData:
     """Tangent-cone Hilbert data of the chart of X_w attached to v.
 
     Minor generation and both bases run under the enclosing `time_budget`
-    scope.
+    scope; the first two come from `chart_basis`.
     """
     start = time.monotonic()
-    chart_ideal = kl_generators(v, w)
-    check_budget("minor generation")
+    chart_ideal, basis = chart_basis(v, w)
     n_vars = chart_ideal.ring.nvars
     expected_dim = length(w) - length(v)
     expected_height = comb(w.n, 2) - length(w)
-    cone, homogeneous = _tangent_cone(chart_ideal)
+    cone, homogeneous = _tangent_cone(basis)
     check_budget("tangent cone")
     K = hilbert_numerator(cone.leading_exponents(), n_vars)
     if K.is_zero():

@@ -19,7 +19,7 @@ from math import comb, inf
 
 from . import kernel
 from ._version import __version__
-from .gb import ResourceBudgetExceeded, check_budget, hilbert_data, time_budget
+from .gb import ResourceBudgetExceeded, chart_basis, check_budget, hilbert_data, time_budget
 from .groth import groth_spec_1mq
 from .perm import (
     Permutation,
@@ -111,41 +111,122 @@ def kl_polynomial(v: Permutation, w: Permutation) -> UniPoly:
 
 
 def kl_degree(v: Permutation, w: Permutation) -> int:
-    return int(kl_polynomial(v, w).degree())
+    """deg P_{v,w}, computed on the least member of the pair's orbit."""
+    return int(kl_polynomial(*_least(v, w)).degree())
+
+
+# ----------------------------------------------------------------------
+# Symmetry orbits of pairs
+#
+# Inversion iota(v, w) = (v^-1, w^-1) carries the germ of X_w at e_v to the
+# germ of X_{w^-1} at e_{v^-1}; the transpose tau(v, w) = (w0 v^-1 w0,
+# w0 w^-1 w0), from g -> w0 g^T w0, only relabels the chart's variables.  So
+# H, the regularity, covexillarity and P_{v,w} are constant on an orbit
+# {p, tau p, iota p, tau iota p}, while the chart ideals, and their cost,
+# differ.  A transpose class is {p, tau p}.
+
+
+def _orbit_words(v: Permutation, w: Permutation):
+    """Words of (p, tau p, iota p, tau iota p) for p = (v, w), repeats included."""
+    n = v.n
+
+    def inverse(word):
+        out = [0] * n
+        for pos, val in enumerate(word, start=1):
+            out[val - 1] = pos
+        return tuple(out)
+
+    def w0_conjugate(word):
+        return tuple(n + 1 - val for val in reversed(word))
+
+    iv, iw = inverse(v.word), inverse(w.word)
+    return (
+        (v.word, w.word),
+        (w0_conjugate(iv), w0_conjugate(iw)),
+        (iv, iw),
+        (w0_conjugate(v.word), w0_conjugate(w.word)),
+    )
+
+
+def _orbit(v: Permutation, w: Permutation):
+    return [(Permutation(a), Permutation(b)) for a, b in _orbit_words(v, w)]
+
+
+def _least(v: Permutation, w: Permutation):
+    """The orbit's least member, comparing the words of v, then of w."""
+    a, b = min(_orbit_words(v, w))
+    return Permutation(a), Permutation(b)
+
+
+def _formula(v: Permutation, w: Permutation) -> int:
+    return regularity_formula(*_least(v, w))
 
 
 # ----------------------------------------------------------------------
 # The chart memo
 
-# (v, w) -> (H, homogeneous) for every chart computed in this process.
-# Only the h-polynomial and the flag are kept: a HilbertData also holds the
-# chart ideal and the cone basis, too much to keep for every pair of a scan.
+# pair -> (H, homogeneous flag or None).  H is stored for every member of
+# each orbit computed, the flag for both members of each transpose class
+# whose grevlex basis was computed.  Only these two are kept: a HilbertData
+# also holds the chart ideal and the cone basis, too much to keep for every
+# pair of a scan.
 _CHARTS: dict = {}
 
 
 def _chart(v: Permutation, w: Permutation):
-    """(H_{v,w}, whether the chart ideal is homogeneous), computed once.
+    """(H_{v,w}, whether the chart ideal is homogeneous), computed once per
+    orbit and transpose class.
 
-    A miss runs hilbert_data under the enclosing `time_budget` scope and
-    checks the pipeline's shape against theory before storing the result; a
-    budget overrun propagates and stores nothing.  A stored chart is
-    returned without consulting the budget.
+    A pair with no stored flag has its own chart ideal and grevlex basis
+    computed (`chart_basis`); the flag is not an orbit invariant, since
+    inversion can change it.  If H is not stored either, one tangent cone is
+    computed for the orbit: on the pair when its basis is homogeneous, else
+    on its inverse when that basis is homogeneous or has fewer chart
+    generators, else on the pair.  The computed chart's shape is checked
+    against theory, then H is stored for the whole orbit and each computed
+    flag for its transpose class.  All of it runs under the enclosing
+    `time_budget` scope; an overrun propagates and stores nothing.  A stored
+    chart is returned without consulting the budget.
     """
     found = _CHARTS.get((v, w))
-    if found is None:
-        hd = hilbert_data(v, w)
+    if found is not None and found[1] is not None:
+        return found
+    ideal, basis = chart_basis(v, w)
+    flags = {(v, w): basis.is_homogeneous()}
+    if found is not None:
+        H = found[0]
+    else:
+        source = (v, w)
+        if not flags[source]:
+            inverse = (v.inverse(), w.inverse())
+            inverse_ideal, inverse_basis = chart_basis(*inverse)
+            flags[inverse] = inverse_basis.is_homogeneous()
+            if flags[inverse] or len(inverse_ideal) < len(ideal):
+                source = inverse
+        hd = hilbert_data(*source)
+        u, x = source
         theory = (
-            length(w) - length(v),
-            comb(w.n, 2) - length(w),
-            free_cell_count(v),
+            length(x) - length(u),
+            comb(x.n, 2) - length(x),
+            free_cell_count(u),
         )
         if (hd.dim, hd.height, hd.n_vars) != theory:
             raise RuntimeError(
                 "shape mismatch for (%s, %s): pipeline (dim, height, n_vars) %s, theory %s"
-                % (v, w, (hd.dim, hd.height, hd.n_vars), theory)
+                % (u, x, (hd.dim, hd.height, hd.n_vars), theory)
             )
-        found = _CHARTS[(v, w)] = (hd.H, hd.homogeneous)
-    return found
+        H = hd.H
+        for pair in _orbit(v, w):
+            _CHARTS[pair] = (H, None)
+    for pair, flag in flags.items():
+        _CHARTS[pair] = _CHARTS[_orbit(*pair)[1]] = (H, flag)
+    return H, flags[(v, w)]
+
+
+def _h(v: Permutation, w: Permutation) -> UniPoly:
+    """H_{v,w} from the chart memo, with no flag computed for a stored H."""
+    found = _CHARTS.get((v, w))
+    return found[0] if found is not None else _chart(v, w)[0]
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +351,7 @@ def regularity(
 
     formula_reg = None
     if method in ("formula", "both"):
-        formula_reg = regularity_formula(v, w)
+        formula_reg = _formula(v, w)
 
     H = homogeneous = groebner_reg = None
     if method in ("groebner", "both"):
@@ -321,7 +402,7 @@ def ps_series(v: Permutation, w: Permutation, order: int):
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    H = _chart(v, w)[0]
+    H = _h(v, w)
     coeffs = tuple(H.series_coefficients(length(w) - length(v), order))
     return coeffs, int(H.evaluate(1))
 
@@ -337,7 +418,7 @@ def finalps_check(v: Permutation, w: Permutation) -> bool:
     _require_bruhat(v, w)
     companion = companion_permutation(v, w).perm
     lhs = groth_spec_1mq(w0_compose(companion))
-    H = _chart(v, w)[0]
+    H = _h(v, w)
     rhs = H * UniPoly.one_minus_q() ** (comb(w.n, 2) - length(w))
     return lhs == rhs
 
@@ -373,7 +454,7 @@ def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
     flags = {}
 
     def h() -> UniPoly:
-        return _chart(v, w)[0]
+        return _h(v, w)
 
     for name in selected:
         if name == "h-nonneg":
@@ -385,7 +466,7 @@ def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
             ok = True
             h_here = h()
             for u in covers_below(v):
-                h_below = _chart(u, w)[0]
+                h_below = _h(u, w)
                 top = max(int(h_below.degree()), int(h_here.degree()))
                 if any(h_below[t] < h_here[t] for t in range(top + 1)):
                     ok = False
@@ -395,8 +476,8 @@ def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
             if not cov:
                 flags[name] = "not-checkable"
                 continue
-            here = regularity_formula(v, w)
-            ok = all(regularity_formula(u, w) >= here for u in covers_below(v))
+            here = _formula(v, w)
+            ok = all(_formula(u, w) >= here for u in covers_below(v))
             flags[name] = "pass" if ok else "fail"
         elif name == "dual-path":
             if not cov:
@@ -404,7 +485,7 @@ def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
                 continue
             flags[name] = (
                 "pass"
-                if regularity_formula(v, w) == int(h().degree())
+                if _formula(v, w) == int(h().degree())
                 else "fail"
             )
         elif name == "kl-degree":
@@ -413,14 +494,14 @@ def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
                 continue
             degree = kl_degree(v, w)
             check_budget("kl-degree")
-            flags[name] = "pass" if degree == regularity_formula(v, w) else "fail"
+            flags[name] = "pass" if degree == _formula(v, w) else "fail"
         elif name == "reg-le-deg-p":
             if not cov:
                 flags[name] = "not-checkable"
                 continue
             degree = kl_degree(v, w)
             check_budget("kl-degree")
-            flags[name] = "pass" if regularity_formula(v, w) <= degree else "fail"
+            flags[name] = "pass" if _formula(v, w) <= degree else "fail"
     return flags
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from schubreg import reg, shapes
+from schubreg import gb, reg, shapes
 from schubreg.poly import MultiPoly, PolyRing
 
 
@@ -19,6 +19,7 @@ def cold_memos():
     an earlier test stored.
     """
     reg._CHARTS.clear()
+    gb.chart_basis.cache_clear()
     reg.kl_polynomial.cache_clear()
     reg.r_polynomial.cache_clear()
     shapes.regularity_formula.cache_clear()

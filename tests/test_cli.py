@@ -149,6 +149,23 @@ def test_exit_4_when_an_internal_invariant_fails(monkeypatch, capsys):
     assert err == "error: internal invariant failed: height mismatch for (1234, 3412): 3 vs 4\n"
 
 
+def test_exit_4_when_the_inverse_chart_disagrees(monkeypatch, capsys):
+    real = cli.hilbert_data
+
+    def skewed(v, w):
+        data = real(v, w)
+        if (v, w) == (Permutation((1, 2, 3, 4)), Permutation((1, 4, 2, 3))):
+            data.H = data.H + data.H
+        return data
+
+    monkeypatch.setattr(cli, "hilbert_data", skewed)
+    code, text = run(["verify", "--v", "1234", "--w", "1342"])
+    err = capsys.readouterr().err
+    assert code == 4 and text == ""
+    assert err.startswith("error: internal invariant failed: the chart (1234, 1423)")
+    assert err.count("\n") == 1
+
+
 def test_exit_4_when_the_report_shape_disagrees(monkeypatch, capsys):
     # the shape check runs as a real check, also under python -O
     real = schubreg.reg.free_cell_count
@@ -304,6 +321,7 @@ def test_verify_lists_every_check():
         "reg-le-deg-p",
         "reg-semicontinuity",
         "finalps-identity",
+        "inverse-chart",
     ):
         assert "check %s pass" % name in " ".join(text.split()), name
 
@@ -312,8 +330,11 @@ def test_verify_json_on_non_covexillary_pair():
     code, text = run(["verify", "--v", "1234", "--w", "3412", "--json"])
     assert code == 0
     payload = json.loads(text)
-    assert sorted(payload) == sorted(ANALYZE_KEYS + ["failures", "finalps_identity"])
+    assert sorted(payload) == sorted(
+        ANALYZE_KEYS + ["failures", "finalps_identity", "inverse_chart"]
+    )
     assert payload["finalps_identity"] is None  # needs the covexillary route
+    assert payload["inverse_chart"] is True
     assert payload["failures"] == []
     flags = payload["conjecture_flags"]
     assert flags["h-nonneg"] == "pass" and flags["deg-bound"] == "pass"

@@ -235,7 +235,9 @@ def test_series_and_finalps_read_the_chart_memo(monkeypatch):
         coeffs, mult = ps_series(GOLDEN_V, GOLDEN_W, 3)
         assert finalps_check(GOLDEN_V, GOLDEN_W)
     assert coeffs == tuple(H.series_coefficients(8, 3)) and mult == 5
-    assert calls == [(GOLDEN_V, GOLDEN_W)]
+    # the orbit's one cone may come from the pair's inverse chart
+    inverse = (GOLDEN_V.inverse(), GOLDEN_W.inverse())
+    assert len(calls) == 1 and calls[0] in ((GOLDEN_V, GOLDEN_W), inverse)
 
 
 def test_check_conjectures_trivial_and_flagging():
@@ -361,6 +363,41 @@ def test_budget_error_is_not_memoised():
     with time_budget(0):
         again = regularity(v, w)
     assert H is not None and again.H == H and again.reg == int(H.degree())
+
+
+def test_the_slowest_known_chart_takes_its_cone_from_the_inverse():
+    # its own Lazard basis takes minutes; the inverse chart's cone, well
+    # under a second, gives the same H
+    v, w = Permutation.identity(7), Permutation.from_string("6741523")
+    with time_budget(10_000):
+        report = regularity(v, w, method="groebner")
+    assert report.H == UniPoly([1, 2, 2, 1]) and report.groebner_reg == 3
+    assert report.homogeneous_ideal is False
+
+
+@pytest.mark.parametrize("first", ["1342", "1423"])
+def test_an_orbit_computes_one_cone_and_each_flag_from_its_own_basis(monkeypatch, first):
+    # (1234, 1342) and (1234, 1423) are each other's inverse: one H for
+    # both, but only the first chart ideal is homogeneous
+    import schubreg.reg as reg
+
+    compute = reg.hilbert_data
+    calls = []
+
+    def counting_hilbert_data(v, w):
+        calls.append((v, w))
+        return compute(v, w)
+
+    monkeypatch.setattr(reg, "hilbert_data", counting_hilbert_data)
+    e = Permutation.identity(4)
+    order = [first] + [w for w in ("1342", "1423") if w != first]
+    reports = {
+        w: regularity(e, Permutation.from_string(w), method="groebner") for w in order
+    }
+    assert calls == [(e, Permutation.from_string("1342"))]
+    assert reports["1342"].homogeneous_ideal is True
+    assert reports["1423"].homogeneous_ideal is False
+    assert reports["1342"].H == reports["1423"].H
 
 
 def test_kl_polynomials_of_two_s7_pairs():
