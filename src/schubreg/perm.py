@@ -120,7 +120,6 @@ def sw_rank(u: Permutation, a: int, j: int) -> int:
     return sum(1 for h in range(j) if word[h] >= a)
 
 
-@lru_cache(maxsize=None)
 def rank_matrix(u: Permutation) -> tuple[tuple[int, ...], ...]:
     """All southwest ranks; entry [a-1][j-1] is R_u(a, j)."""
     n = u.n
@@ -137,21 +136,35 @@ def rank_matrix(u: Permutation) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _packed_ranks(word: tuple[int, ...]) -> tuple[int, int]:
+    """(ranks, guards): the rank matrix of `word` as fields of one int.
+
+    Each field is n.bit_length() + 1 bits wide and holds one rank, at most
+    n, below its top bit; `guards` has every field's top bit set.
+    """
+    width = len(word).bit_length() + 1
+    ranks = guards = shift = 0
+    for row in rank_matrix(Permutation(word)):
+        for rank in row:
+            ranks |= rank << shift
+            guards |= 1 << (shift + width - 1)
+            shift += width
+    return ranks, guards
+
+
 def bruhat_leq(v: Permutation, w: Permutation) -> bool:
-    """Bruhat order via pointwise comparison of southwest rank matrices."""
+    """Bruhat order: v <= w iff R_v(a, j) <= R_w(a, j) for every entry.
+
+    One subtraction compares every field: a field of (w | guards) - v keeps
+    its guard bit exactly when R_w - R_v >= 0 there, and since a rank is
+    below the guard bit no field borrows from the next.
+    """
     if v.n != w.n:
         raise ValueError("cannot compare permutations of different sizes")
-    if v.word == w.word:
-        return True
-    rv = rank_matrix(v)
-    rw = rank_matrix(w)
-    for a in range(v.n):
-        rva = rv[a]
-        rwa = rw[a]
-        for j in range(v.n):
-            if rva[j] > rwa[j]:
-                return False
-    return True
+    kv = _packed_ranks(v.word)[0]
+    kw, guards = _packed_ranks(w.word)
+    return ((kw | guards) - kv) & guards == guards
 
 
 @lru_cache(maxsize=None)

@@ -79,35 +79,69 @@ def r_polynomial(v: Permutation, w: Permutation) -> UniPoly:
     return (q - 1) * r_polynomial(v, ws) + q * r_polynomial(vs, ws)
 
 
-@lru_cache(maxsize=None)
-def kl_polynomial(v: Permutation, w: Permutation) -> UniPoly:
-    """P_{v,w} extracted from q^L P(1/q) = sum_z R_{v,z} P_{z,w}.
+# (z, w) -> P_{z,w}, for every z of every interval [v, w] computed
+_KL: dict = {}
 
-    Each computed polynomial tests the enclosing `time_budget` scope, so a
-    recursion stops soon after the deadline; a memoised one costs nothing.
+
+def kl_polynomial(v: Permutation, w: Permutation) -> UniPoly:
+    """P_{v,w}, from q^{l(w)-l(z)} P_{z,w}(1/q) = sum over y in [z, w] of
+    R_{z,y} P_{y,w}.
+
+    [v, w] is built once.  The up-set [z, w] of each of its elements is read
+    off its cover graph, and P_{z,w} is computed from the top down for every
+    z whose polynomial is not yet in the per-process memo: its coefficients
+    up to q^{(l(w)-l(z)-1)/2} are minus those of the sum over y > z, and the
+    mirrored half of the equation is checked as a certificate.  Each
+    polynomial computed first tests the enclosing `time_budget` scope, so an
+    overrun leaves only finished polynomials stored; a stored one costs
+    nothing.
     """
     _require_bruhat(v, w)
-    check_budget("kl polynomial")
-    if v.word == w.word:
-        return UniPoly.one()
-    gap = length(w) - length(v)
-    total = UniPoly.zero()
-    for z in sorted(bruhat_interval(v, w), key=lambda z: z.word):
-        if z.word == v.word:
-            continue
-        rp = r_polynomial(v, z)
-        if not rp.is_zero():
-            total = total + rp * kl_polynomial(z, w)
-    bound = (gap - 1) // 2
-    p = UniPoly([-total[k] for k in range(bound + 1)])
-    if p[0] != 1:
-        raise RuntimeError("KL polynomial without constant term 1 for (%s, %s)" % (v, w))
-    # The mirrored half of the functional equation is an exact certificate.
-    full = p + total
-    top = int(full.degree()) if not full.is_zero() else 0
-    if top > gap or any(full[d] != p[gap - d] for d in range(gap + 1)):
-        raise RuntimeError("KL functional equation violated for (%s, %s)" % (v, w))
+    found = _KL.get((v, w))
+    if found is not None:
+        return found
+    order = sorted(bruhat_interval(v, w), key=lambda u: (-length(u), u.word))
+    index = {u: k for k, u in enumerate(order)}
+    # above[k]: the up-set [order[k], w], as a bitmask over indices
+    above = [1 << k for k in range(len(order))]
+    for k, u in enumerate(order):
+        for c in covers_below(u):
+            m = index.get(c)
+            if m is not None:
+                above[m] |= above[k]
+    coeffs = []  # coeffs[k]: the coefficients of P_{order[k], w}
+    for k, z in enumerate(order):
+        p = _KL.get((z, w))
+        if p is None:
+            check_budget("kl polynomial")
+            total = [0] * (length(w) - length(z) + 1)
+            rest = above[k] ^ (1 << k)
+            while rest:
+                m = rest.bit_length() - 1
+                rest ^= 1 << m
+                pm = coeffs[m]
+                for i, a in enumerate(r_polynomial(z, order[m]).coeffs):
+                    if a:
+                        for j, b in enumerate(pm):
+                            total[i + j] += a * b
+            p = _KL[(z, w)] = _kl_from_sum(z, w, total)
+        coeffs.append(p.coeffs)
     return p
+
+
+def _kl_from_sum(z: Permutation, w: Permutation, total: list) -> UniPoly:
+    """P_{z,w} from the coefficients of the sum of R_{z,y} P_{y,w} over y > z."""
+    gap = len(total) - 1
+    if gap == 0:
+        return UniPoly.one()
+    p = [-c for c in total[: (gap + 1) // 2]]
+    if p[0] != 1:
+        raise RuntimeError("KL polynomial without constant term 1 for (%s, %s)" % (z, w))
+    # q^gap P(1/q) = P + total; its upper half, unused above, is an exact certificate
+    padded = p + [0] * (gap + 1 - len(p))
+    if [a + b for a, b in zip(padded, total)] != padded[::-1]:
+        raise RuntimeError("KL functional equation violated for (%s, %s)" % (z, w))
+    return UniPoly(p)
 
 
 def kl_degree(v: Permutation, w: Permutation) -> int:
@@ -126,36 +160,26 @@ def kl_degree(v: Permutation, w: Permutation) -> int:
 # differ.  A transpose class is {p, tau p}.
 
 
-def _orbit_words(v: Permutation, w: Permutation):
-    """Words of (p, tau p, iota p, tau iota p) for p = (v, w), repeats included."""
-    n = v.n
+@lru_cache(maxsize=None)
+def _images(u: Permutation):
+    """(w0 u^-1 w0, u^-1, w0 u w0): u's parts of tau, iota and tau iota."""
+    n = u.n
 
-    def inverse(word):
-        out = [0] * n
-        for pos, val in enumerate(word, start=1):
-            out[val - 1] = pos
-        return tuple(out)
+    def w0_conjugate(x):
+        return Permutation(tuple(n + 1 - val for val in reversed(x.word)))
 
-    def w0_conjugate(word):
-        return tuple(n + 1 - val for val in reversed(word))
-
-    iv, iw = inverse(v.word), inverse(w.word)
-    return (
-        (v.word, w.word),
-        (w0_conjugate(iv), w0_conjugate(iw)),
-        (iv, iw),
-        (w0_conjugate(v.word), w0_conjugate(w.word)),
-    )
+    inverse = u.inverse()
+    return w0_conjugate(inverse), inverse, w0_conjugate(u)
 
 
 def _orbit(v: Permutation, w: Permutation):
-    return [(Permutation(a), Permutation(b)) for a, b in _orbit_words(v, w)]
+    """[p, tau p, iota p, tau iota p] for p = (v, w), repeats included."""
+    return [(v, w), *zip(_images(v), _images(w))]
 
 
 def _least(v: Permutation, w: Permutation):
     """The orbit's least member, comparing the words of v, then of w."""
-    a, b = min(_orbit_words(v, w))
-    return Permutation(a), Permutation(b)
+    return min(_orbit(v, w), key=lambda pair: (pair[0].word, pair[1].word))
 
 
 def _formula(v: Permutation, w: Permutation) -> int:

@@ -123,16 +123,11 @@ def companion_permutation(v: Permutation, w: Permutation) -> CompanionData:
     moved_tuple = tuple(moved)
 
     # sums[j] = sum over a of R(a, j); column 0 is zero
-    sums = [0] + [
-        sum(
-            min(
-                [n - a + 1, j]
-                + [r + max(0, i - a) + max(0, j - c) for (i, c), r in moved_tuple]
-            )
-            for a in range(1, n + 1)
-        )
-        for j in range(1, n + 1)
-    ]
+    sums = [0] * (n + 1)
+    for a in range(1, n + 1):
+        row = [(r + max(0, i - a), c) for (i, c), r in moved_tuple]
+        for j in range(1, n + 1):
+            sums[j] += min([n - a + 1, j] + [t + max(0, j - c) for t, c in row])
     word = [sums[j] - sums[j - 1] for j in range(1, n + 1)]
     if sorted(word) != list(range(1, n + 1)):
         raise RuntimeError(

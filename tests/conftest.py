@@ -20,7 +20,7 @@ def cold_memos():
     """
     reg._CHARTS.clear()
     gb.chart_basis.cache_clear()
-    reg.kl_polynomial.cache_clear()
+    reg._KL.clear()
     reg.r_polynomial.cache_clear()
     shapes.regularity_formula.cache_clear()
     shapes.companion_permutation.cache_clear()

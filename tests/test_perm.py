@@ -3,6 +3,8 @@
 import itertools
 from math import comb
 
+import pytest
+
 from conftest import random_permutation_word, rng
 
 from schubreg.perm import (
@@ -134,6 +136,60 @@ def test_bruhat_leq_matches_cover_closure():
         for v in perms:
             for w in perms:
                 assert bruhat_leq(v, w) == ((v, w) in oracle), (v, w)
+
+
+def rank_table(u):
+    """Every southwest rank of u, straight off the definition."""
+    return [brute_sw_rank(u, a, j) for a in range(1, u.n + 1) for j in range(1, u.n + 1)]
+
+
+def ranks_leq(table_v, table_w):
+    """Bruhat order by definition: every rank of v is at most w's."""
+    return all(a <= b for a, b in zip(table_v, table_w))
+
+
+def assert_packed_order_matches_ranks_on_all_of(n):
+    perms = list(all_permutations(n))
+    tables = {u: rank_table(u) for u in perms}
+    for v in perms:
+        for w in perms:
+            assert bruhat_leq(v, w) == ranks_leq(tables[v], tables[w]), (v, w)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_packed_bruhat_leq_matches_the_rank_definition(n):
+    assert_packed_order_matches_ranks_on_all_of(n)
+
+
+@pytest.mark.slow
+def test_packed_bruhat_leq_matches_the_rank_definition_on_s6():
+    assert_packed_order_matches_ranks_on_all_of(6)
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16])
+def test_packed_bruhat_leq_matches_the_rank_definition_across_field_widths(n):
+    # the packed fields are n.bit_length() + 1 bits wide: 4 bits at n = 7,
+    # 5 at n = 8 and 15, 6 at n = 16
+    r = rng(104 + n)
+    e, w0 = Permutation.identity(n), Permutation.longest(n)
+    pairs = [(e, w0), (w0, e), (e, e), (w0, w0)]
+    for _ in range(150):
+        w = Permutation(random_permutation_word(r, n))
+        # a length-lowering transposition walk from w stays below w
+        word = list(w.word)
+        for _ in range(r.randint(1, 3)):
+            i, j = sorted(r.sample(range(n), 2))
+            if word[i] > word[j]:
+                word[i], word[j] = word[j], word[i]
+        v = Permutation(tuple(word))
+        other = Permutation(random_permutation_word(r, n))
+        pairs += [(v, w), (w, v), (other, w)]
+    outcomes = set()
+    for v, w in pairs:
+        expected = ranks_leq(rank_table(v), rank_table(w))
+        assert bruhat_leq(v, w) == expected, (v, w)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_bruhat_interval_counts():

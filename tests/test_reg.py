@@ -1,5 +1,6 @@
 """Regularity reports, KL polynomials, conjecture suite, and scans."""
 
+import itertools
 import json
 import os
 import time
@@ -13,6 +14,7 @@ from conftest import rng
 from schubreg.perm import (
     Permutation,
     all_permutations,
+    bruhat_interval,
     bruhat_leq,
     contains_pattern,
     is_covexillary,
@@ -71,6 +73,24 @@ def left_descent_r_poly(v, w, cache=None):
         ) * left_descent_r_poly(sv, sw, cache)
     cache[key] = out
     return out
+
+
+def per_interval_kl(v, w, r_cache, cache):
+    """P_{v,w} by the recursion that builds [z, w] afresh for every z, as an
+    oracle, on the left-descent R-polynomials."""
+    if (v, w) in cache:
+        return cache[(v, w)]
+    if v == w:
+        return UniPoly.one()
+    total = UniPoly.zero()
+    for z in bruhat_interval(v, w):
+        if z != v:
+            total = total + left_descent_r_poly(v, z, r_cache) * per_interval_kl(
+                z, w, r_cache, cache
+            )
+    bound = (length(w) - length(v) - 1) // 2
+    cache[(v, w)] = UniPoly([-total[k] for k in range(bound + 1)])
+    return cache[(v, w)]
 
 
 def rationally_smooth(w):
@@ -143,6 +163,37 @@ def test_kl_degree_bound_and_constant_term():
         if gap >= 1:
             assert 2 * int(p.degree()) <= gap - 1
         assert kl_degree(v, w) == int(p.degree())
+
+
+def test_kl_polynomial_matches_the_per_interval_recursion_on_s5():
+    r_cache, cache = {}, {}
+    for v, w in scan_pairs(5):
+        assert kl_polynomial(v, w) == per_interval_kl(v, w, r_cache, cache), (v, w)
+
+
+def test_scan_pairs_is_the_filter_by_rank_definition():
+    def ranks(u):
+        """R_u(a, j) = #{h <= j : u(h) >= a} for every a and j."""
+        return [
+            sum(1 for h in u.word[:j] if h >= a)
+            for a in range(1, u.n + 1)
+            for j in range(1, u.n + 1)
+        ]
+
+    def inversions(u):
+        return sum(1 for a, b in itertools.combinations(u.word, 2) if a > b)
+
+    for n in range(1, 6):
+        perms = list(all_permutations(n))
+        table = {u: ranks(u) for u in perms}
+        brute = [
+            (v, w)
+            for w in perms
+            for v in perms
+            if all(x <= y for x, y in zip(table[v], table[w]))
+        ]
+        brute.sort(key=lambda p: (inversions(p[1]) - inversions(p[0]), p[1].word, p[0].word))
+        assert scan_pairs(n) == brute, n
 
 
 def test_regularity_methods_and_labels():
@@ -404,6 +455,29 @@ def test_kl_polynomials_of_two_s7_pairs():
     w = Permutation.from_string("7314562")
     assert kl_polynomial(GOLDEN_V, w) == UniPoly([1, 2, 1])
     assert kl_polynomial(Permutation.identity(7), w) == UniPoly([1, 3, 3, 1])
+
+
+def test_kl_polynomial_stops_at_the_budget_and_keeps_only_finished_values(monkeypatch):
+    import schubreg.reg as reg
+
+    v, w = Permutation.identity(7), Permutation.from_string("7314562")
+    with pytest.raises(ResourceBudgetExceeded), time_budget(0):
+        kl_polynomial(v, w)
+    # an overrun part way down the interval of 696
+    checks = []
+
+    def overrun_after_300(what):
+        checks.append(what)
+        if len(checks) > 300:
+            raise ResourceBudgetExceeded("%s ran past the time budget" % what)
+
+    monkeypatch.setattr(reg, "check_budget", overrun_after_300)
+    with pytest.raises(ResourceBudgetExceeded):
+        kl_polynomial(v, w)
+    monkeypatch.undo()
+    assert len(reg._KL) == 300
+    assert kl_polynomial(v, w) == UniPoly([1, 3, 3, 1])
+    assert kl_polynomial(GOLDEN_V, w) == UniPoly([1, 2, 1])
 
 
 def test_kernel_version_shape():
