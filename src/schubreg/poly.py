@@ -1,13 +1,14 @@
 """Exact sparse polynomials.
 
-MultiPoly keeps a dict from dense exponent tuples to Fraction coefficients
-over a fixed ring of named variables.  It is the form for the edges of the
-library: parsing, Grothendieck polynomials, printing and the Macaulay2
-export, and the `Ideal.generators` and `GroebnerBasis.elements` views.  The
-Groebner pipeline itself works on packed integer term lists (ideal, gb,
-kernel) and builds no MultiPoly.  UniPoly is a plain integer-coefficient
-polynomial in one variable q used for Hilbert numerators, h-polynomials and
-Kazhdan-Lusztig polynomials.
+MultiPoly keeps a dict from dense exponent tuples to rational (Fraction or
+int) coefficients over a fixed ring of named variables.  It only parses,
+compares and prints: it is the form for the edges of the library, namely
+the Macaulay2 export, the `groth --poly` output, and the `Ideal.generators`
+and `GroebnerBasis.elements` views.  Polynomial arithmetic happens on
+integer terms elsewhere: packed term lists in the Groebner pipeline (ideal,
+gb, kernel) and exponent-tuple dicts for Grothendieck polynomials (groth).
+UniPoly is a plain integer-coefficient polynomial in one variable q used
+for Hilbert numerators, h-polynomials and Kazhdan-Lusztig polynomials.
 """
 
 from __future__ import annotations
@@ -40,36 +41,6 @@ class PolyRing:
         except KeyError:
             raise ValueError("unknown variable %r" % name) from None
 
-    def var(self, which) -> "MultiPoly":
-        k = which if isinstance(which, int) else self._index[which]
-        exps = [0] * len(self.names)
-        exps[k] = 1
-        return MultiPoly(self, {tuple(exps): Fraction(1)})
-
-    def zero(self) -> "MultiPoly":
-        return MultiPoly(self, {})
-
-    def one(self) -> "MultiPoly":
-        return self.const(1)
-
-    def const(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        if not c:
-            return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * len(self.names): c})
-
-    def from_terms(self, terms) -> "MultiPoly":
-        """Build from {exponent tuple: coefficient}, dropping zeros."""
-        clean = {}
-        for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff:
-                exps = tuple(exps)
-                if len(exps) != len(self.names):
-                    raise ValueError("exponent tuple of wrong arity: %r" % (exps,))
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        return MultiPoly(self, {e: c for e, c in clean.items() if c})
-
     def parse(self, text: str) -> "MultiPoly":
         return parse_poly(text, self)
 
@@ -95,158 +66,16 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int | float:
-        """Total degree; -inf for the zero polynomial."""
-        if not self.terms:
-            return -inf
-        return max(sum(e) for e in self.terms)
-
-    def min_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no minimal degree")
-        return min(sum(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) == 1
-
-    def lowest_form(self) -> "MultiPoly":
-        """The homogeneous component of minimal total degree."""
-        if not self.terms:
-            return self
-        d = self.min_degree()
-        return MultiPoly(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def homogeneous_component(self, d: int) -> "MultiPoly":
-        return MultiPoly(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def _check(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
-        if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
-                raise ValueError("mixed rings")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly(self.ring, out)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return self.ring.zero()
-            return MultiPoly(self.ring, {e: c * other for e, c in self.terms.items()})
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return MultiPoly(self.ring, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring.names, frozenset(self.terms.items())))
-
-    def swap_vars(self, i: int, j: int) -> "MultiPoly":
-        """Exchange variables number i and j (0-indexed)."""
-        out: dict = {}
-        for e, c in self.terms.items():
-            lst = list(e)
-            lst[i], lst[j] = lst[j], lst[i]
-            key = tuple(lst)
-            out[key] = out.get(key, Fraction(0)) + c
-        return MultiPoly(self.ring, {e: c for e, c in out.items() if c})
-
-    def evaluate(self, values) -> Fraction:
-        values = [Fraction(v) for v in values]
-        if len(values) != self.ring.nvars:
-            raise ValueError("expected %d values" % self.ring.nvars)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            prod = c
-            for base, power in zip(values, e):
-                if power:
-                    prod *= base**power
-            total += prod
-        return total
-
-    def degree_coefficients(self) -> list[Fraction]:
-        """Sums of coefficients per total degree (index d = degree d)."""
-        if not self.terms:
-            return []
-        out = [Fraction(0)] * (int(self.degree()) + 1)
-        for e, c in self.terms.items():
-            out[sum(e)] += c
-        return out
-
-    def substitute_all(self, value: "UniPoly") -> "UniPoly":
-        """Replace every variable by the same univariate polynomial."""
-        per_degree = self.degree_coefficients()
-        total = UniPoly.zero()
-        power = UniPoly.one()
-        for d, c in enumerate(per_degree):
-            if c:
-                if c.denominator != 1:
-                    raise ValueError("substitution needs integer coefficients")
-                total = total + power * int(c)
-            if d + 1 < len(per_degree):
-                power = power * value
-        return total
 
     def sorted_terms(self):
         return sorted(
@@ -330,56 +159,6 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
         sign = -1 if text[chunk_end] == "-" else 1
         pos = chunk_end + 1
     return MultiPoly(ring, terms)
-
-
-def divided_difference_pi(f: MultiPoly, i: int) -> MultiPoly:
-    """Isobaric divided difference:
-    pi_i(f) = ((1 - x_{i+1}) f - (1 - x_i) f^{s_i}) / (x_i - x_{i+1}),
-    with i 1-indexed.  The division must be exact."""
-    ring = f.ring
-    if not 1 <= i < ring.nvars:
-        raise IndexError("pi_%d needs variables x_%d and x_%d" % (i, i, i + 1))
-    a = i - 1
-    b = i
-    xi = ring.var(a)
-    xj = ring.var(b)
-    swapped = f.swap_vars(a, b)
-    numerator = (ring.one() - xj) * f - (ring.one() - xi) * swapped
-    return _exact_divide_by_var_difference(numerator, a, b)
-
-
-def _exact_divide_by_var_difference(g: MultiPoly, a: int, b: int) -> MultiPoly:
-    """Exact quotient g / (x_a - x_b), by telescoping each term.
-
-    x^p y^q = (x - y) * sum_{k=0}^{p-1} x^{p-1-k} y^{q+k}  +  y^{p+q},
-    so the remainder collapses onto x-free monomials and must cancel.
-    """
-    ring = g.ring
-    quotient: dict = {}
-    remainder: dict = {}
-    for e, c in g.terms.items():
-        p = e[a]
-        base = list(e)
-        for k in range(p):
-            base[a] = p - 1 - k
-            base[b] = e[b] + k
-            key = tuple(base)
-            s = quotient.get(key, Fraction(0)) + c
-            if s:
-                quotient[key] = s
-            else:
-                del quotient[key]
-        base[a] = 0
-        base[b] = e[b] + p
-        key = tuple(base)
-        s = remainder.get(key, Fraction(0)) + c
-        if s:
-            remainder[key] = s
-        else:
-            del remainder[key]
-    if remainder:
-        raise ValueError("division by x_%d - x_%d is not exact" % (a + 1, b + 1))
-    return MultiPoly(ring, quotient)
 
 
 class UniPoly:

@@ -694,8 +694,11 @@ def max_reg_scan(
     more than one line, the cache is rewritten with one line per pair (lines
     of pairs outside this scan are kept, unreadable lines dropped).  A budget
     overrun marks the scan partial and the reported max is only a lower
-    bound.
+    bound.  At most os.cpu_count() worker processes are started.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1, got %d" % workers)
+    workers = min(workers, os.cpu_count() or 1)
     pairs = scan_pairs(n, restrict)
     on_file = {}
     duplicated = False

@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from schubreg import gb, reg, shapes
+from schubreg import gb, groth, reg, shapes
 from schubreg.poly import MultiPoly, PolyRing
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Start each test with an empty chart memo and cold tableau-route and KL
-    caches.
+    """Start each test with an empty chart memo and cold tableau-route, KL
+    and Grothendieck caches.
 
     Tests assume a cold process, as the CLI has: a budget of 0 or a patched
     hilbert_data must reach the computation, not a chart or KL polynomial
@@ -24,6 +24,7 @@ def cold_memos():
     reg.r_polynomial.cache_clear()
     shapes.regularity_formula.cache_clear()
     shapes.companion_permutation.cache_clear()
+    groth.groth_terms.cache_clear()
 
 
 def rng(seed):
@@ -53,12 +54,22 @@ def random_poly(r, ring, max_terms=5, max_deg=3, max_coeff=6):
             return MultiPoly(ring, terms)
 
 
-def random_point(r, nvars, span=7):
-    """Random rational point with nonzero coordinates."""
-    return [
-        Fraction(r.randint(-span, span) or 1, r.randint(1, span))
-        for _ in range(nvars)
-    ]
+def sum_of_products(ring, *products):
+    """The MultiPoly over `ring` that sums the product of each tuple of
+    MultiPolys: sum_of_products(R, (f, g), (h,)) is f*g + h."""
+    out = {}
+    for factors in products:
+        terms = {(0,) * ring.nvars: 1}
+        for f in factors:
+            step = {}
+            for e1, c1 in terms.items():
+                for e2, c2 in f.terms.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    step[e] = step.get(e, 0) + c1 * c2
+            terms = step
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + c
+    return MultiPoly(ring, {e: Fraction(c) for e, c in out.items() if c})
 
 
 def small_ring(nvars):

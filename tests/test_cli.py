@@ -103,12 +103,15 @@ def test_usage_and_math_errors_exit_1(capsys):
         (["scan", "--n", "1"], "need n >= 2"),
         (["scan", "--n", "8"], "not supported"),
         (["scan", "--n", "3", "--checks", "bogus"], "unknown check"),
+        (["scan", "--n", "3", "--workers", "0"], "workers must be at least 1"),
+        (["scan", "--n", "3", "--workers", "-3"], "workers must be at least 1"),
     ]
     for argv, fragment in cases:
         code, _ = run(argv)
         err = capsys.readouterr().err
         assert code == 1, argv
         assert err.startswith("error:") and fragment in err, argv
+        assert err.count("\n") == 1, argv
 
 
 def test_companion_beyond_s9_with_moved_boxes_runs_both_routes():
@@ -304,7 +307,20 @@ def test_groth_json_on_non_vexillary_input():
     assert (payload["length"], payload["min_degree"], payload["degree"]) == (4, 4, 8)
     assert payload["spec_1mq_coeffs"] == [1, -1, 0, -7, 14, -7, 0, -1, 1]
     code, text = run(["groth", "--u", "21543", "--json", "--poly"])
-    assert "poly" in json.loads(text)
+    assert json.loads(text)["poly"] == (
+        "x_1^3*x_2^2*x_3^2*x_4 - x_1^3*x_2^2*x_3^2 - 2*x_1^3*x_2^2*x_3*x_4"
+        " - 2*x_1^3*x_2*x_3^2*x_4 - 2*x_1^2*x_2^2*x_3^2*x_4 + 2*x_1^3*x_2^2*x_3"
+        " + x_1^3*x_2^2*x_4 + 2*x_1^3*x_2*x_3^2 + 4*x_1^3*x_2*x_3*x_4"
+        " + x_1^3*x_3^2*x_4 + 2*x_1^2*x_2^2*x_3^2 + 4*x_1^2*x_2^2*x_3*x_4"
+        " + 4*x_1^2*x_2*x_3^2*x_4 + x_1*x_2^2*x_3^2*x_4 - x_1^3*x_2^2"
+        " - 3*x_1^3*x_2*x_3 - 2*x_1^3*x_2*x_4 - x_1^3*x_3^2 - 2*x_1^3*x_3*x_4"
+        " - 3*x_1^2*x_2^2*x_3 - 2*x_1^2*x_2^2*x_4 - 3*x_1^2*x_2*x_3^2"
+        " - 4*x_1^2*x_2*x_3*x_4 - 2*x_1^2*x_3^2*x_4 - x_1*x_2^2*x_3^2"
+        " - 2*x_1*x_2^2*x_3*x_4 - 2*x_1*x_2*x_3^2*x_4 + x_1^3*x_2 + x_1^3*x_3"
+        " + x_1^3*x_4 + x_1^2*x_2^2 + 2*x_1^2*x_2*x_3 + x_1^2*x_2*x_4"
+        " + x_1^2*x_3^2 + x_1^2*x_3*x_4 + x_1*x_2^2*x_3 + x_1*x_2^2*x_4"
+        " + x_1*x_2*x_3^2 + x_1*x_2*x_3*x_4 + x_1*x_3^2*x_4"
+    )
 
 
 def test_verify_lists_every_check():

@@ -1,17 +1,17 @@
-"""Exact polynomial arithmetic checked by evaluation at random points."""
+"""MultiPoly parsing and printing; UniPoly arithmetic checked by evaluation
+at random points."""
 
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from conftest import random_point, random_poly, rng, small_ring
+from conftest import rng, small_ring
 
 from schubreg.poly import (
     MultiPoly,
     PolyRing,
     UniPoly,
-    divided_difference_pi,
     parse_poly,
 )
 
@@ -26,85 +26,11 @@ def test_parse_and_str_round_trip():
     }
     assert R.parse(str(f)) == f
     assert R.parse("x1 - x1").is_zero()
-    assert R.parse("-3") == R.const(-3)
+    assert R.parse("-3") == MultiPoly(R, {(0, 0, 0): Fraction(-3)})
     with pytest.raises(ValueError):
         R.parse("x9")
     with pytest.raises(ValueError):
         R.parse("x1 +* x2")
-
-
-def test_arithmetic_matches_evaluation():
-    r = rng(201)
-    for _ in range(50):
-        nvars = r.randint(1, 4)
-        R = small_ring(nvars)
-        f = random_poly(r, R)
-        g = random_poly(r, R)
-        pt = random_point(r, nvars)
-        fv, gv = f.evaluate(pt), g.evaluate(pt)
-        assert (f + g).evaluate(pt) == fv + gv
-        assert (f - g).evaluate(pt) == fv - gv
-        assert (f * g).evaluate(pt) == fv * gv
-        assert (-f).evaluate(pt) == -fv
-        assert (f ** 3).evaluate(pt) == fv ** 3
-        assert (f * 2 + 1).evaluate(pt) == 2 * fv + 1
-
-
-def test_degree_and_homogeneity():
-    R = small_ring(2)
-    f = R.parse("x1^3 + x2")
-    assert f.degree() == 3 and f.min_degree() == 1
-    assert not f.is_homogeneous()
-    assert f.lowest_form() == R.parse("x2")
-    assert f.homogeneous_component(3) == R.parse("x1^3")
-    assert f.homogeneous_component(2).is_zero()
-    assert R.zero().degree() == float("-inf")
-    assert R.parse("x1*x2 + x2^2").is_homogeneous()
-
-
-def test_swap_vars_is_transposition_action():
-    r = rng(202)
-    R = small_ring(3)
-    for _ in range(20):
-        f = random_poly(r, R)
-        pt = random_point(r, 3)
-        swapped = f.swap_vars(0, 2)
-        assert swapped.evaluate(pt) == f.evaluate([pt[2], pt[1], pt[0]])
-        assert swapped.swap_vars(0, 2) == f
-
-
-def test_pi_on_symmetric_input_is_identity():
-    # pi_i fixes anything symmetric in x_i, x_{i+1}
-    R = small_ring(3)
-    f = R.parse("x1*x2 + x1 + x2 + 3*x3^2")
-    assert divided_difference_pi(f, 1) == f
-
-
-def test_pi_hand_values():
-    R = small_ring(2)
-    x1 = R.parse("x1")
-    assert divided_difference_pi(x1, 1) == R.one()
-    # pi_1(x1^2) = x1 + x2 - x1*x2
-    assert divided_difference_pi(R.parse("x1^2"), 1) == R.parse(
-        "x1 + x2 - x1*x2"
-    )
-
-
-def test_pi_is_idempotent_and_braided():
-    r = rng(203)
-    R = small_ring(3)
-    for _ in range(15):
-        f = random_poly(r, R, max_terms=4, max_deg=3)
-        for i in (1, 2):
-            once = divided_difference_pi(f, i)
-            assert divided_difference_pi(once, i) == once
-        lhs = divided_difference_pi(
-            divided_difference_pi(divided_difference_pi(f, 1), 2), 1
-        )
-        rhs = divided_difference_pi(
-            divided_difference_pi(divided_difference_pi(f, 2), 1), 2
-        )
-        assert lhs == rhs
 
 
 def test_parse_poly_respects_ring():
@@ -173,15 +99,3 @@ def test_series_coefficients_match_binomial_convolution():
         assert got == want
 
 
-def test_substitute_all_specializes_every_variable():
-    R = small_ring(2)
-    f = R.parse("x1*x2 - x1 + 2")
-    s = f.substitute_all(UniPoly.one_minus_q())
-    # (1-q)^2 - (1-q) + 2 = 2 - q + q^2
-    assert s == UniPoly([2, -1, 1])
-
-
-def test_ring_mismatch_rejected():
-    R1, R2 = small_ring(2), small_ring(3)
-    with pytest.raises(ValueError):
-        R1.parse("x1") + R2.parse("x1")

@@ -270,6 +270,13 @@ def test_finalps_identity_golden():
     assert finalps_check(GOLDEN_W, GOLDEN_W)
 
 
+def test_finalps_identity_on_every_covexillary_s5_pair():
+    pairs = scan_pairs(5, restrict="covexillary-only")
+    assert len(pairs) == 2967
+    for v, w in pairs:
+        assert finalps_check(v, w), (v, w)
+
+
 def test_series_and_finalps_read_the_chart_memo(monkeypatch):
     import schubreg.reg as reg
 
@@ -565,6 +572,41 @@ def test_max_reg_scan_workers_agree():
     assert [stable_fields(r) for r in serial.records] == [
         stable_fields(r) for r in parallel.records
     ]
+
+
+def test_max_reg_scan_caps_workers_at_the_cpu_count(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        """Records its size and maps in this process; starts no process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = max_reg_scan(3)
+    for workers in (2, 4000):
+        capped = max_reg_scan(3, workers=workers)
+        assert [stable_fields(r) for r in capped.records] == [
+            stable_fields(r) for r in serial.records
+        ]
+    assert sizes == [2, 2]
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            max_reg_scan(3, workers=workers)
+    assert sizes == [2, 2]
 
 
 def test_max_reg_scan_cache_retries_budget_errors(tmp_path):
