@@ -21,12 +21,13 @@ from .groth import groth_degree, groth_min_degree, groth_spec_1mq, grothendieck,
 from .m2 import write_m2_script
 from .perm import Permutation, is_covexillary, is_vexillary, length
 from .reg import (
-    FALSIFIABLE_CHECKS,
     ALL_CHECKS,
+    falsified,
     finalps_check,
     max_reg_scan,
     ps_series,
     regularity,
+    select_checks,
 )
 
 
@@ -117,17 +118,40 @@ def _parse_checks(text: str):
     text = text.strip()
     if text in ("", "none"):
         return ()
-    if text == "all":
-        return "all"
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    for name in names:
-        if name not in ALL_CHECKS:
-            raise _UsageError("--checks: unknown check %r" % name)
-    return names
+    names = "all" if text == "all" else [part.strip() for part in text.split(",") if part.strip()]
+    try:
+        return select_checks(names)
+    except ValueError as exc:
+        raise _UsageError("--checks: %s" % exc) from exc
 
 
 def _kv(out, key, value):
     out.write("%-16s %s\n" % (key, value))
+
+
+def _print_report(out, report, full: bool):
+    """The report lines that `analyze` and `verify` share; `full` adds the
+    method, the labels and the chart's shape, as `analyze` prints them."""
+    _kv(out, "pair", "v=%s w=%s (n=%d)" % (report.v, report.w, report.v.n))
+    if full:
+        _kv(out, "method", report.method)
+    _kv(out, "reg", "DISCREPANT" if report.discrepant else report.reg)
+    if report.formula_reg is not None:
+        _kv(out, "formula_reg", report.formula_reg)
+    if report.groebner_reg is not None:
+        _kv(out, "groebner_reg", report.groebner_reg)
+    if full:
+        _kv(out, "cm_status", report.cm_status)
+        _kv(out, "covexillary", "yes" if report.covexillary else "no")
+        _kv(out, "dim", report.dim)
+        _kv(out, "height", report.height)
+        _kv(out, "n_vars", report.n_vars)
+        if report.homogeneous_ideal is not None:
+            _kv(out, "homogeneous", "yes" if report.homogeneous_ideal else "no")
+    if report.H is not None:
+        _kv(out, "H", report.H)
+    if report.kl_degree is not None:
+        _kv(out, "kl_degree", report.kl_degree)
 
 
 def _cmd_analyze(args, out) -> int:
@@ -149,24 +173,7 @@ def _cmd_analyze(args, out) -> int:
             payload.update(ps_payload)
         out.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
-        _kv(out, "pair", "v=%s w=%s (n=%d)" % (report.v, report.w, report.v.n))
-        _kv(out, "method", report.method)
-        _kv(out, "reg", "DISCREPANT" if report.discrepant else report.reg)
-        if report.formula_reg is not None:
-            _kv(out, "formula_reg", report.formula_reg)
-        if report.groebner_reg is not None:
-            _kv(out, "groebner_reg", report.groebner_reg)
-        _kv(out, "cm_status", report.cm_status)
-        _kv(out, "covexillary", "yes" if report.covexillary else "no")
-        _kv(out, "dim", report.dim)
-        _kv(out, "height", report.height)
-        _kv(out, "n_vars", report.n_vars)
-        if report.homogeneous_ideal is not None:
-            _kv(out, "homogeneous", "yes" if report.homogeneous_ideal else "no")
-        if report.H is not None:
-            _kv(out, "H", report.H)
-        if report.kl_degree is not None:
-            _kv(out, "kl_degree", report.kl_degree)
+        _print_report(out, report, full=True)
         if ps_payload is not None:
             _kv(out, "ps[0..%d]" % args.ps_order, " ".join(map(str, ps_payload["ps_coeffs"])))
             _kv(out, "multiplicity", ps_payload["multiplicity"])
@@ -178,17 +185,19 @@ def _cmd_scan(args, out) -> int:
         raise _UsageError("--n: need n >= 2")
     if args.n > 7:
         raise _UsageError("--n: scans above S_7 are not supported")
-    checks = _parse_checks(args.checks)
+    check_names = _parse_checks(args.checks)
     restrict = "covexillary-only" if args.covexillary_only else "all"
-    result = max_reg_scan(
-        args.n,
-        restrict=restrict,
-        checks=checks,
-        budget_ms=_budget(args),
-        cache_path=args.cache,
-        workers=args.workers,
-    )
-    check_names = ALL_CHECKS if checks == "all" else checks
+    try:
+        result = max_reg_scan(
+            args.n,
+            restrict=restrict,
+            checks=check_names,
+            budget_ms=_budget(args),
+            cache_path=args.cache,
+            workers=args.workers,
+        )
+    except OSError as exc:
+        raise _UsageError("--cache: %s" % exc) from exc
     counts = {
         name: {"pass": 0, "fail": 0, "not-checkable": 0} for name in check_names
     }
@@ -295,11 +304,7 @@ def _cmd_verify(args, out) -> int:
         )
         finalps = finalps_check(v, w) if cov else None
         _check_inverse_chart(v, w, report.H)
-    failures = [
-        name
-        for name, value in sorted(report.conjecture_flags.items())
-        if value == "fail" and name in FALSIFIABLE_CHECKS
-    ]
+    failures = falsified(report.conjecture_flags)
     if finalps is False:
         failures.append("finalps-identity")
     if args.json:
@@ -309,16 +314,7 @@ def _cmd_verify(args, out) -> int:
         payload["failures"] = failures
         out.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
-        _kv(out, "pair", "v=%s w=%s (n=%d)" % (v, w, v.n))
-        _kv(out, "reg", "DISCREPANT" if report.discrepant else report.reg)
-        if report.formula_reg is not None:
-            _kv(out, "formula_reg", report.formula_reg)
-        if report.groebner_reg is not None:
-            _kv(out, "groebner_reg", report.groebner_reg)
-        if report.H is not None:
-            _kv(out, "H", report.H)
-        if report.kl_degree is not None:
-            _kv(out, "kl_degree", report.kl_degree)
+        _print_report(out, report, full=False)
         for name, value in sorted(report.conjecture_flags.items()):
             _kv(out, "check %s" % name, value)
         if finalps is not None:

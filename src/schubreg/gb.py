@@ -36,12 +36,12 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from math import comb, inf
+from math import inf
 
 from . import kernel
 from .ideal import Ideal, kl_generators, pack_poly, unpack_poly
 from .kernel.orders import FIELD, SHIFT, OrderPack, divides, order_pack, raw_lcm
-from .perm import Permutation, length
+from .perm import Permutation, chart_shape
 from .poly import MultiPoly, PolyRing, UniPoly
 
 
@@ -466,28 +466,23 @@ def hilbert_data(v: Permutation, w: Permutation) -> HilbertData:
     """Tangent-cone Hilbert data of the chart of X_w attached to v.
 
     Minor generation and both bases run under the enclosing `time_budget`
-    scope; the first two come from `chart_basis`.
+    scope; the first two come from `chart_basis`.  The computed (dim,
+    height, n_vars) must equal `chart_shape(v, w)`, else RuntimeError.
     """
     start = time.monotonic()
     chart_ideal, basis = chart_basis(v, w)
     n_vars = chart_ideal.ring.nvars
-    expected_dim = length(w) - length(v)
-    expected_height = comb(w.n, 2) - length(w)
     cone, homogeneous = _tangent_cone(basis)
     check_budget("tangent cone")
     K = hilbert_numerator(cone.leading_exponents(), n_vars)
     if K.is_zero():
         raise RuntimeError("chart ideal defines the empty scheme; conventions broken")
     dim = n_vars - K.one_minus_q_multiplicity()
-    if dim != expected_dim:
-        raise RuntimeError(
-            "dimension mismatch for (%s, %s): pipeline says %d, theory says %d"
-            % (v, w, dim, expected_dim)
-        )
     height = n_vars - dim
-    if height != expected_height:
+    if (dim, height, n_vars) != chart_shape(v, w):
         raise RuntimeError(
-            "height mismatch for (%s, %s): %d vs %d" % (v, w, height, expected_height)
+            "shape mismatch for (%s, %s): pipeline (dim, height, n_vars) %s, theory %s"
+            % (v, w, (dim, height, n_vars), chart_shape(v, w))
         )
     H = K.exact_divide(UniPoly.one_minus_q() ** height)
     if H[0] != 1:

@@ -29,7 +29,7 @@ from math import lcm
 
 from .kernel import content_normalize
 from .kernel.orders import SHIFT, order_pack
-from .perm import Permutation, bruhat_leq, diagram, essential_set, sw_rank
+from .perm import Permutation, diagram, essential_set, require_bruhat, sw_rank
 from .poly import MultiPoly, PolyRing
 
 ZERO = 0
@@ -243,10 +243,7 @@ def _essential_conditions(w: Permutation) -> list[tuple[int, int, int]]:
 
 def kl_generators(v: Permutation, w: Permutation) -> Ideal:
     """Rank-condition generators for the chart of X_w attached to v <= w."""
-    if v.n != w.n:
-        raise ValueError("v and w must live in the same symmetric group")
-    if not bruhat_leq(v, w):
-        raise ValueError("%s is not below %s in Bruhat order" % (v, w))
+    require_bruhat(v, w)
     matrix = generic_matrix(v)
     return Ideal(
         matrix.ring,

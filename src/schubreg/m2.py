@@ -14,7 +14,7 @@ import re
 
 from ._version import __version__
 from .ideal import kl_generators
-from .perm import Permutation, free_cell_count, length
+from .perm import Permutation, chart_shape
 
 _VAR = re.compile(r"z_(\d+)_(\d+)")
 
@@ -30,8 +30,7 @@ def m2_script(v: Permutation, w: Permutation) -> str:
     lines = [
         "-- schubreg %s cross-check script" % __version__,
         "-- chart pair: v=%s w=%s" % (v, w),
-        "-- expected: dim %d, codim %d in %d variables"
-        % (length(w) - length(v), free_cell_count(v) - (length(w) - length(v)), ring.nvars),
+        "-- expected: dim %d, codim %d in %d variables" % chart_shape(v, w),
     ]
     # printed with a positive first term (MultiPoly prints by degree first)
     gens = [g if g.sorted_terms()[0][1] > 0 else -g for g in chart_ideal.generators if g.terms]

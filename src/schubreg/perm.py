@@ -17,6 +17,8 @@ from math import comb
 
 Box = tuple[int, int]
 
+BRUHAT_ERROR = "not Bruhat-comparable in the required direction"
+
 
 @dataclass(frozen=True, slots=True)
 class Permutation:
@@ -188,6 +190,12 @@ def covers_below(w: Permutation) -> tuple[Permutation, ...]:
     return tuple(out)
 
 
+def require_bruhat(v: Permutation, w: Permutation):
+    """Raise ValueError unless v <= w in the Bruhat order of one S_n."""
+    if not bruhat_leq(v, w):
+        raise ValueError("%s vs %s: %s" % (v, w, BRUHAT_ERROR))
+
+
 def bruhat_interval(v: Permutation, w: Permutation) -> frozenset[Permutation]:
     """All u with v <= u <= w.  Errors unless v <= w.
 
@@ -195,8 +203,7 @@ def bruhat_interval(v: Permutation, w: Permutation) -> frozenset[Permutation]:
     of the interval lies on a chain of covers from w, so the walk costs the
     interval's size rather than n!.
     """
-    if not bruhat_leq(v, w):
-        raise ValueError("%s is not below %s in Bruhat order" % (v, w))
+    require_bruhat(v, w)
     inside = {w}
     seen = {w}
     frontier = [w]
@@ -322,3 +329,8 @@ def permutation_from_reversed_code(code: tuple[int, ...]) -> Permutation:
 def free_cell_count(v: Permutation) -> int:
     """Dimension of the affine chart attached to v: C(n,2) - length(v)."""
     return comb(v.n, 2) - length(v)
+
+
+def chart_shape(v: Permutation, w: Permutation) -> tuple[int, int, int]:
+    """(dim, height, n_vars) of the tangent cone of the chart of X_w at v."""
+    return length(w) - length(v), comb(w.n, 2) - length(w), free_cell_count(v)

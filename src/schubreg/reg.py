@@ -13,51 +13,31 @@ import json
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
-from functools import lru_cache
-from math import comb, inf
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import product
+from typing import get_args, get_type_hints
 
 from . import kernel
 from ._version import __version__
 from .gb import ResourceBudgetExceeded, chart_basis, check_budget, hilbert_data, time_budget
 from .groth import groth_spec_1mq
 from .perm import (
+    BRUHAT_ERROR,  # re-exported for callers that match the message
     Permutation,
     all_permutations,
     bruhat_interval,
     bruhat_leq,
+    chart_shape,
     covers_below,
-    free_cell_count,
     is_covexillary,
     length,
     permutation_from_reversed_code,
+    require_bruhat,
     w0_compose,
 )
 from .poly import UniPoly
 from .shapes import NotCovexillaryError, companion_permutation, regularity_formula
-
-BRUHAT_ERROR = "not Bruhat-comparable in the required direction"
-
-ALL_CHECKS = (
-    "h-nonneg",
-    "deg-bound",
-    "h-semicontinuity",
-    "reg-semicontinuity",
-    "dual-path",
-    "kl-degree",
-    "reg-le-deg-p",
-)
-# reg-le-deg-p is informational (weak evidence either way); a "fail" there
-# never falsifies anything.
-FALSIFIABLE_CHECKS = ALL_CHECKS[:-1]
-
-
-def _require_bruhat(v: Permutation, w: Permutation):
-    if v.n != w.n:
-        raise ValueError("permutations live in different symmetric groups")
-    if not bruhat_leq(v, w):
-        raise ValueError("%s vs %s: %s" % (v, w, BRUHAT_ERROR))
-
 
 # ----------------------------------------------------------------------
 # Kazhdan-Lusztig polynomials (classical recursion, plumbing)
@@ -96,7 +76,6 @@ def kl_polynomial(v: Permutation, w: Permutation) -> UniPoly:
     overrun leaves only finished polynomials stored; a stored one costs
     nothing.
     """
-    _require_bruhat(v, w)
     found = _KL.get((v, w))
     if found is not None:
         return found
@@ -206,9 +185,8 @@ def _chart(v: Permutation, w: Permutation):
     inversion can change it.  If H is not stored either, one tangent cone is
     computed for the orbit: on the pair when its basis is homogeneous, else
     on its inverse when that basis is homogeneous or has fewer chart
-    generators, else on the pair.  The computed chart's shape is checked
-    against theory, then H is stored for the whole orbit and each computed
-    flag for its transpose class.  All of it runs under the enclosing
+    generators, else on the pair.  H is stored for the whole orbit and each
+    computed flag for its transpose class.  All of it runs under the enclosing
     `time_budget` scope; an overrun propagates and stores nothing.  A stored
     chart is returned without consulting the budget.
     """
@@ -227,19 +205,7 @@ def _chart(v: Permutation, w: Permutation):
             flags[inverse] = inverse_basis.is_homogeneous()
             if flags[inverse] or len(inverse_ideal) < len(ideal):
                 source = inverse
-        hd = hilbert_data(*source)
-        u, x = source
-        theory = (
-            length(x) - length(u),
-            comb(x.n, 2) - length(x),
-            free_cell_count(u),
-        )
-        if (hd.dim, hd.height, hd.n_vars) != theory:
-            raise RuntimeError(
-                "shape mismatch for (%s, %s): pipeline (dim, height, n_vars) %s, theory %s"
-                % (u, x, (hd.dim, hd.height, hd.n_vars), theory)
-            )
-        H = hd.H
+        H = hilbert_data(*source).H
         for pair in _orbit(v, w):
             _CHARTS[pair] = (H, None)
     for pair, flag in flags.items():
@@ -301,31 +267,13 @@ class RegularityReport:
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RegularityReport":
-        return cls(
-            v=Permutation.from_string(data["v"]),
-            w=Permutation.from_string(data["w"]),
-            method=data["method"],
-            reg=data["reg"],
-            formula_reg=data["formula_reg"],
-            groebner_reg=data["groebner_reg"],
-            discrepant=data["discrepant"],
-            H=UniPoly(data["h_coeffs"]) if data["h_coeffs"] is not None else None,
-            dim=data["dim"],
-            height=data["height"],
-            n_vars=data["n_vars"],
-            covexillary=data["covexillary"],
-            cm_status=data["cm_status"],
-            homogeneous_ideal=data["homogeneous_ideal"],
-            kl_degree=data["kl_degree"],
-            conjecture_flags=dict(data["conjecture_flags"]),
-            elapsed_ms=data["elapsed_ms"],
-        )
+
+# The report fields that the pair and the requested method fix in advance
+_FIXED = ("method", "covexillary", "cm_status", "dim", "height", "n_vars")
 
 
 def _fixed_fields(v: Permutation, w: Permutation, method="auto", verify=False) -> dict:
-    """The report fields that the pair and the requested method fix in advance.
+    """The `_FIXED` fields of the pair's report.
 
     "auto" picks the formula for covexillary w (upgraded to "both" under
     verify) and the Groebner route otherwise.
@@ -333,14 +281,8 @@ def _fixed_fields(v: Permutation, w: Permutation, method="auto", verify=False) -
     cov = is_covexillary(w)
     if method == "auto":
         method = ("both" if verify else "formula") if cov else "groebner"
-    return {
-        "method": method,
-        "covexillary": cov,
-        "cm_status": "proven" if cov else "conjectural",
-        "dim": length(w) - length(v),
-        "height": comb(w.n, 2) - length(w),
-        "n_vars": free_cell_count(v),
-    }
+    status = "proven" if cov else "conjectural"
+    return dict(zip(_FIXED, (method, cov, status, *chart_shape(v, w))))
 
 
 def regularity(
@@ -363,7 +305,7 @@ def regularity(
     memo costs no budget.
     """
     start = time.monotonic()
-    _require_bruhat(v, w)
+    require_bruhat(v, w)
     fixed = _fixed_fields(v, w, method, verify)
     method = fixed["method"]
     if method not in ("formula", "groebner", "both"):
@@ -382,16 +324,8 @@ def regularity(
         H, homogeneous = _chart(v, w)
         groebner_reg = int(H.degree())
 
-    discrepant = (
-        method == "both"
-        and formula_reg is not None
-        and groebner_reg is not None
-        and formula_reg != groebner_reg
-    )
-    if discrepant:
-        reg = None
-    else:
-        reg = formula_reg if formula_reg is not None else groebner_reg
+    discrepant = method == "both" and formula_reg != groebner_reg
+    reg = None if discrepant else formula_reg if formula_reg is not None else groebner_reg
 
     report = RegularityReport(
         v=v,
@@ -427,7 +361,7 @@ def ps_series(v: Permutation, w: Permutation, order: int):
     if order < 0:
         raise ValueError("order must be nonnegative")
     H = _h(v, w)
-    coeffs = tuple(H.series_coefficients(length(w) - length(v), order))
+    coeffs = tuple(H.series_coefficients(chart_shape(v, w)[0], order))
     return coeffs, int(H.evaluate(1))
 
 
@@ -439,16 +373,67 @@ def finalps_check(v: Permutation, w: Permutation) -> bool:
     routes (divided differences vs the Groebner pipeline).  H comes from the
     chart memo, computed under the enclosing `time_budget` scope on a miss.
     """
-    _require_bruhat(v, w)
     companion = companion_permutation(v, w).perm
     lhs = groth_spec_1mq(w0_compose(companion))
     H = _h(v, w)
-    rhs = H * UniPoly.one_minus_q() ** (comb(w.n, 2) - length(w))
+    rhs = H * UniPoly.one_minus_q() ** chart_shape(v, w)[1]
     return lhs == rhs
 
 
 # ----------------------------------------------------------------------
 # Conjecture checks
+
+
+class _PairFacts:
+    """What the checks read of one pair, each computed at most once and only
+    when a check reads it: H_{v,w}, the tableau regularity and deg P_{v,w}."""
+
+    def __init__(self, v: Permutation, w: Permutation):
+        self.v, self.w = v, w
+
+    H = cached_property(lambda self: _h(self.v, self.w))
+    reg = cached_property(lambda self: _formula(self.v, self.w))
+
+    @cached_property
+    def deg_p(self) -> int:
+        degree = kl_degree(self.v, self.w)
+        check_budget("kl-degree")
+        return degree
+
+
+# Each check is a predicate on the pair's facts; it reads the pair's own
+# value before any cover's.
+_CHECKS = {
+    "h-nonneg": lambda f: all(c >= 0 for c in f.H.coeffs),
+    "deg-bound": lambda f: 2 * int(f.H.degree()) <= chart_shape(f.v, f.w)[0] - 1,
+    "h-semicontinuity": lambda f: all(
+        max((f.H - _h(u, f.w)).coeffs, default=0) <= 0 for u in covers_below(f.v)
+    ),
+    "reg-semicontinuity": lambda f: all(f.reg <= _formula(u, f.w) for u in covers_below(f.v)),
+    "dual-path": lambda f: f.reg == int(f.H.degree()),
+    "kl-degree": lambda f: f.deg_p == f.reg,
+    "reg-le-deg-p": lambda f: f.deg_p >= f.reg,
+}
+ALL_CHECKS = tuple(_CHECKS)
+# The checks that read the tableau regularity, which needs a covexillary w
+_COVEXILLARY_ONLY = {"reg-semicontinuity", "dual-path", "kl-degree", "reg-le-deg-p"}
+# reg-le-deg-p is informational (weak evidence either way); a "fail" there
+# never falsifies anything.
+FALSIFIABLE_CHECKS = ALL_CHECKS[:-1]
+
+
+def falsified(flags: dict) -> list:
+    """The falsifiable checks that `flags` mark "fail", by name."""
+    return sorted(name for name in FALSIFIABLE_CHECKS if flags.get(name) == "fail")
+
+
+def select_checks(checks) -> tuple:
+    """The check names that `checks` ("all" or names) selects, each once."""
+    selected = ALL_CHECKS if checks == "all" else tuple(dict.fromkeys(checks))
+    for name in selected:
+        if name not in _CHECKS:
+            raise ValueError("unknown check %r" % name)
+    return selected
 
 
 def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
@@ -462,70 +447,24 @@ def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
     kl-degree         covexillary only: deg P_{v,w} = formula reg
     reg-le-deg-p      informational: reg <= deg P (speculation, never fatal)
 
-    The enclosing `time_budget` scope bounds the checks together: it covers
-    every chart and KL polynomial they compute, and is tested again after
-    each KL degree.  Charts come from the per-process chart memo, and a
-    memoised chart or KL polynomial costs no budget.
+    Every check passes on v = w.  The enclosing `time_budget` scope bounds
+    the checks together: it covers every chart and KL polynomial they
+    compute, and is tested again after the KL degree.  Charts come from the
+    per-process chart memo, and a memoised chart or KL polynomial costs no
+    budget.
     """
-    _require_bruhat(v, w)
-    selected = ALL_CHECKS if checks == "all" else tuple(checks)
-    for name in selected:
-        if name not in ALL_CHECKS:
-            raise ValueError("unknown check %r" % name)
+    require_bruhat(v, w)
+    selected = select_checks(checks)
     if v.word == w.word:
         return {name: "pass" for name in selected}
     cov = is_covexillary(w)
+    facts = _PairFacts(v, w)
     flags = {}
-
-    def h() -> UniPoly:
-        return _h(v, w)
-
     for name in selected:
-        if name == "h-nonneg":
-            flags[name] = "pass" if all(c >= 0 for c in h().coeffs) else "fail"
-        elif name == "deg-bound":
-            gap = length(w) - length(v)
-            flags[name] = "pass" if 2 * int(h().degree()) <= gap - 1 else "fail"
-        elif name == "h-semicontinuity":
-            ok = True
-            h_here = h()
-            for u in covers_below(v):
-                h_below = _h(u, w)
-                top = max(int(h_below.degree()), int(h_here.degree()))
-                if any(h_below[t] < h_here[t] for t in range(top + 1)):
-                    ok = False
-                    break
-            flags[name] = "pass" if ok else "fail"
-        elif name == "reg-semicontinuity":
-            if not cov:
-                flags[name] = "not-checkable"
-                continue
-            here = _formula(v, w)
-            ok = all(_formula(u, w) >= here for u in covers_below(v))
-            flags[name] = "pass" if ok else "fail"
-        elif name == "dual-path":
-            if not cov:
-                flags[name] = "not-checkable"
-                continue
-            flags[name] = (
-                "pass"
-                if _formula(v, w) == int(h().degree())
-                else "fail"
-            )
-        elif name == "kl-degree":
-            if not cov:
-                flags[name] = "not-checkable"
-                continue
-            degree = kl_degree(v, w)
-            check_budget("kl-degree")
-            flags[name] = "pass" if degree == _formula(v, w) else "fail"
-        elif name == "reg-le-deg-p":
-            if not cov:
-                flags[name] = "not-checkable"
-                continue
-            degree = kl_degree(v, w)
-            check_budget("kl-degree")
-            flags[name] = "pass" if _formula(v, w) <= degree else "fail"
+        if name in _COVEXILLARY_ONLY and not cov:
+            flags[name] = "not-checkable"
+        else:
+            flags[name] = "pass" if _CHECKS[name](facts) else "fail"
     return flags
 
 
@@ -560,8 +499,21 @@ class ScanRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "ScanRecord":
+        """One cache line as a record; ValueError on a wrong JSON type or verdict."""
         data = json.loads(line)
-        return cls(**{name: data[name] for name in cls.__dataclass_fields__})
+        values = [data[name] for name in cls.__dataclass_fields__]
+        if tuple(map(type, values)) not in _RECORD_TYPES:
+            raise ValueError("a field has the wrong JSON type: %s" % line)
+        if not _VERDICTS.issuperset(data["conjectures"].values()):
+            raise ValueError("a check has an unknown verdict: %s" % line)
+        return cls(*values)
+
+
+# Every tuple of types that a record's fields, in order, may have
+_RECORD_TYPES = frozenset(
+    product(*(get_args(hint) or (hint,) for hint in get_type_hints(ScanRecord).values()))
+)
+_VERDICTS = {"pass", "fail", "not-checkable"}
 
 
 def kernel_version() -> str:
@@ -576,20 +528,12 @@ def scan_record(v: Permutation, w: Permutation, checks=(), budget_ms=None) -> Sc
     error record is labelled as the pair's report would be.
     """
     start = time.monotonic()
-    fixed = _fixed_fields(v, w)
     try:
         with time_budget(budget_ms):
             report = regularity(v, w, checks=checks)
-        outcome = dict(
-            reg=report.reg,
-            h_coeffs=list(report.H.coeffs) if report.H is not None else None,
-            kl_degree=report.kl_degree,
-            homogeneous_ideal=report.homogeneous_ideal,
-            conjectures=dict(report.conjecture_flags),
-            error=None,
-        )
     except ResourceBudgetExceeded as exc:
         outcome = dict(
+            _fixed_fields(v, w),
             reg=None,
             h_coeffs=None,
             kl_degree=None,
@@ -597,11 +541,20 @@ def scan_record(v: Permutation, w: Permutation, checks=(), budget_ms=None) -> Sc
             conjectures={},
             error="budget: %s" % exc,
         )
+    else:
+        outcome = dict(
+            {name: getattr(report, name) for name in _FIXED},
+            reg=report.reg,
+            h_coeffs=list(report.H.coeffs) if report.H is not None else None,
+            kl_degree=report.kl_degree,
+            homogeneous_ideal=report.homogeneous_ideal,
+            conjectures=dict(report.conjecture_flags),
+            error=None,
+        )
     return ScanRecord(
         n=v.n,
         v=str(v),
         w=str(w),
-        **fixed,
         **outcome,
         kernel=kernel_version(),
         elapsed_ms=round((time.monotonic() - start) * 1000.0, 3),
@@ -614,7 +567,8 @@ def _scan_worker(payload):
 
 
 def _read_cache(path):
-    """(pair, line, record) for every readable line of a scan cache file."""
+    """(pair, line, record) for every nonblank line of a scan cache file;
+    pair and record are None on a line that is not a valid record."""
     try:
         handle = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
@@ -627,8 +581,9 @@ def _read_cache(path):
             try:
                 record = ScanRecord.from_json_line(line)
             except (ValueError, KeyError, TypeError):
-                continue  # corrupt line: its pair is recomputed
-            yield (record.v, record.w), line, record
+                yield None, line, None
+            else:
+                yield (record.v, record.w), line, record
 
 
 def _compact_cache(path):
@@ -637,7 +592,7 @@ def _compact_cache(path):
     The new file is written beside the cache and moved over it, so an
     interrupted rewrite leaves the old cache whole.
     """
-    latest = {pair: line for pair, line, _ in _read_cache(path)}
+    latest = {pair: line for pair, line, record in _read_cache(path) if record is not None}
     tmp = "%s.tmp" % os.fspath(path)
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.writelines(line + "\n" for line in latest.values())
@@ -690,31 +645,33 @@ def max_reg_scan(
     Groebner pipeline under the budget.  A pair's last record in the cache
     file is reused verbatim when it has no error and carries every requested
     check, so a rerun is free and the reported summary is reproducible;
-    any other pair is recomputed and appended.  When that leaves a pair with
-    more than one line, the cache is rewritten with one line per pair (lines
-    of pairs outside this scan are kept, unreadable lines dropped).  A budget
-    overrun marks the scan partial and the reported max is only a lower
-    bound.  At most os.cpu_count() worker processes are started.
+    any other pair is recomputed and appended.  A line that is not a valid
+    record, with the JSON types of its fields, is unreadable.  When the file
+    has an unreadable line or more than one line for a pair, the cache is
+    rewritten with one line per pair (lines of pairs outside this scan are
+    kept, unreadable lines dropped).  A budget overrun marks the scan
+    partial and the reported max is only a lower bound.  At most
+    os.cpu_count() worker processes are started.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1, got %d" % workers)
     workers = min(workers, os.cpu_count() or 1)
+    wanted = select_checks(checks)
     pairs = scan_pairs(n, restrict)
     on_file = {}
-    duplicated = False
+    stale = False  # the file has lines that compaction drops
     if cache_path is not None:
         for pair, _, record in _read_cache(cache_path):
-            duplicated = duplicated or pair in on_file
-            on_file[pair] = record
-    wanted = ALL_CHECKS if checks == "all" else tuple(checks)
+            stale = stale or record is None or pair in on_file
+            if record is not None:
+                on_file[pair] = record
     cached = {
         pair: record
         for pair, record in on_file.items()
         if record.error is None and all(name in record.conjectures for name in wanted)
     }
 
-    todo = [(v, w) for (v, w) in pairs if (str(v), str(w)) not in cached]
-    payloads = [(v, w, wanted, budget_ms) for (v, w) in todo]
+    payloads = [(v, w, wanted, budget_ms) for (v, w) in pairs if (str(v), str(w)) not in cached]
     fresh = {}
     with ExitStack() as stack:
         handle = (
@@ -722,7 +679,7 @@ def max_reg_scan(
             if cache_path is not None
             else None
         )
-        if workers > 1 and todo:
+        if workers > 1 and payloads:
             from multiprocessing import Pool
 
             pool = stack.enter_context(Pool(workers))
@@ -736,7 +693,7 @@ def max_reg_scan(
                 handle.flush()
             if record_sink is not None:
                 record_sink(record)
-    if duplicated or any(pair in on_file for pair in fresh):
+    if stale or any(pair in on_file for pair in fresh):
         _compact_cache(cache_path)
 
     records = []
@@ -749,12 +706,7 @@ def max_reg_scan(
     argmax = tuple(
         (r.v, r.w) for r in records if r.reg is not None and r.reg == max_reg
     )
-    failures = tuple(
-        (r.v, r.w, name)
-        for r in records
-        for name, value in sorted(r.conjectures.items())
-        if value == "fail" and name in FALSIFIABLE_CHECKS
-    )
+    failures = tuple((r.v, r.w, name) for r in records for name in falsified(r.conjectures))
     partial = any(r.error is not None for r in records)
     return ScanResult(
         n=n,

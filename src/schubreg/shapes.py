@@ -15,12 +15,12 @@ from functools import lru_cache
 from .perm import (
     Box,
     Permutation,
-    bruhat_leq,
     code_and_shape,
     diagram,
     essential_set,
     is_covexillary,
     length,
+    require_bruhat,
     sw_rank,
 )
 
@@ -105,10 +105,9 @@ def companion_permutation(v: Permutation, w: Permutation) -> CompanionData:
     every defining property; a failure raises RuntimeError, since for v <= w
     it is a bug, not a property of the input.
     """
+    require_bruhat(v, w)
     if not is_covexillary(w):
         raise NotCovexillaryError("%s contains 3412" % w)
-    if not bruhat_leq(v, w):
-        raise ValueError("%s is not below %s in Bruhat order" % (v, w))
     n = w.n
     moved = []
     for (i, j) in sorted(essential_set(w)):

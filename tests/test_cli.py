@@ -13,6 +13,7 @@ import time
 import pytest
 
 import schubreg.cli as cli
+import schubreg.gb
 import schubreg.reg
 import schubreg.shapes
 from schubreg.cli import entry
@@ -171,8 +172,13 @@ def test_exit_4_when_the_inverse_chart_disagrees(monkeypatch, capsys):
 
 def test_exit_4_when_the_report_shape_disagrees(monkeypatch, capsys):
     # the shape check runs as a real check, also under python -O
-    real = schubreg.reg.free_cell_count
-    monkeypatch.setattr(schubreg.reg, "free_cell_count", lambda v: real(v) + 1)
+    real = schubreg.gb.chart_shape
+
+    def skewed(v, w):
+        dim, height, n_vars = real(v, w)
+        return dim, height, n_vars + 1
+
+    monkeypatch.setattr(schubreg.gb, "chart_shape", skewed)
     code, text = run(["analyze", "--v", "1234", "--w", "3412"])
     err = capsys.readouterr().err
     assert code == 4 and text == ""
@@ -230,6 +236,8 @@ def test_scan_text_output():
     tally = [line for line in lines if line.startswith("check h-nonneg")]
     assert len(tally) == 1
     assert tally[0].split()[2:] == ["pass=19", "fail=0", "not-checkable=0"]
+    # a check named twice runs and prints once
+    assert run(["scan", "--n", "3", "--checks", "h-nonneg,h-nonneg"]) == (code, text)
 
 
 def test_scan_json_payload():
@@ -267,6 +275,16 @@ def test_scan_cache_file_roundtrip(tmp_path):
     assert code == 0
     assert second == first
     assert cache.read_bytes() == blob
+
+
+def test_scan_cache_os_errors_exit_1(tmp_path, capsys):
+    for cache in (tmp_path, tmp_path / "missing" / "s3.jsonl"):
+        code, text = run(["scan", "--n", "3", "--cache", str(cache)])
+        err = capsys.readouterr().err
+        assert code == 1 and text == "", cache
+        assert err.startswith("error: --cache: ") and str(cache) in err, cache
+        assert err.count("\n") == 1, cache
+    assert not (tmp_path / "missing").exists()
 
 
 def test_scan_cache_serves_only_the_checks_it_ran(tmp_path):

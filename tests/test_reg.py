@@ -26,7 +26,6 @@ from schubreg.reg import (
     ALL_CHECKS,
     BRUHAT_ERROR,
     FALSIFIABLE_CHECKS,
-    RegularityReport,
     ScanRecord,
     check_conjectures,
     finalps_check,
@@ -246,10 +245,9 @@ def test_report_json_round_trip():
         regularity(GOLDEN_V, GOLDEN_W, checks=("h-nonneg",)),
     ):
         data = rep.to_json()
-        text = json.dumps(data, sort_keys=True)
-        back = RegularityReport.from_json(json.loads(text))
-        assert back.to_json() == data
-        assert back.reg == rep.reg and back.H == rep.H
+        assert json.loads(json.dumps(data, sort_keys=True)) == data
+        assert data["reg"] == rep.reg
+        assert data["h_coeffs"] == (list(rep.H.coeffs) if rep.H is not None else None)
 
 
 def test_ps_series_values():
@@ -301,6 +299,9 @@ def test_series_and_finalps_read_the_chart_memo(monkeypatch):
 def test_check_conjectures_trivial_and_flagging():
     flags = check_conjectures(GOLDEN_W, GOLDEN_W)
     assert all(val == "pass" for val in flags.values())
+    # v = w passes every check, the covexillary-only ones on a 3412 too
+    w = Permutation((3, 4, 1, 2))
+    assert check_conjectures(w, w) == {name: "pass" for name in ALL_CHECKS}
     flags = check_conjectures(
         Permutation.identity(4), Permutation((3, 4, 1, 2)), checks="all"
     )
@@ -308,6 +309,31 @@ def test_check_conjectures_trivial_and_flagging():
     assert flags["dual-path"] == "not-checkable"
     with pytest.raises(ValueError):
         check_conjectures(GOLDEN_V, GOLDEN_W, checks=("unknown-check",))
+
+
+def test_check_conjectures_reads_each_fact_of_the_pair_once(monkeypatch):
+    import schubreg.reg as reg
+
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(reg, name)
+
+        def counted(*pair):
+            calls[name, pair] += 1
+            return real(*pair)
+
+        monkeypatch.setattr(reg, name, counted)
+
+    counting("kl_polynomial")
+    counting("regularity_formula")
+    v, w = Permutation((1, 2, 3, 4, 5)), Permutation((5, 2, 3, 4, 1))
+    assert is_covexillary(w)
+    flags = check_conjectures(v, w, checks="all")
+    assert flags == {name: "pass" for name in ALL_CHECKS}
+    least = reg._least(v, w)
+    assert calls["kl_polynomial", least] == 1
+    assert calls["regularity_formula", least] == 1
 
 
 def test_staircase_permutations():
@@ -644,6 +670,36 @@ def test_compaction_keeps_pairs_outside_the_scan(tmp_path):
     assert [stable_fields(r) for r in again.records] == [
         stable_fields(r) for r in s3.records
     ]
+
+
+@pytest.mark.parametrize("field, value", [("conjectures", None), ("reg", "0")])
+def test_cache_lines_with_wrong_json_types_are_recomputed(tmp_path, field, value):
+    cache = tmp_path / "scan3.jsonl"
+    plain = max_reg_scan(3, cache_path=str(cache))
+    lines = cache.read_text().splitlines()
+    data = json.loads(lines[5])
+    data[field] = value
+    lines[5] = json.dumps(data, sort_keys=True)
+    cache.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError):
+        ScanRecord.from_json_line(lines[5])
+    again = max_reg_scan(3, cache_path=str(cache))
+    assert [stable_fields(r) for r in again.records] == [
+        stable_fields(r) for r in plain.records
+    ]
+    # compaction dropped the line; the recomputed pair has one line
+    kept = cache.read_text().splitlines()
+    assert len(kept) == 19 and lines[5] not in kept
+    assert {(r.v, r.w) for r in map(ScanRecord.from_json_line, kept)} == {
+        (r.v, r.w) for r in plain.records
+    }
+
+
+def test_max_reg_scan_rejects_unknown_checks_before_opening_the_cache(tmp_path):
+    cache = tmp_path / "scan3.jsonl"
+    with pytest.raises(ValueError, match="unknown check 'bogus'"):
+        max_reg_scan(3, checks=("bogus",), cache_path=str(cache))
+    assert not cache.exists()
 
 
 def test_max_reg_scan_cache_recomputes_records_missing_checks(tmp_path):

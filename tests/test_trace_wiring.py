@@ -33,12 +33,8 @@ tracer = Tracer()
 tracer.install()
 from schubreg import reg
 from schubreg.perm import Permutation
-# the golden chart is not homogeneous, so it reaches the grevlex_t stage
-data = reg.hilbert_data(
-    Permutation.from_string("1423576"), Permutation.from_string("7314562")
-)
-assert list(data.H.coeffs) == [1, 3, 1]
-for layer in sys.argv[3:]:
+exec(sys.argv[3])
+for layer in sys.argv[4:]:
     print(layer, tracer.layer_calls(layer))
 for layer, fields in sorted(tracer.counts.items()):
     for field, amount in sorted(fields.items()):
@@ -59,9 +55,35 @@ GOLDEN_COUNTS = {
 }
 
 
-def test_tracer_records_every_pipeline_layer_on_the_golden_chart():
+# the golden chart is not homogeneous, so it reaches the grevlex_t stage
+GOLDEN_CHART = """
+data = reg.hilbert_data(
+    Permutation.from_string("1423576"), Permutation.from_string("7314562")
+)
+assert list(data.H.coeffs) == [1, 3, 1]
+"""
+
+# every check on a covexillary pair, which runs the tableau and KL routes
+CHECK_PATH = """
+report = reg.regularity(
+    Permutation.from_string("12345"), Permutation.from_string("52341"),
+    checks="all", with_kl=True,
+)
+assert report.kl_degree == 2 and set(report.conjecture_flags.values()) == {"pass"}
+"""
+
+CHECK_LAYERS = (
+    "reg.kl_polynomial",
+    "shapes.regularity_formula",
+    "perm.bruhat_interval",
+    "shapes.companion_permutation",
+)
+
+
+def run_child(task, layers):
+    """The layer calls and work counts of `task`, run in a traced child."""
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(ROOT / "src"), str(ROOT / "perfbench"), *LAYERS],
+        [sys.executable, "-c", CHILD, str(ROOT / "src"), str(ROOT / "perfbench"), task, *layers],
         capture_output=True,
         text=True,
         timeout=120,
@@ -71,6 +93,15 @@ def test_tracer_records_every_pipeline_layer_on_the_golden_chart():
     for line in done.stdout.splitlines():
         name, value = line.split()
         values[name] = int(value)
-    silent = [layer for layer in LAYERS if values[layer] == 0]
+    silent = [layer for layer in layers if values[layer] == 0]
     assert not silent, silent
+    return values
+
+
+def test_tracer_records_every_pipeline_layer_on_the_golden_chart():
+    values = run_child(GOLDEN_CHART, LAYERS)
     assert {name: values.get(name) for name in GOLDEN_COUNTS} == GOLDEN_COUNTS
+
+
+def test_tracer_records_the_layers_of_the_conjecture_checks():
+    run_child(CHECK_PATH, CHECK_LAYERS)
