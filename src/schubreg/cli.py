@@ -16,7 +16,7 @@ import os
 import sys
 
 from ._version import __version__
-from .gb import ResourceBudgetExceeded, hilbert_data, time_budget
+from .gb import ResourceBudgetExceeded, hilbert_data, require_budget, time_budget
 from .groth import groth_degree, groth_min_degree, groth_spec_1mq, grothendieck, vexillary_degree_formula
 from .m2 import write_m2_script
 from .perm import Permutation, is_covexillary, is_vexillary, length
@@ -103,15 +103,22 @@ def _parse_perm(text: str, flag: str) -> Permutation:
 
 
 def _budget(args) -> int | None:
-    if getattr(args, "budget_ms", None) is not None:
-        return args.budget_ms
-    env = os.environ.get("SCHUBREG_BUDGET_MS")
-    if env:
+    """--budget-ms, else SCHUBREG_BUDGET_MS, else None; negative exits 1."""
+    budget, source = getattr(args, "budget_ms", None), ""
+    if budget is None:
+        env = os.environ.get("SCHUBREG_BUDGET_MS")
+        if not env:
+            return None
         try:
-            return int(env)
+            budget = int(env)
         except ValueError as exc:
             raise _UsageError("SCHUBREG_BUDGET_MS must be an integer") from exc
-    return None
+        source = " (from SCHUBREG_BUDGET_MS)"
+    try:
+        require_budget(budget)
+    except ValueError as exc:
+        raise _UsageError("--budget-ms: %s%s" % (exc, source)) from exc
+    return budget
 
 
 def _parse_checks(text: str):

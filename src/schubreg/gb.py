@@ -54,13 +54,21 @@ class ResourceBudgetExceeded(RuntimeError):
 _DEADLINE: ContextVar = ContextVar("schubreg_deadline", default=None)
 
 
+def require_budget(budget_ms):
+    """Raise ValueError unless budget_ms is None or nonnegative."""
+    if budget_ms is not None and budget_ms < 0:
+        raise ValueError("a time budget must be nonnegative, got %s ms" % budget_ms)
+
+
 @contextmanager
 def time_budget(budget_ms):
     """Bound all work inside the scope to budget_ms; None adds no bound.
 
-    A nested scope keeps the earlier of its own deadline and the enclosing
-    one, and the enclosing deadline is back once the scope is left.
+    A negative budget raises ValueError.  A nested scope keeps the earlier
+    of its own deadline and the enclosing one, and the enclosing deadline is
+    back once the scope is left.
     """
+    require_budget(budget_ms)
     at = _DEADLINE.get()
     if budget_ms is not None:
         mine = time.monotonic() + budget_ms / 1000.0
@@ -347,26 +355,40 @@ def _support_components(gens):
     return list(buckets.values())
 
 
-def _numerator(gens, memo) -> UniPoly:
+def _mul(a: list, b: list) -> list:
+    """The coefficient list of the product of two coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _numerator(gens, memo) -> list:
+    """The coefficient list of the numerator of the minimal generators
+    `gens`, by pivot splitting; `memo` maps gens to their result."""
     if not gens:
-        return UniPoly.one()
+        return [1]
     cached = memo.get(gens)
     if cached is not None:
         return cached
     if any(sum(g) == 0 for g in gens):
-        return UniPoly.zero()
+        return []
     components = _support_components(list(gens))
     if len(components) > 1:
-        result = UniPoly.one()
+        result = [1]
         for comp in components:
-            result = result * _numerator(tuple(sorted(comp)), memo)
+            result = _mul(result, _numerator(tuple(sorted(comp)), memo))
         memo[gens] = result
         return result
     supports = [sum(1 for e in g if e) for g in gens]
     if all(s == 1 for s in supports):
-        result = UniPoly.one()
+        result = [1]
         for g in gens:
-            result = result * (UniPoly.one() - UniPoly.q() ** sum(g))
+            result = _mul(result, [1] + [0] * (sum(g) - 1) + [-1])  # 1 - q^deg g
         memo[gens] = result
         return result
     nvars = len(gens[0])
@@ -382,9 +404,14 @@ def _numerator(gens, memo) -> UniPoly:
     colon = [
         tuple(e - 1 if k == pivot and e else e for k, e in enumerate(g)) for g in gens
     ]
-    result = _numerator(
-        tuple(sorted(_minimalize_monomials(plus))), memo
-    ) + UniPoly.q() * _numerator(tuple(sorted(_minimalize_monomials(colon))), memo)
+    # K(plus) + q K(colon)
+    first = _numerator(tuple(sorted(_minimalize_monomials(plus))), memo)
+    second = _numerator(tuple(sorted(_minimalize_monomials(colon))), memo)
+    result = [0] * max(len(first), len(second) + 1)
+    for k, c in enumerate(first):
+        result[k] += c
+    for k, c in enumerate(second):
+        result[k + 1] += c
     memo[gens] = result
     return result
 
@@ -397,7 +424,7 @@ def hilbert_numerator(monomials, nvars: int) -> UniPoly:
         if len(e) != nvars:
             raise ValueError("exponent arity mismatch")
     minimal = _minimalize_monomials(exps)
-    return _numerator(tuple(minimal), {})
+    return UniPoly(_numerator(tuple(minimal), {}))
 
 
 def regularity_from_K(K: UniPoly, height: int) -> int:

@@ -10,7 +10,6 @@ permutation matrix of w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _iter_words
 from math import comb
@@ -20,19 +19,49 @@ Box = tuple[int, int]
 BRUHAT_ERROR = "not Bruhat-comparable in the required direction"
 
 
-@dataclass(frozen=True, slots=True)
+# word -> its Permutation: one object per word, validated on first sight
+_INTERNED: dict = {}
+
+
 class Permutation:
-    """A permutation of {1..n} stored in one-line notation."""
+    """A permutation of {1..n} stored in one-line notation.
 
-    word: tuple[int, ...]
+    Permutations are interned: each word has one object, so `==` and `hash`
+    are the `object` defaults, by identity, and `is` compares words too.  A
+    word is validated when first seen.  The object is immutable, and
+    pickling or copying gives back the interned object of its word.
+    """
 
-    def __post_init__(self):
-        if tuple(sorted(self.word)) != tuple(range(1, len(self.word) + 1)):
-            raise ValueError("not a permutation of 1..n: %r" % (self.word,))
+    __slots__ = ("word", "n", "_text")
 
-    @property
-    def n(self) -> int:
-        return len(self.word)
+    def __new__(cls, word):
+        try:
+            return _INTERNED[word]
+        except (KeyError, TypeError):  # unseen, or not a tuple
+            pass
+        word = tuple(word)
+        found = _INTERNED.get(word)
+        if found is not None:
+            return found
+        n = len(word)
+        if sorted(word) != list(range(1, n + 1)):
+            raise ValueError("not a permutation of 1..n: %r" % (word,))
+        word = tuple(map(int, word))  # equal words share one object: store ints
+        self = object.__new__(cls)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_text", ("" if n <= 9 else ",").join(map(str, word)))
+        _INTERNED[word] = self
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Permutation is immutable")
+
+    def __reduce__(self):
+        return Permutation, (self.word,)
 
     def __call__(self, i: int) -> int:
         if not 1 <= i <= len(self.word):
@@ -87,9 +116,7 @@ class Permutation:
         return cls(word)
 
     def __str__(self) -> str:
-        if len(self.word) <= 9:
-            return "".join(str(v) for v in self.word)
-        return ",".join(str(v) for v in self.word)
+        return self._text
 
     def __repr__(self) -> str:
         return "Permutation(%s)" % str(self)
@@ -139,15 +166,15 @@ def rank_matrix(u: Permutation) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _packed_ranks(word: tuple[int, ...]) -> tuple[int, int]:
-    """(ranks, guards): the rank matrix of `word` as fields of one int.
+def _packed_ranks(u: Permutation) -> tuple[int, int]:
+    """(ranks, guards): the rank matrix of `u` as fields of one int.
 
     Each field is n.bit_length() + 1 bits wide and holds one rank, at most
     n, below its top bit; `guards` has every field's top bit set.
     """
-    width = len(word).bit_length() + 1
+    width = u.n.bit_length() + 1
     ranks = guards = shift = 0
-    for row in rank_matrix(Permutation(word)):
+    for row in rank_matrix(u):
         for rank in row:
             ranks |= rank << shift
             guards |= 1 << (shift + width - 1)
@@ -164,8 +191,8 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     """
     if v.n != w.n:
         raise ValueError("cannot compare permutations of different sizes")
-    kv = _packed_ranks(v.word)[0]
-    kw, guards = _packed_ranks(w.word)
+    kv = _packed_ranks(v)[0]
+    kw, guards = _packed_ranks(w)
     return ((kw | guards) - kv) & guards == guards
 
 

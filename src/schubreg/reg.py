@@ -15,12 +15,19 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, zip_longest
 from typing import get_args, get_type_hints
 
 from . import kernel
 from ._version import __version__
-from .gb import ResourceBudgetExceeded, chart_basis, check_budget, hilbert_data, time_budget
+from .gb import (
+    ResourceBudgetExceeded,
+    chart_basis,
+    check_budget,
+    hilbert_data,
+    require_budget,
+    time_budget,
+)
 from .groth import groth_spec_1mq
 from .perm import (
     BRUHAT_ERROR,  # re-exported for callers that match the message
@@ -44,19 +51,34 @@ from .shapes import NotCovexillaryError, companion_permutation, regularity_formu
 
 
 @lru_cache(maxsize=None)
-def r_polynomial(v: Permutation, w: Permutation) -> UniPoly:
-    """R_{v,w} by the right-descent recursion; zero unless v <= w."""
-    if v.word == w.word:
-        return UniPoly.one()
+def _r_coeffs(v: Permutation, w: Permutation) -> tuple:
+    """The coefficients of R_{v,w}, by the right-descent recursion."""
+    if v is w:
+        return (1,)
     if not bruhat_leq(v, w):
-        return UniPoly.zero()
-    i = next(k for k in range(1, w.n) if w(k) > w(k + 1))
+        return ()
+    word = w.word
+    i = next(k for k in range(1, w.n) if word[k - 1] > word[k])
     ws = w.right_s(i)
     vs = v.right_s(i)
     if length(vs) < length(v):
-        return r_polynomial(vs, ws)
-    q = UniPoly.q()
-    return (q - 1) * r_polynomial(v, ws) + q * r_polynomial(vs, ws)
+        return _r_coeffs(vs, ws)
+    # (q - 1) R_{v,ws} + q R_{vs,ws}; R_{v,w} has degree l(w) - l(v) and
+    # leading coefficient 1, so no trailing zero arises
+    a = _r_coeffs(v, ws)
+    b = _r_coeffs(vs, ws)
+    out = [0] * (max(len(a), len(b)) + 1)
+    for k, c in enumerate(a):
+        out[k] -= c
+        out[k + 1] += c
+    for k, c in enumerate(b):
+        out[k + 1] += c
+    return tuple(out)
+
+
+def r_polynomial(v: Permutation, w: Permutation) -> UniPoly:
+    """R_{v,w} by the right-descent recursion; zero unless v <= w."""
+    return UniPoly(_r_coeffs(v, w))
 
 
 # (z, w) -> P_{z,w}, for every z of every interval [v, w] computed
@@ -99,7 +121,7 @@ def kl_polynomial(v: Permutation, w: Permutation) -> UniPoly:
                 m = rest.bit_length() - 1
                 rest ^= 1 << m
                 pm = coeffs[m]
-                for i, a in enumerate(r_polynomial(z, order[m]).coeffs):
+                for i, a in enumerate(_r_coeffs(z, order[m])):
                     if a:
                         for j, b in enumerate(pm):
                             total[i + j] += a * b
@@ -407,7 +429,9 @@ _CHECKS = {
     "h-nonneg": lambda f: all(c >= 0 for c in f.H.coeffs),
     "deg-bound": lambda f: 2 * int(f.H.degree()) <= chart_shape(f.v, f.w)[0] - 1,
     "h-semicontinuity": lambda f: all(
-        max((f.H - _h(u, f.w)).coeffs, default=0) <= 0 for u in covers_below(f.v)
+        a <= b
+        for u in covers_below(f.v)
+        for a, b in zip_longest(f.H.coeffs, _h(u, f.w).coeffs, fillvalue=0)
     ),
     "reg-semicontinuity": lambda f: all(f.reg <= _formula(u, f.w) for u in covers_below(f.v)),
     "dual-path": lambda f: f.reg == int(f.H.degree()),
@@ -428,8 +452,12 @@ def falsified(flags: dict) -> list:
 
 
 def select_checks(checks) -> tuple:
-    """The check names that `checks` ("all" or names) selects, each once."""
-    selected = ALL_CHECKS if checks == "all" else tuple(dict.fromkeys(checks))
+    """The check names that `checks` ("all", one name or names) selects,
+    each once."""
+    if checks == "all":
+        selected = ALL_CHECKS
+    else:
+        selected = tuple(dict.fromkeys((checks,) if isinstance(checks, str) else checks))
     for name in selected:
         if name not in _CHECKS:
             raise ValueError("unknown check %r" % name)
@@ -455,7 +483,7 @@ def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
     """
     require_bruhat(v, w)
     selected = select_checks(checks)
-    if v.word == w.word:
+    if v is w:
         return {name: "pass" for name in selected}
     cov = is_covexillary(w)
     facts = _PairFacts(v, w)
@@ -651,10 +679,12 @@ def max_reg_scan(
     rewritten with one line per pair (lines of pairs outside this scan are
     kept, unreadable lines dropped).  A budget overrun marks the scan
     partial and the reported max is only a lower bound.  At most
-    os.cpu_count() worker processes are started.
+    os.cpu_count() worker processes are started.  A negative budget raises
+    ValueError before the cache is opened.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1, got %d" % workers)
+    require_budget(budget_ms)
     workers = min(workers, os.cpu_count() or 1)
     wanted = select_checks(checks)
     pairs = scan_pairs(n, restrict)

@@ -21,7 +21,7 @@ def cold_memos():
     reg._CHARTS.clear()
     gb.chart_basis.cache_clear()
     reg._KL.clear()
-    reg.r_polynomial.cache_clear()
+    reg._r_coeffs.cache_clear()
     shapes.regularity_formula.cache_clear()
     shapes.companion_permutation.cache_clear()
     groth.groth_terms.cache_clear()

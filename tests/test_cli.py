@@ -202,6 +202,31 @@ def test_budget_flag_and_environment(capsys, monkeypatch):
     assert "SCHUBREG_BUDGET_MS must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--n", "4", "--budget-ms", "-5"],
+        ["analyze", "--v", "1234", "--w", "4231", "--budget-ms", "-5"],
+        ["verify", "--v", "1234", "--w", "4231", "--budget-ms", "-5"],
+    ],
+)
+def test_negative_budget_flag_exits_1(argv, capsys):
+    code, text = run(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err == "error: --budget-ms: a time budget must be nonnegative, got -5 ms\n"
+
+
+def test_negative_budget_variable_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("SCHUBREG_BUDGET_MS", "-3")
+    for argv in (["analyze", "--v", "1234", "--w", "4231"], ["scan", "--n", "4"]):
+        code, text = run(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert err.startswith("error: --budget-ms: ") and err.count("\n") == 1
+        assert "got -3 ms" in err and "SCHUBREG_BUDGET_MS" in err
+
+
 def test_negative_ps_order_is_rejected_before_any_work(monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("the report was computed")

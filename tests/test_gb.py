@@ -21,6 +21,8 @@ from schubreg.gb import (
     GroebnerBasis,
     MonomialOrder,
     ResourceBudgetExceeded,
+    _minimalize_monomials,
+    _support_components,
     buchberger,
     check_budget,
     hilbert_data,
@@ -359,6 +361,77 @@ def test_hilbert_numerator_matches_brute_force_counts():
         checked += 1
 
 
+def unipoly_numerator(gens, memo):
+    """The pivot recursion for K on UniPoly arithmetic, as an oracle for the
+    coefficient-list one in the library."""
+    if not gens:
+        return UniPoly.one()
+    cached = memo.get(gens)
+    if cached is not None:
+        return cached
+    if any(sum(g) == 0 for g in gens):
+        return UniPoly.zero()
+    components = _support_components(list(gens))
+    if len(components) > 1:
+        result = UniPoly.one()
+        for comp in components:
+            result = result * unipoly_numerator(tuple(sorted(comp)), memo)
+        memo[gens] = result
+        return result
+    supports = [sum(1 for e in g if e) for g in gens]
+    if all(s == 1 for s in supports):
+        result = UniPoly.one()
+        for g in gens:
+            result = result * (UniPoly.one() - UniPoly.q() ** sum(g))
+        memo[gens] = result
+        return result
+    nvars = len(gens[0])
+    counts = [0] * nvars
+    for g in gens:
+        for k, e in enumerate(g):
+            if e:
+                counts[k] += 1
+    pivot = max(range(nvars), key=lambda k: counts[k])
+    plus = [g for g in gens if g[pivot] == 0]
+    unit = tuple(1 if k == pivot else 0 for k in range(nvars))
+    plus.append(unit)
+    colon = [
+        tuple(e - 1 if k == pivot and e else e for k, e in enumerate(g)) for g in gens
+    ]
+    result = unipoly_numerator(
+        tuple(sorted(_minimalize_monomials(plus))), memo
+    ) + UniPoly.q() * unipoly_numerator(tuple(sorted(_minimalize_monomials(colon))), memo)
+    memo[gens] = result
+    return result
+
+
+def oracle_numerator(exps):
+    return unipoly_numerator(tuple(_minimalize_monomials(exps)), {})
+
+
+def test_hilbert_numerator_matches_the_unipoly_recursion_on_s4_cones():
+    charts = 0
+    for w in all_permutations(4):
+        for v in all_permutations(4):
+            if bruhat_leq(v, w):
+                hd = hilbert_data(v, w)
+                exps = hd.cone.leading_exponents()
+                assert hilbert_numerator(exps, hd.n_vars) == oracle_numerator(exps), (v, w)
+                charts += 1
+    assert charts == 213
+
+
+def test_hilbert_numerator_matches_the_unipoly_recursion_on_random_ideals():
+    r = rng(509)
+    for _ in range(300):
+        nvars = r.randint(1, 6)
+        exps = [
+            tuple(r.randint(0, 3) for _ in range(nvars))
+            for _ in range(r.randint(0, 8))
+        ]
+        assert hilbert_numerator(exps, nvars) == oracle_numerator(exps), exps
+
+
 def test_initial_ideal_hilbert_is_order_free_for_homogeneous_input():
     r = rng(508)
     for _ in range(12):
@@ -418,6 +491,19 @@ def test_time_budget_scopes_nest():
         check_budget("probe")
     assert gb._DEADLINE.get() is None
     with time_budget(None):
+        check_budget("probe")
+
+
+def test_time_budget_rejects_a_negative_budget():
+    import schubreg.gb as gb
+
+    with pytest.raises(ValueError, match="must be nonnegative, got -1 ms"):
+        with time_budget(-1):
+            pass
+    assert gb._DEADLINE.get() is None
+    # a zero budget is a valid scope whose deadline passes at once
+    with pytest.raises(ResourceBudgetExceeded), time_budget(0):
+        time.sleep(0.001)
         check_budget("probe")
 
 

@@ -1,12 +1,15 @@
 """Permutation combinatorics against brute-force oracles."""
 
+import copy
 import itertools
+import pickle
 from math import comb
 
 import pytest
 
 from conftest import random_permutation_word, rng
 
+import schubreg.perm as perm
 from schubreg.perm import (
     Permutation,
     all_permutations,
@@ -92,6 +95,55 @@ def test_basics():
     assert Permutation.from_string("7314562") == GOLDEN_W
     assert Permutation.from_string("7,3,1,4,5,6,2") == GOLDEN_W
     assert str(GOLDEN_V) == "1423576"
+
+
+def test_one_object_per_word():
+    for word in itertools.permutations(range(1, 5)):
+        w = Permutation(word)
+        assert w is Permutation(list(word))
+        assert w is Permutation(iter(word))
+        assert w is Permutation.from_string(str(w))
+        assert w.n == 4 and w.word == word
+    assert Permutation.identity(5) is Permutation((1, 2, 3, 4, 5))
+    assert str(Permutation(tuple(range(10, 0, -1)))) == "10,9,8,7,6,5,4,3,2,1"
+
+
+def test_pickling_and_copying_give_back_the_interned_object():
+    w = Permutation((3, 1, 4, 2))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(w, protocol)) is w
+    assert copy.copy(w) is w and copy.deepcopy([w])[0] is w
+
+
+def test_an_invalid_word_raises_every_time_and_is_never_stored():
+    size = len(perm._INTERNED)
+    for word in [(1, 1, 3), (0, 1, 2), (2, 3), [1, 3]]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a permutation"):
+                Permutation(word)
+    assert len(perm._INTERNED) == size
+
+
+def test_permutations_are_immutable():
+    w = Permutation((2, 1, 3))
+    for name, value in [("word", (1, 2, 3)), ("n", 4), ("other", 0)]:
+        with pytest.raises(AttributeError):
+            setattr(w, name, value)
+    with pytest.raises(AttributeError):
+        del w.word
+    assert w.word == (2, 1, 3) and w.n == 3 and str(w) == "213"
+
+
+def test_equality_and_hash_agree_with_word_equality_on_s4():
+    words = list(itertools.permutations(range(1, 5)))
+    for a in words:
+        for b in words:
+            x, y = Permutation(a), Permutation(list(b))
+            assert (x == y) == (a == b) and (x != y) == (a != b)
+            if a == b:
+                assert hash(x) == hash(y)
+    assert len({Permutation(list(a)) for a in words + words}) == 24
+    assert Permutation((1, 2)) != (1, 2)
 
 
 def test_length_matches_inversion_count():

@@ -3,6 +3,8 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from math import comb
@@ -309,6 +311,16 @@ def test_check_conjectures_trivial_and_flagging():
     assert flags["dual-path"] == "not-checkable"
     with pytest.raises(ValueError):
         check_conjectures(GOLDEN_V, GOLDEN_W, checks=("unknown-check",))
+
+
+def test_a_single_check_name_selects_that_check():
+    e3, w0_3 = Permutation.identity(3), Permutation.longest(3)
+    assert check_conjectures(e3, w0_3, checks="h-nonneg") == {"h-nonneg": "pass"}
+    assert regularity(e3, w0_3, checks="kl-degree").conjecture_flags == {"kl-degree": "pass"}
+    result = max_reg_scan(3, checks="h-nonneg")
+    assert all(r.conjectures == {"h-nonneg": "pass"} for r in result.records)
+    with pytest.raises(ValueError, match="unknown check 'h-nonne'"):
+        check_conjectures(e3, w0_3, checks="h-nonne")
 
 
 def test_check_conjectures_reads_each_fact_of_the_pair_once(monkeypatch):
@@ -700,6 +712,44 @@ def test_max_reg_scan_rejects_unknown_checks_before_opening_the_cache(tmp_path):
     with pytest.raises(ValueError, match="unknown check 'bogus'"):
         max_reg_scan(3, checks=("bogus",), cache_path=str(cache))
     assert not cache.exists()
+
+
+def test_max_reg_scan_rejects_a_negative_budget_before_opening_the_cache(tmp_path):
+    cache = tmp_path / "scan3.jsonl"
+    with pytest.raises(ValueError, match="must be nonnegative, got -5 ms"):
+        max_reg_scan(3, budget_ms=-5, cache_path=str(cache))
+    assert not cache.exists()
+
+
+SCAN_DIGEST = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+from schubreg.reg import max_reg_scan
+digest = hashlib.sha256()
+for record in max_reg_scan(4, checks="all").records:
+    fields = dict(record.__dict__)
+    del fields["elapsed_ms"]
+    digest.update(json.dumps(fields, sort_keys=True).encode() + b"\\n")
+print(digest.hexdigest())
+"""
+
+
+def test_scan_records_do_not_depend_on_the_hash_seed():
+    # permutations hash by identity, so a set of them iterates in address
+    # order; that order must never reach a record
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", SCAN_DIGEST, src],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1] and len(digests[0]) == 64
 
 
 def test_max_reg_scan_cache_recomputes_records_missing_checks(tmp_path):
