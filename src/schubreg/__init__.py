@@ -11,14 +11,11 @@ from ._version import __version__
 from .gb import (
     GroebnerBasis,
     HilbertData,
-    MonomialOrder,
     ResourceBudgetExceeded,
     buchberger,
     hilbert_data,
     hilbert_numerator,
     lowest_degree_forms_ideal,
-    postulation_number,
-    regularity_from_K,
     time_budget,
 )
 from .groth import (
@@ -32,7 +29,6 @@ from .ideal import (
     Ideal,
     generic_matrix,
     kl_generators,
-    schubert_determinantal_generators,
 )
 from .perm import (
     Permutation,
@@ -74,7 +70,6 @@ __all__ = [
     "UniPoly",
     "Ideal",
     "GroebnerBasis",
-    "MonomialOrder",
     "HilbertData",
     "RegularityReport",
     "ScanRecord",
@@ -96,13 +91,10 @@ __all__ = [
     "regularity_formula",
     "generic_matrix",
     "kl_generators",
-    "schubert_determinantal_generators",
     "buchberger",
     "lowest_degree_forms_ideal",
     "hilbert_numerator",
     "hilbert_data",
-    "regularity_from_K",
-    "postulation_number",
     "grothendieck",
     "groth_degree",
     "groth_min_degree",

@@ -36,7 +36,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from math import inf
 
 from . import kernel
 from .ideal import Ideal, kl_generators, pack_poly, unpack_poly
@@ -85,20 +84,6 @@ def check_budget(what: str):
     at = _DEADLINE.get()
     if at is not None and time.monotonic() > at:
         raise ResourceBudgetExceeded("%s ran past the time budget" % what)
-
-
-@dataclass(frozen=True, slots=True)
-class MonomialOrder:
-    """kind in {grevlex, grevlex_t}; grevlex_t puts t first (variable 0)."""
-
-    kind: str = "grevlex"
-
-    def pack_for(self, nvars: int) -> OrderPack:
-        return order_pack(nvars, self.kind)
-
-
-GREVLEX = MonomialOrder()
-GREVLEX_T = MonomialOrder("grevlex_t")
 
 
 def _keyed(terms, pack: OrderPack):
@@ -206,20 +191,17 @@ def _reduce_basis(term_lists, pack: OrderPack):
 
 @dataclass
 class GroebnerBasis:
-    """A reduced basis as kernel term lists; `elements` unpacks them lazily."""
+    """A reduced basis as kernel term lists under `order`, the OrderPack of
+    the ring and the order kind; `elements` unpacks them lazily."""
 
     ring: PolyRing
-    order: MonomialOrder
+    order: OrderPack
     _terms: list = field(repr=False)
     stats: dict = field(default_factory=dict, repr=False)
 
     @cached_property
-    def _pack(self) -> OrderPack:
-        return self.order.pack_for(self.ring.nvars)
-
-    @cached_property
     def _reducers(self):
-        return kernel.Reducers(self._pack.hmask, self._terms)
+        return kernel.Reducers(self.order.hmask, self._terms)
 
     @cached_property
     def elements(self) -> tuple[MultiPoly, ...]:
@@ -231,19 +213,19 @@ class GroebnerBasis:
         """Canonical remainder (content-free, positive leading coefficient)."""
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
-        terms = _keyed(pack_poly(f), self._pack)
-        reduced = kernel.normal_form(terms, self._reducers, self._pack.corr, self._pack.hmask)
+        terms = _keyed(pack_poly(f), self.order)
+        reduced = kernel.normal_form(terms, self._reducers, self.order.corr, self.order.hmask)
         return unpack_poly(self.ring, [(r, c) for _, r, c in reduced])
 
     def contains(self, f: MultiPoly) -> bool:
         return self.normal_form(f).is_zero()
 
     def leading_exponents(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._pack.unpack(terms[0][1]) for terms in self._terms)
+        return tuple(self.order.unpack(terms[0][1]) for terms in self._terms)
 
     def is_homogeneous(self) -> bool:
         # graded order: the first term has the top degree, the last the lowest
-        degree = self._pack.key_degree
+        degree = self.order.key_degree
         return all(degree(terms[0][0]) == degree(terms[-1][0]) for terms in self._terms)
 
     def check_certificate(self) -> bool:
@@ -252,20 +234,21 @@ class GroebnerBasis:
         for i in range(n):
             for j in range(i + 1, n):
                 check_budget("certificate check")
-                spoly = kernel.s_polynomial(self._terms[i], self._terms[j], self._pack)
+                spoly = kernel.s_polynomial(self._terms[i], self._terms[j], self.order)
                 if spoly and kernel.normal_form(
-                    spoly, self._reducers, self._pack.corr, self._pack.hmask
+                    spoly, self._reducers, self.order.corr, self.order.hmask
                 ):
                     return False
         return True
 
 
-def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal under the given order."""
-    pack = order.pack_for(ideal.ring.nvars)
+def buchberger(ideal: Ideal, order: str = "grevlex") -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal under the order of the given kind,
+    "grevlex" or "grevlex_t"; any other kind raises ValueError."""
+    pack = order_pack(ideal.ring.nvars, order)
     kgens = [_keyed(g, pack) for g in ideal.terms]
     final, stats = _buchberger_terms(kgens, pack)
-    return GroebnerBasis(ideal.ring, order, final, stats)
+    return GroebnerBasis(ideal.ring, pack, final, stats)
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -285,7 +268,7 @@ def _tangent_cone(basis: GroebnerBasis):
         # take the t-heavy basis.  Each of its elements is homogeneous with
         # the top power of t in its leading term, so its lowest form is the
         # terms with that power, and raw >> SHIFT drops t.
-        pack = basis._pack
+        pack = basis.order
         hring = PolyRing((_fresh_name("t", ring.names),) + ring.names)
         hgens = []
         for terms in basis._terms:
@@ -293,7 +276,7 @@ def _tangent_cone(basis: GroebnerBasis):
             hgens.append(
                 tuple((r << SHIFT | (top - pack.key_degree(k)), c) for (k, r, c) in terms)
             )
-        lazard = buchberger(Ideal(hring, tuple(hgens)), GREVLEX_T)
+        lazard = buchberger(Ideal(hring, tuple(hgens)), "grevlex_t")
         lowest = []
         for terms in lazard._terms:
             top_t = terms[0][1] & FIELD
@@ -305,7 +288,7 @@ def _tangent_cone(basis: GroebnerBasis):
             low.sort(reverse=True)
             lowest.append(kernel.content_normalize(low))
         final = _reduce_basis(lowest, pack)
-        basis = GroebnerBasis(ring, GREVLEX, final, {"basis_size": len(final)})
+        basis = GroebnerBasis(ring, pack, final, {"basis_size": len(final)})
     return basis, homogeneous
 
 
@@ -315,7 +298,7 @@ def lowest_degree_forms_ideal(ideal: Ideal) -> GroebnerBasis:
     It is returned as its reduced grevlex basis.  Both basis computations
     run under the enclosing `time_budget` scope.
     """
-    return _tangent_cone(buchberger(ideal, GREVLEX))[0]
+    return _tangent_cone(buchberger(ideal, "grevlex"))[0]
 
 
 # ----------------------------------------------------------------------
@@ -427,34 +410,6 @@ def hilbert_numerator(monomials, nvars: int) -> UniPoly:
     return UniPoly(_numerator(tuple(minimal), {}))
 
 
-def regularity_from_K(K: UniPoly, height: int) -> int:
-    """deg K - height, the regularity reading for Cohen-Macaulay quotients."""
-    if K.is_zero():
-        raise ValueError("zero K-polynomial")
-    value = int(K.degree()) - height
-    if value < 0:
-        raise ValueError("height exceeds deg K; inputs are inconsistent")
-    return value
-
-
-def postulation_number(K: UniPoly, nvars: int):
-    """(largest t with hilbert function != hilbert polynomial, deg K - dim).
-
-    The first slot is -inf when the function agrees with the polynomial
-    everywhere; the second is the classical a-invariant style reading, kept
-    separate because the two genuinely differ off the nice cases.
-    """
-    if K.is_zero():
-        raise ValueError("zero K-polynomial")
-    dim = nvars - K.one_minus_q_multiplicity()
-    deg_k = int(K.degree())
-    # K = Q (1-q)^nvars + R with deg R < nvars: the series of R / (1-q)^nvars
-    # is polynomial in t for every t >= 0, so the function and the polynomial
-    # differ exactly on the support of Q, whose degree is deg K - nvars.
-    post = deg_k - nvars if deg_k >= nvars else -inf
-    return post, deg_k - dim
-
-
 # ----------------------------------------------------------------------
 # The chart pipeline
 
@@ -473,7 +428,6 @@ class HilbertData:
     homogeneous: bool
     kl_ideal: Ideal
     cone: GroebnerBasis  # reduced grevlex basis of the tangent-cone ideal
-    elapsed_ms: float
 
 
 @lru_cache(maxsize=2)
@@ -486,7 +440,7 @@ def chart_basis(v: Permutation, w: Permutation) -> tuple[Ideal, GroebnerBasis]:
     """
     chart_ideal = kl_generators(v, w)
     check_budget("minor generation")
-    return chart_ideal, buchberger(chart_ideal, GREVLEX)
+    return chart_ideal, buchberger(chart_ideal, "grevlex")
 
 
 def hilbert_data(v: Permutation, w: Permutation) -> HilbertData:
@@ -496,7 +450,6 @@ def hilbert_data(v: Permutation, w: Permutation) -> HilbertData:
     scope; the first two come from `chart_basis`.  The computed (dim,
     height, n_vars) must equal `chart_shape(v, w)`, else RuntimeError.
     """
-    start = time.monotonic()
     chart_ideal, basis = chart_basis(v, w)
     n_vars = chart_ideal.ring.nvars
     cone, homogeneous = _tangent_cone(basis)
@@ -514,7 +467,4 @@ def hilbert_data(v: Permutation, w: Permutation) -> HilbertData:
     H = K.exact_divide(UniPoly.one_minus_q() ** height)
     if H[0] != 1:
         raise RuntimeError("h-polynomial does not start at 1 for (%s, %s)" % (v, w))
-    return HilbertData(
-        v, w, n_vars, dim, height, K, H, homogeneous, chart_ideal, cone,
-        (time.monotonic() - start) * 1000.0,
-    )
+    return HilbertData(v, w, n_vars, dim, height, K, H, homogeneous, chart_ideal, cone)

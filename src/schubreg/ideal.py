@@ -56,27 +56,6 @@ class GenericMatrix:
     def n(self) -> int:
         return self.v.n
 
-    def cell(self, display_row: int, col: int) -> tuple:
-        return self.cells[display_row - 1][col - 1]
-
-    def cell_bottom_up(self, i: int, j: int) -> tuple:
-        return self.cells[self.n - i][j - 1]
-
-    def ascii(self) -> str:
-        rows = []
-        for r in range(1, self.n + 1):
-            chunk = []
-            for c in range(1, self.n + 1):
-                kind = self.cells[r - 1][c - 1]
-                if kind[0] == ZERO:
-                    chunk.append(".")
-                elif kind[0] == ONE:
-                    chunk.append("1")
-                else:
-                    chunk.append("z%d%d" % (kind[1], kind[2]))
-            rows.append(" ".join("%5s" % x for x in chunk))
-        return "\n".join(rows)
-
 
 def var_name(i: int, j: int) -> str:
     return "z_%d_%d" % (i, j)
@@ -97,25 +76,6 @@ def generic_matrix(v: Permutation) -> GenericMatrix:
     return GenericMatrix(v, tuple(tuple(row) for row in grid), tuple(free), ring)
 
 
-def full_generic_matrix(n: int) -> GenericMatrix:
-    """An all-free n x n matrix (used for one-variety rank ideals)."""
-    grid = []
-    free = []
-    for r in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            i = n - r + 1
-            row.append((VAR, i, j))
-        grid.append(tuple(row))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            free.append((i, j))
-    ring = PolyRing(tuple(var_name(i, j) for (i, j) in free))
-    return GenericMatrix(
-        Permutation.identity(n), tuple(grid), tuple(free), ring
-    )
-
-
 def pack_poly(f: MultiPoly) -> tuple[tuple[int, int], ...]:
     """The (raw, coeff) terms of f, scaled to integer coefficients."""
     denom = 1
@@ -133,7 +93,7 @@ def unpack_poly(ring: PolyRing, terms) -> MultiPoly:
 
 @dataclass
 class Ideal:
-    """A finite generating set over a PolyRing, with optional provenance.
+    """A finite generating set over a PolyRing.
 
     Each generator is a tuple of packed (raw, coeff) terms with integer
     coefficients, in no particular order; `generators` unpacks them into
@@ -142,7 +102,6 @@ class Ideal:
 
     ring: PolyRing
     terms: tuple[tuple[tuple[int, int], ...], ...]
-    provenance: str = ""
 
     @classmethod
     def from_polys(cls, ring: PolyRing, polys) -> "Ideal":
@@ -235,28 +194,11 @@ def _minors_for_conditions(matrix: GenericMatrix, conditions) -> tuple:
     return tuple(out)
 
 
-def _essential_conditions(w: Permutation) -> list[tuple[int, int, int]]:
-    """(s, t, rank) of the southwest corners at the essential set of w."""
-    n = w.n
-    return [(n - i + 1, j, sw_rank(w, i, j)) for (i, j) in sorted(essential_set(w))]
-
-
 def kl_generators(v: Permutation, w: Permutation) -> Ideal:
-    """Rank-condition generators for the chart of X_w attached to v <= w."""
+    """Rank-condition generators for the chart of X_w attached to v <= w,
+    imposed at the southwest corners of the essential set of w."""
     require_bruhat(v, w)
     matrix = generic_matrix(v)
-    return Ideal(
-        matrix.ring,
-        _minors_for_conditions(matrix, _essential_conditions(w)),
-        provenance="rank-conditions(v=%s, w=%s)" % (v, w),
-    )
-
-
-def schubert_determinantal_generators(w: Permutation) -> Ideal:
-    """The one-variety rank ideal of w over a fully generic matrix."""
-    matrix = full_generic_matrix(w.n)
-    return Ideal(
-        matrix.ring,
-        _minors_for_conditions(matrix, _essential_conditions(w)),
-        provenance="rank-conditions(matrix; w=%s)" % w,
-    )
+    n = w.n
+    conditions = [(n - i + 1, j, sw_rank(w, i, j)) for (i, j) in sorted(essential_set(w))]
+    return Ideal(matrix.ring, _minors_for_conditions(matrix, conditions))

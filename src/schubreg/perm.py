@@ -74,12 +74,6 @@ class Permutation:
             inv[val - 1] = pos
         return Permutation(tuple(inv))
 
-    def length(self) -> int:
-        return length(self)
-
-    def is_identity(self) -> bool:
-        return all(val == pos for pos, val in enumerate(self.word, start=1))
-
     def right_s(self, i: int) -> "Permutation":
         """Multiply on the right by the adjacent transposition s_i (swap spots i, i+1)."""
         if not 1 <= i < len(self.word):

@@ -302,9 +302,17 @@ class UniPoly:
         return m
 
     def series_coefficients(self, dim: int, order: int) -> list[int]:
-        """Coefficients of self / (1-q)^dim up to degree `order` inclusive."""
+        """Coefficients of self / (1-q)^dim up to degree `order` inclusive.
+
+        The enclosing `time_budget` scope is tested after every 4096
+        coefficients.
+        """
+        from .gb import check_budget  # gb imports this module
+
         out = []
         for m in range(order + 1):
+            if m and not m % 4096:
+                check_budget("power series")
             total = 0
             for j, c in enumerate(self.coeffs):
                 if j > m:

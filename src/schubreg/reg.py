@@ -596,9 +596,10 @@ def _scan_worker(payload):
 
 def _read_cache(path):
     """(pair, line, record) for every nonblank line of a scan cache file;
-    pair and record are None on a line that is not a valid record."""
+    pair and record are None on a line that is not a valid record.  A byte
+    that is not UTF-8 reads as U+FFFD."""
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = open(path, "r", encoding="utf-8", errors="replace")
     except FileNotFoundError:
         return
     with handle:
@@ -636,10 +637,6 @@ class ScanResult:
     records: list
     partial: bool
     conjecture_failures: tuple
-
-    @property
-    def complete(self) -> bool:
-        return not self.partial
 
 
 def scan_pairs(n: int, restrict: str = "all"):

@@ -250,6 +250,17 @@ def test_budget_bounds_the_kl_work(command, capsys):
     assert "ran past the time budget" in err
 
 
+def test_budget_bounds_the_power_series(capsys):
+    argv = ["analyze", "--v", "1234", "--w", "4231", "--ps-order", "1000000"]
+    start = time.monotonic()
+    code, text = run(argv + ["--budget-ms", "100"])
+    elapsed = time.monotonic() - start
+    err = capsys.readouterr().err
+    assert code == 1 and text == "" and elapsed < 1.0, (code, elapsed)
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "ran past the time budget" in err
+
+
 def test_scan_text_output():
     code, text = run(["scan", "--n", "3", "--checks", "h-nonneg"])
     assert code == 0
@@ -299,6 +310,18 @@ def test_scan_cache_file_roundtrip(tmp_path):
     code, second = run(["scan", "--n", "3", "--cache", str(cache)])
     assert code == 0
     assert second == first
+    assert cache.read_bytes() == blob
+
+
+def test_scan_cache_with_undecodable_bytes_is_compacted(tmp_path):
+    cache = tmp_path / "s3.jsonl"
+    code, clean = run(["scan", "--n", "3", "--cache", str(cache)])
+    assert code == 0
+    blob = cache.read_bytes()
+    with open(cache, "ab") as handle:
+        handle.write(b"\xff\xfe garbage\n")
+    # the line is unreadable: the scan's summary stands and compaction drops it
+    assert run(["scan", "--n", "3", "--cache", str(cache)]) == (0, clean)
     assert cache.read_bytes() == blob
 
 
@@ -468,6 +491,15 @@ def test_entry_defaults_to_stdout(capsys):
     code = entry(["groth", "--u", "21"])
     assert code == 0
     assert "degree" in capsys.readouterr().out
+
+
+def test_every_export_resolves():
+    import schubreg
+
+    assert all(hasattr(schubreg, name) for name in schubreg.__all__)
+    namespace = {}
+    exec("from schubreg import *", namespace)
+    assert set(schubreg.__all__) <= set(namespace)
 
 
 def test_version_flag_uses_argparse_exit(capsys):

@@ -23,12 +23,13 @@ from schubreg.perm import (
 )
 from schubreg.poly import MultiPoly
 from schubreg.ideal import (
+    ONE,
+    VAR,
+    ZERO,
     Ideal,
     _minors_for_conditions,
-    full_generic_matrix,
     generic_matrix,
     kl_generators,
-    schubert_determinantal_generators,
     var_name,
 )
 
@@ -164,7 +165,12 @@ def our_terms(f: MultiPoly):
 
 def test_generic_matrix_golden_layout():
     gm = generic_matrix(GOLDEN_V)
-    assert gm.ascii() == GOLDEN_ASCII
+    # "." is a zero cell, "1" a one, "zij" the free variable z_i_j
+    picture = {".": (ZERO,), "1": (ONE,)}
+    assert gm.cells == tuple(
+        tuple(picture.get(x) or (VAR, int(x[1]), int(x[2])) for x in line.split())
+        for line in GOLDEN_ASCII.splitlines()
+    )
     assert len(gm.free_cells) == 18
     assert gm.ring.nvars == 18
     # free cells are the diagram of v, flipped to bottom-up rows
@@ -175,12 +181,10 @@ def test_generic_matrix_golden_layout():
 
 
 def test_generic_matrix_identity_is_lower_triangular():
-    from schubreg.ideal import ONE, VAR, ZERO
-
     gm = generic_matrix(Permutation.identity(4))
     for r in range(1, 5):
         for c in range(1, 5):
-            kind = gm.cell(r, c)[0]
+            kind = gm.cells[r - 1][c - 1][0]
             if r == c:
                 assert kind == ONE
             elif r > c:
@@ -190,19 +194,17 @@ def test_generic_matrix_identity_is_lower_triangular():
 
 
 def test_cell_lookups_agree():
-    gm = generic_matrix(GOLDEN_V)
-    n = gm.n
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            assert gm.cell(r, c) == gm.cell_bottom_up(n - r + 1, c)
-
-
-def test_full_generic_matrix():
-    from schubreg.ideal import VAR
-
-    gm = full_generic_matrix(3)
-    assert gm.ring.nvars == 9
-    assert all(kind[0] == VAR for row in gm.cells for kind in row)
+    # the free cell in display row r, column c is z_i_c with i = n - r + 1
+    for v in all_permutations(4):
+        gm = generic_matrix(v)
+        free = [
+            (kind[1:], (4 - r + 1, c))
+            for r, row in enumerate(gm.cells, start=1)
+            for c, kind in enumerate(row, start=1)
+            if kind[0] == VAR
+        ]
+        assert all(named == at for named, at in free), v
+        assert sorted(named for named, _ in free) == sorted(gm.free_cells), v
 
 
 def test_kl_generators_match_sympy_minors_small():
@@ -274,16 +276,6 @@ def test_essential_minors_span_all_corner_minors_s4():
 @pytest.mark.slow
 def test_essential_minors_span_all_corner_minors_s5():
     assert assert_same_ideal_as_all_corners(5) == 3781
-
-
-def test_determinantal_generators_span_all_corner_minors():
-    for n in (2, 3, 4):
-        matrix = full_generic_matrix(n)
-        for w in all_permutations(n):
-            ours = schubert_determinantal_generators(w)
-            oracle = Ideal(matrix.ring, _minors_for_conditions(matrix, all_corners(w)))
-            assert ours.ring == matrix.ring
-            assert buchberger(ours).elements == buchberger(oracle).elements, w
 
 
 def test_trivial_pairs_have_no_generators():

@@ -90,7 +90,7 @@ def test_basics():
     assert w(1) == 3 and w(3) == 2
     assert w.inverse() == Permutation((2, 3, 1))
     assert length(w) == 2
-    assert Permutation.identity(4).is_identity()
+    assert Permutation.identity(4) is Permutation((1, 2, 3, 4))
     assert Permutation.longest(4) == Permutation((4, 3, 2, 1))
     assert Permutation.from_string("7314562") == GOLDEN_W
     assert Permutation.from_string("7,3,1,4,5,6,2") == GOLDEN_W

@@ -298,6 +298,15 @@ def test_series_and_finalps_read_the_chart_memo(monkeypatch):
     assert len(calls) == 1 and calls[0] in ((GOLDEN_V, GOLDEN_W), inverse)
 
 
+def test_budget_bounds_the_power_series():
+    v, w = Permutation((1, 2, 3, 4)), Permutation((4, 2, 3, 1))
+    ps_series(v, w, 0)  # the chart is now in the memo and costs no budget
+    start = time.monotonic()
+    with pytest.raises(ResourceBudgetExceeded, match="power series"), time_budget(50):
+        ps_series(v, w, 10**6)
+    assert time.monotonic() - start < 1.0
+
+
 def test_check_conjectures_trivial_and_flagging():
     flags = check_conjectures(GOLDEN_W, GOLDEN_W)
     assert all(val == "pass" for val in flags.values())
@@ -446,7 +455,7 @@ def test_s4_sweep_computes_each_chart_once(monkeypatch):
 
     monkeypatch.setattr(reg, "hilbert_data", counting_hilbert_data)
     result = max_reg_scan(4, checks="all")
-    assert result.complete and not result.conjecture_failures
+    assert not result.partial and not result.conjecture_failures
     assert calls and set(calls.values()) == {1}
 
 
@@ -554,7 +563,7 @@ def test_max_reg_scan_small():
     res = max_reg_scan(3)
     assert res.max_reg == 0
     assert len(res.records) == 19
-    assert res.complete
+    assert not res.partial
     assert not res.conjecture_failures
     res4 = max_reg_scan(4)
     assert res4.max_reg == 1
@@ -651,11 +660,11 @@ def test_max_reg_scan_cache_retries_budget_errors(tmp_path):
     cache = str(tmp_path / "scan4.jsonl")
     assert max_reg_scan(4, budget_ms=0, cache_path=cache).partial
     rerun = max_reg_scan(4, cache_path=cache)
-    assert rerun.complete and rerun.max_reg == 1
+    assert not rerun.partial and rerun.max_reg == 1
     assert all(r.error is None for r in rerun.records)
     # the retried records replaced the error lines, and they load as computed
     final = max_reg_scan(4, cache_path=cache)
-    assert final.complete
+    assert not final.partial
     assert [stable_fields(r) for r in final.records] == [
         stable_fields(r) for r in rerun.records
     ]
@@ -769,7 +778,7 @@ def test_max_reg_scan_cache_recomputes_records_missing_checks(tmp_path):
 def test_max_reg_scan_budget_partial():
     res = max_reg_scan(4, budget_ms=0)
     # formula pairs still finish; groebner pairs over budget become errors
-    assert not res.complete
+    assert res.partial
     assert res.max_reg == 1
     over = [rec for rec in res.records if rec.error is not None]
     assert over and all(rec.reg is None for rec in over)
