@@ -41,7 +41,7 @@ from . import kernel
 from .ideal import Ideal, kl_generators, pack_poly, unpack_poly
 from .kernel.orders import FIELD, SHIFT, OrderPack, divides, order_pack, raw_lcm
 from .perm import Permutation, chart_shape
-from .poly import MultiPoly, PolyRing, UniPoly
+from .poly import MultiPoly, PolyRing, UniPoly, coeff_product
 
 
 class ResourceBudgetExceeded(RuntimeError):
@@ -103,7 +103,7 @@ def _buchberger_terms(kgens, pack: OrderPack):
     reducers = kernel.Reducers(pack.hmask)  # position = basis index
     pairs: dict = {}  # live pairs: (i, j) -> lcm_raw, i < j
     queue = []  # (sugar, lcm_key, j, i); pairs deleted since are skipped
-    stats = {"pairs_processed": 0, "zero_reductions": 0, "updates": 0}
+    stats = {"pairs_processed": 0, "zero_reductions": 0}
     corr, hmask = pack.corr, pack.hmask
 
     def update(new_terms, new_sugar):
@@ -140,7 +140,6 @@ def _buchberger_terms(kgens, pack: OrderPack):
         basis.append(new_terms)
         sugars.append(new_sugar)
         reducers.insert(new_terms)
-        stats["updates"] += 1
 
     for gen in sorted(kgens):
         check_budget("generator interreduction")
@@ -338,18 +337,6 @@ def _support_components(gens):
     return list(buckets.values())
 
 
-def _mul(a: list, b: list) -> list:
-    """The coefficient list of the product of two coefficient lists."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _numerator(gens, memo) -> list:
     """The coefficient list of the numerator of the minimal generators
     `gens`, by pivot splitting; `memo` maps gens to their result."""
@@ -364,14 +351,14 @@ def _numerator(gens, memo) -> list:
     if len(components) > 1:
         result = [1]
         for comp in components:
-            result = _mul(result, _numerator(tuple(sorted(comp)), memo))
+            result = coeff_product(result, _numerator(tuple(sorted(comp)), memo))
         memo[gens] = result
         return result
     supports = [sum(1 for e in g if e) for g in gens]
     if all(s == 1 for s in supports):
         result = [1]
         for g in gens:
-            result = _mul(result, [1] + [0] * (sum(g) - 1) + [-1])  # 1 - q^deg g
+            result = coeff_product(result, [1] + [0] * (sum(g) - 1) + [-1])  # 1 - q^deg g
         memo[gens] = result
         return result
     nvars = len(gens[0])
@@ -457,14 +444,17 @@ def hilbert_data(v: Permutation, w: Permutation) -> HilbertData:
     K = hilbert_numerator(cone.leading_exponents(), n_vars)
     if K.is_zero():
         raise RuntimeError("chart ideal defines the empty scheme; conventions broken")
-    dim = n_vars - K.one_minus_q_multiplicity()
-    height = n_vars - dim
+    # H = K / (1-q)^height, height the multiplicity of the root q = 1 of K
+    H, height = K, 0
+    while H.evaluate(1) == 0:
+        H = H.exact_divide(UniPoly.one_minus_q())
+        height += 1
+    dim = n_vars - height
     if (dim, height, n_vars) != chart_shape(v, w):
         raise RuntimeError(
             "shape mismatch for (%s, %s): pipeline (dim, height, n_vars) %s, theory %s"
             % (v, w, (dim, height, n_vars), chart_shape(v, w))
         )
-    H = K.exact_divide(UniPoly.one_minus_q() ** height)
     if H[0] != 1:
         raise RuntimeError("h-polynomial does not start at 1 for (%s, %s)" % (v, w))
     return HilbertData(v, w, n_vars, dim, height, K, H, homogeneous, chart_ideal, cone)

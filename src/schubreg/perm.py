@@ -241,7 +241,6 @@ def bruhat_interval(v: Permutation, w: Permutation) -> frozenset[Permutation]:
     return frozenset(inside)
 
 
-@lru_cache(maxsize=None)
 def contains_pattern(w: Permutation, p: Permutation) -> bool:
     """True when some subsequence of w is order-isomorphic to p."""
     k = p.n

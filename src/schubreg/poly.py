@@ -161,6 +161,18 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
     return MultiPoly(ring, terms)
 
 
+def coeff_product(a, b) -> list:
+    """The coefficient list of the product of two coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 class UniPoly:
     """Integer-coefficient polynomial in q; zero has degree -inf."""
 
@@ -230,14 +242,7 @@ class UniPoly:
             return UniPoly([c * other for c in self.coeffs])
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            if ca:
-                for b, cb in enumerate(other.coeffs):
-                    out[a + b] += ca * cb
-        return UniPoly(out)
+        return UniPoly(coeff_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -289,17 +294,6 @@ class UniPoly:
         if any(num):
             raise ValueError("inexact division")
         return UniPoly(out)
-
-    def one_minus_q_multiplicity(self) -> int:
-        """Largest m with (1-q)^m dividing self (self must be nonzero)."""
-        if self.is_zero():
-            raise ValueError("the zero polynomial is divisible by everything")
-        m = 0
-        current = self
-        while current.evaluate(1) == 0:
-            current = current.exact_divide(UniPoly.one_minus_q())
-            m += 1
-        return m
 
     def series_coefficients(self, dim: int, order: int) -> list[int]:
         """Coefficients of self / (1-q)^dim up to degree `order` inclusive.

@@ -556,37 +556,18 @@ def scan_record(v: Permutation, w: Permutation, checks=(), budget_ms=None) -> Sc
     error record is labelled as the pair's report would be.
     """
     start = time.monotonic()
+    fields = dict(n=v.n, v=str(v), w=str(w), conjecture_flags={}, error=None)
     try:
         with time_budget(budget_ms):
-            report = regularity(v, w, checks=checks)
+            fields.update(regularity(v, w, checks=checks).to_json())
     except ResourceBudgetExceeded as exc:
-        outcome = dict(
-            _fixed_fields(v, w),
-            reg=None,
-            h_coeffs=None,
-            kl_degree=None,
-            homogeneous_ideal=None,
-            conjectures={},
-            error="budget: %s" % exc,
-        )
-    else:
-        outcome = dict(
-            {name: getattr(report, name) for name in _FIXED},
-            reg=report.reg,
-            h_coeffs=list(report.H.coeffs) if report.H is not None else None,
-            kl_degree=report.kl_degree,
-            homogeneous_ideal=report.homogeneous_ideal,
-            conjectures=dict(report.conjecture_flags),
-            error=None,
-        )
-    return ScanRecord(
-        n=v.n,
-        v=str(v),
-        w=str(w),
-        **outcome,
+        fields.update(_fixed_fields(v, w), error="budget: %s" % exc)
+    fields.update(
+        conjectures=fields["conjecture_flags"],
         kernel=kernel_version(),
         elapsed_ms=round((time.monotonic() - start) * 1000.0, 3),
     )
+    return ScanRecord(**{name: fields.get(name) for name in ScanRecord.__dataclass_fields__})
 
 
 def _scan_worker(payload):
@@ -595,9 +576,9 @@ def _scan_worker(payload):
 
 
 def _read_cache(path):
-    """(pair, line, record) for every nonblank line of a scan cache file;
-    pair and record are None on a line that is not a valid record.  A byte
-    that is not UTF-8 reads as U+FFFD."""
+    """(pair, record) for every nonblank line of a scan cache file; record is
+    None on a line that is not a valid record.  A byte that is not UTF-8
+    reads as U+FFFD."""
     try:
         handle = open(path, "r", encoding="utf-8", errors="replace")
     except FileNotFoundError:
@@ -610,21 +591,20 @@ def _read_cache(path):
             try:
                 record = ScanRecord.from_json_line(line)
             except (ValueError, KeyError, TypeError):
-                yield None, line, None
+                yield None, None
             else:
-                yield (record.v, record.w), line, record
+                yield (record.v, record.w), record
 
 
-def _compact_cache(path):
-    """Rewrite a scan cache with one line per pair, the pair's last one.
+def _compact_cache(path, records):
+    """Rewrite a scan cache as one canonical line per record.
 
     The new file is written beside the cache and moved over it, so an
     interrupted rewrite leaves the old cache whole.
     """
-    latest = {pair: line for pair, line, record in _read_cache(path) if record is not None}
     tmp = "%s.tmp" % os.fspath(path)
     with open(tmp, "w", encoding="utf-8") as handle:
-        handle.writelines(line + "\n" for line in latest.values())
+        handle.writelines(record.to_json_line() + "\n" for record in records)
     os.replace(tmp, path)
 
 
@@ -640,17 +620,19 @@ class ScanResult:
 
 
 def scan_pairs(n: int, restrict: str = "all"):
-    """Bruhat pairs of S_n in scan order: by l(w) - l(v), then w, then v."""
+    """Bruhat pairs of S_n in scan order: by l(w) - l(v), then w, then v.
+
+    The pairs of each w are its lower interval [e, w], walked down by covers.
+    """
     if restrict not in ("all", "covexillary-only"):
         raise ValueError("restrict must be 'all' or 'covexillary-only'")
-    pairs = []
-    perms = list(all_permutations(n))
-    for w in perms:
-        if restrict == "covexillary-only" and not is_covexillary(w):
-            continue
-        for v in perms:
-            if bruhat_leq(v, w):
-                pairs.append((v, w))
+    identity = Permutation.identity(n)
+    pairs = [
+        (v, w)
+        for w in all_permutations(n)
+        if restrict == "all" or is_covexillary(w)
+        for v in bruhat_interval(identity, w)
+    ]
     pairs.sort(key=lambda vw: (length(vw[1]) - length(vw[0]), vw[1].word, vw[0].word))
     return pairs
 
@@ -671,10 +653,11 @@ def max_reg_scan(
     file is reused verbatim when it has no error and carries every requested
     check, so a rerun is free and the reported summary is reproducible;
     any other pair is recomputed and appended.  A line that is not a valid
-    record, with the JSON types of its fields, is unreadable.  When the file
-    has an unreadable line or more than one line for a pair, the cache is
-    rewritten with one line per pair (lines of pairs outside this scan are
-    kept, unreadable lines dropped).  A budget overrun marks the scan
+    record, with the JSON types of its fields, is unreadable.  The file is
+    read once.  When it has an unreadable line or more than one line for a
+    pair, the cache is rewritten from the records in memory as one canonical
+    line per pair, its last record (pairs outside this scan are kept,
+    unreadable lines dropped).  A budget overrun marks the scan
     partial and the reported max is only a lower bound.  At most
     os.cpu_count() worker processes are started.  A negative budget raises
     ValueError before the cache is opened.
@@ -685,21 +668,23 @@ def max_reg_scan(
     workers = min(workers, os.cpu_count() or 1)
     wanted = select_checks(checks)
     pairs = scan_pairs(n, restrict)
-    on_file = {}
-    stale = False  # the file has lines that compaction drops
+    # (v, w) strings -> the pair's last valid record on file, then its fresh one
+    latest = {}
+    stale = False  # the file has lines that compaction drops or replaces
     if cache_path is not None:
-        for pair, _, record in _read_cache(cache_path):
-            stale = stale or record is None or pair in on_file
+        for pair, record in _read_cache(cache_path):
+            stale = stale or record is None or pair in latest
             if record is not None:
-                on_file[pair] = record
-    cached = {
-        pair: record
-        for pair, record in on_file.items()
-        if record.error is None and all(name in record.conjectures for name in wanted)
-    }
+                latest[pair] = record
+    payloads = []
+    for v, w in pairs:
+        record = latest.get((str(v), str(w)))
+        if record is None or record.error is not None or not all(
+            name in record.conjectures for name in wanted
+        ):
+            stale = stale or record is not None
+            payloads.append((v, w, wanted, budget_ms))
 
-    payloads = [(v, w, wanted, budget_ms) for (v, w) in pairs if (str(v), str(w)) not in cached]
-    fresh = {}
     with ExitStack() as stack:
         handle = (
             stack.enter_context(open(cache_path, "a", encoding="utf-8"))
@@ -714,20 +699,16 @@ def max_reg_scan(
         else:
             results = map(_scan_worker, payloads)
         for record in results:
-            fresh[(record.v, record.w)] = record
+            latest[(record.v, record.w)] = record
             if handle is not None:
                 handle.write(record.to_json_line() + "\n")
                 handle.flush()
             if record_sink is not None:
                 record_sink(record)
-    if stale or any(pair in on_file for pair in fresh):
-        _compact_cache(cache_path)
+    if stale:
+        _compact_cache(cache_path, latest.values())
 
-    records = []
-    for (v, w) in pairs:
-        key = (str(v), str(w))
-        records.append(cached.get(key) or fresh[key])
-
+    records = [latest[(str(v), str(w))] for v, w in pairs]
     regs = [r.reg for r in records if r.reg is not None]
     max_reg = max(regs) if regs else None
     argmax = tuple(

@@ -71,15 +71,6 @@ def test_exact_divide_round_trip():
         UniPoly([1, 1]).exact_divide(UniPoly([0, 1]))
 
 
-def test_one_minus_q_multiplicity():
-    one_minus_q = UniPoly.one_minus_q()
-    for k in range(5):
-        p = (one_minus_q ** k) * UniPoly([1, 1, 3])
-        assert p.one_minus_q_multiplicity() == k
-    with pytest.raises(ValueError):
-        UniPoly.zero().one_minus_q_multiplicity()
-
-
 def test_series_coefficients_match_binomial_convolution():
     r = rng(206)
     for _ in range(25):

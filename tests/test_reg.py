@@ -172,7 +172,10 @@ def test_kl_polynomial_matches_the_per_interval_recursion_on_s5():
         assert kl_polynomial(v, w) == per_interval_kl(v, w, r_cache, cache), (v, w)
 
 
-def test_scan_pairs_is_the_filter_by_rank_definition():
+def brute_scan_pairs(n, restrict):
+    """Bruhat pairs of S_n by comparing every two rank matrices, with
+    covexillarity as the absence of a 3412 subsequence."""
+
     def ranks(u):
         """R_u(a, j) = #{h <= j : u(h) >= a} for every a and j."""
         return [
@@ -184,17 +187,32 @@ def test_scan_pairs_is_the_filter_by_rank_definition():
     def inversions(u):
         return sum(1 for a, b in itertools.combinations(u.word, 2) if a > b)
 
-    for n in range(1, 6):
-        perms = list(all_permutations(n))
-        table = {u: ranks(u) for u in perms}
-        brute = [
-            (v, w)
-            for w in perms
-            for v in perms
-            if all(x <= y for x, y in zip(table[v], table[w]))
-        ]
-        brute.sort(key=lambda p: (inversions(p[1]) - inversions(p[0]), p[1].word, p[0].word))
-        assert scan_pairs(n) == brute, n
+    def has_3412(u):
+        return any(c < d < a < b for a, b, c, d in itertools.combinations(u.word, 4))
+
+    perms = list(all_permutations(n))
+    table = {u: ranks(u) for u in perms}
+    brute = [
+        (v, w)
+        for w in perms
+        if restrict == "all" or not has_3412(w)
+        for v in perms
+        if all(x <= y for x, y in zip(table[v], table[w]))
+    ]
+    brute.sort(key=lambda p: (inversions(p[1]) - inversions(p[0]), p[1].word, p[0].word))
+    return brute
+
+
+def test_scan_pairs_is_the_filter_by_rank_definition():
+    for restrict in ("all", "covexillary-only"):
+        for n in range(1, 6):
+            assert scan_pairs(n, restrict) == brute_scan_pairs(n, restrict), (n, restrict)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("restrict", ["all", "covexillary-only"])
+def test_scan_pairs_of_s6_is_the_filter_by_rank_definition(restrict):
+    assert scan_pairs(6, restrict) == brute_scan_pairs(6, restrict)
 
 
 def test_regularity_methods_and_labels():
@@ -691,6 +709,28 @@ def test_compaction_keeps_pairs_outside_the_scan(tmp_path):
     assert [stable_fields(r) for r in again.records] == [
         stable_fields(r) for r in s3.records
     ]
+
+
+def test_a_compacting_scan_parses_each_cache_line_once(tmp_path, monkeypatch):
+    cache = tmp_path / "scan3.jsonl"
+    plain = max_reg_scan(3, cache_path=str(cache))
+    lines = cache.read_text().splitlines()
+    # one unreadable line and a second line for the first pair
+    cache.write_text("".join(line + "\n" for line in lines + ["{not json", lines[0]]) + "\n")
+    parsed = []
+    parse = ScanRecord.from_json_line.__func__
+
+    def counting(cls, line):
+        parsed.append(line)
+        return parse(cls, line)
+
+    monkeypatch.setattr(ScanRecord, "from_json_line", classmethod(counting))
+    again = max_reg_scan(3, cache_path=str(cache))
+    assert len(parsed) == len(lines) + 2
+    assert [stable_fields(r) for r in again.records] == [
+        stable_fields(r) for r in plain.records
+    ]
+    assert cache.read_text().splitlines() == lines
 
 
 @pytest.mark.parametrize("field, value", [("conjectures", None), ("reg", "0")])
