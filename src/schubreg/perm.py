@@ -222,9 +222,11 @@ def bruhat_interval(v: Permutation, w: Permutation) -> frozenset[Permutation]:
 
     Walks down from w by covers and keeps what stays above v; every element
     of the interval lies on a chain of covers from w, so the walk costs the
-    interval's size rather than n!.
+    interval's size rather than n!.  Every element lies above the identity,
+    so for v = e no element is compared with v.
     """
     require_bruhat(v, w)
+    floor = length(v) == 0
     inside = {w}
     seen = {w}
     frontier = [w]
@@ -234,7 +236,7 @@ def bruhat_interval(v: Permutation, w: Permutation) -> frozenset[Permutation]:
             for z in covers_below(u):
                 if z not in seen:
                     seen.add(z)
-                    if bruhat_leq(v, z):
+                    if floor or bruhat_leq(v, z):
                         inside.add(z)
                         below.append(z)
         frontier = below

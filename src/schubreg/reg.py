@@ -235,10 +235,41 @@ def _chart(v: Permutation, w: Permutation):
     return H, flags[(v, w)]
 
 
-def _h(v: Permutation, w: Permutation) -> UniPoly:
-    """H_{v,w} from the chart memo, with no flag computed for a stored H."""
+def _groebner_h(v: Permutation, w: Permutation) -> UniPoly:
+    """The Groebner H_{v,w} from the chart memo, with no flag computed for a
+    stored H."""
     found = _CHARTS.get((v, w))
     return found[0] if found is not None else _chart(v, w)[0]
+
+
+# (kappa, height) -> H_{v,w} read off the companion kappa, and pair -> that H
+# for every member of each orbit read so.  Never written to _CHARTS, which
+# holds only Groebner H, so the Groebner route's cross-checks stay honest.
+_KAPPA_H: dict = {}
+_PAIR_H: dict = {}
+
+
+def _h(v: Permutation, w: Permutation) -> UniPoly:
+    """H_{v,w}: a stored Groebner H if there is one, else for covexillary w
+    G_{w0 kappa}(1-q) / (1-q)^height with kappa the orbit's companion
+    (Li-Yong 2012), else the Groebner H from `_chart`.
+
+    A companion H not yet in its memo first tests the enclosing
+    `time_budget` scope.
+    """
+    if (v, w) in _CHARTS or not is_covexillary(w):
+        return _groebner_h(v, w)
+    H = _PAIR_H.get((v, w))
+    if H is None:
+        key = companion_permutation(*_least(v, w)).perm, chart_shape(v, w)[1]
+        H = _KAPPA_H.get(key)
+        if H is None:
+            check_budget("grothendieck polynomial")
+            spec = groth_spec_1mq(w0_compose(key[0]))
+            H = _KAPPA_H[key] = spec.exact_divide(UniPoly.one_minus_q() ** key[1])
+        for pair in _orbit(v, w):
+            _PAIR_H[pair] = H
+    return H
 
 
 # ----------------------------------------------------------------------
@@ -377,8 +408,10 @@ def ps_series(v: Permutation, w: Permutation, order: int):
     """Hilbert function of the tangent cone, degrees 0..order inclusive.
 
     Returns (coefficients, multiplicity) where multiplicity = H(1) is the
-    Hilbert-Samuel multiplicity of the chart.  H comes from the chart memo,
-    computed under the enclosing `time_budget` scope on a miss.
+    Hilbert-Samuel multiplicity of the chart.  H is read as the checks read
+    it (`_h`): off the companion's Grothendieck polynomial for covexillary w
+    unless a Groebner H is stored, else from the chart memo.  A miss is
+    computed under the enclosing `time_budget` scope.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -392,12 +425,14 @@ def finalps_check(v: Permutation, w: Permutation) -> bool:
 
     The companion's partner polynomial specialized at 1-q must equal
     H_{v,w}(q) * (1-q)^{codim X_w}; the two sides come from independent
-    routes (divided differences vs the Groebner pipeline).  H comes from the
-    chart memo, computed under the enclosing `time_budget` scope on a miss.
+    routes (divided differences vs the Groebner pipeline).  H is the
+    Groebner one from the chart memo, never the one `_h` reads off the
+    companion, and is computed under the enclosing `time_budget` scope on a
+    miss.
     """
     companion = companion_permutation(v, w).perm
     lhs = groth_spec_1mq(w0_compose(companion))
-    H = _h(v, w)
+    H = _groebner_h(v, w)
     rhs = H * UniPoly.one_minus_q() ** chart_shape(v, w)[1]
     return lhs == rhs
 
@@ -475,11 +510,12 @@ def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
     kl-degree         covexillary only: deg P_{v,w} = formula reg
     reg-le-deg-p      informational: reg <= deg P (speculation, never fatal)
 
-    Every check passes on v = w.  The enclosing `time_budget` scope bounds
-    the checks together: it covers every chart and KL polynomial they
-    compute, and is tested again after the KL degree.  Charts come from the
-    per-process chart memo, and a memoised chart or KL polynomial costs no
-    budget.
+    Every check passes on v = w.  H is read by `_h`: off the companion for
+    covexillary w, so dual-path compares the tableau rule with the
+    Grothendieck degree, else from the chart memo.  The enclosing
+    `time_budget` scope bounds the checks together: it covers every chart,
+    companion H and KL polynomial they compute, and is tested again after
+    the KL degree.  A memoised chart, H or KL polynomial costs no budget.
     """
     require_bruhat(v, w)
     selected = select_checks(checks)

@@ -279,6 +279,24 @@ def test_bruhat_interval_matches_the_filter_on_s5():
     assert pairs == 3781
 
 
+def test_an_interval_above_the_identity_compares_nothing_with_it(monkeypatch):
+    perms = list(all_permutations(5))
+    e = Permutation.identity(5)
+    expected = {w: frozenset(u for u in perms if bruhat_leq(u, w)) for w in perms}
+    compare = perm.bruhat_leq
+    calls = []
+
+    def counting_bruhat_leq(v, w):
+        calls.append((v, w))
+        return compare(v, w)
+
+    monkeypatch.setattr(perm, "bruhat_leq", counting_bruhat_leq)
+    for w in perms:
+        calls.clear()
+        assert bruhat_interval(e, w) == expected[w], w
+        assert calls == [(e, w)], w  # require_bruhat's own test
+
+
 def test_pattern_containment_matches_brute_force():
     r = rng(103)
     pats = [(3, 4, 1, 2), (2, 1, 4, 3), (1, 3, 2), (3, 2, 1)]

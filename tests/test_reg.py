@@ -295,6 +295,53 @@ def test_finalps_identity_on_every_covexillary_s5_pair():
         assert finalps_check(v, w), (v, w)
 
 
+def test_finalps_compares_against_the_groebner_h(monkeypatch):
+    import dataclasses
+
+    import schubreg.reg as reg
+
+    compute = reg.hilbert_data
+
+    def wrong_hilbert_data(v, w):
+        data = compute(v, w)
+        *head, last = data.H.coeffs
+        return dataclasses.replace(data, H=UniPoly(head + [last + 1]))
+
+    monkeypatch.setattr(reg, "hilbert_data", wrong_hilbert_data)
+    assert is_covexillary(GOLDEN_W)
+    assert not finalps_check(GOLDEN_V, GOLDEN_W)
+
+
+def _companion_and_groebner_h(pairs):
+    """(the H `_h` reads off the companion, the Groebner H) of each pair,
+    the first all read before any chart is computed."""
+    import schubreg.reg as reg
+
+    companion = [reg._h(v, w) for v, w in pairs]
+    assert not reg._CHARTS  # the companion's H never reaches the chart memo
+    return companion, [reg._groebner_h(v, w) for v, w in pairs]
+
+
+def test_companion_h_is_the_groebner_h_on_every_covexillary_s5_pair():
+    pairs = scan_pairs(5, restrict="covexillary-only")
+    companion, groebner = _companion_and_groebner_h(pairs)
+    assert len(pairs) == 2967 and companion == groebner
+
+
+@pytest.mark.slow
+def test_companion_h_is_the_groebner_h_on_every_covexillary_s6_pair():
+    pairs = scan_pairs(6, restrict="covexillary-only")
+    companion, groebner = _companion_and_groebner_h(pairs)
+    assert len(pairs) == 57847 and companion == groebner
+
+
+def test_h_checks_on_a_cold_companion_memo_test_the_budget():
+    v, w = Permutation.identity(5), Permutation.from_string("52341")
+    assert is_covexillary(w)
+    with pytest.raises(ResourceBudgetExceeded), time_budget(0):
+        check_conjectures(v, w, checks=("h-nonneg",))
+
+
 def test_series_and_finalps_read_the_chart_memo(monkeypatch):
     import schubreg.reg as reg
 
@@ -475,6 +522,30 @@ def test_s4_sweep_computes_each_chart_once(monkeypatch):
     result = max_reg_scan(4, checks="all")
     assert not result.partial and not result.conjecture_failures
     assert calls and set(calls.values()) == {1}
+
+
+def test_an_s4_sweep_computes_no_chart_of_a_covexillary_w(monkeypatch):
+    import schubreg.gb as gb
+    import schubreg.reg as reg
+
+    charted = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(v, w):
+            charted.append(w)
+            return real(v, w)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(reg, "hilbert_data")
+    counting(reg, "chart_basis")
+    counting(gb, "chart_basis")
+    result = max_reg_scan(4, checks="all")
+    assert charted and not any(is_covexillary(w) for w in charted)
+    for name in ("h-nonneg", "deg-bound", "h-semicontinuity"):
+        assert Counter(r.conjectures[name] for r in result.records) == {"pass": 213}, name
 
 
 def test_budget_error_is_not_memoised():
