@@ -304,6 +304,21 @@ def essential_set(w: Permutation) -> frozenset[Box]:
     )
 
 
+@lru_cache(maxsize=None)
+def _essential_fields(w: Permutation) -> int:
+    """The bits of `_packed_ranks(u)[0]` holding R_u(e) for e in Ess(w)."""
+    n = w.n
+    width = n.bit_length() + 1
+    field = (1 << width) - 1
+    return sum(field << ((i - 1) * n + j - 1) * width for i, j in essential_set(w))
+
+
+def essential_ranks(v: Permutation, w: Permutation) -> int:
+    """R_v on Ess(w), as the fields of v's packed rank matrix there: two v
+    of one S_n give equal values exactly when their ranks at Ess(w) agree."""
+    return _packed_ranks(v)[0] & _essential_fields(w)
+
+
 def code_and_shape(w: Permutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Row counts of D(w) printed bottom row first, and their sorted partition.
 

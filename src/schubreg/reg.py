@@ -16,6 +16,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product, zip_longest
+from operator import attrgetter
 from typing import get_args, get_type_hints
 
 from . import kernel
@@ -44,7 +45,7 @@ from .perm import (
     w0_compose,
 )
 from .poly import UniPoly
-from .shapes import NotCovexillaryError, companion_permutation, regularity_formula
+from .shapes import NotCovexillaryError, companion, companion_permutation, regularity_formula
 
 # ----------------------------------------------------------------------
 # Kazhdan-Lusztig polynomials (classical recursion, plumbing)
@@ -183,10 +184,6 @@ def _least(v: Permutation, w: Permutation):
     return min(_orbit(v, w), key=lambda pair: (pair[0].word, pair[1].word))
 
 
-def _formula(v: Permutation, w: Permutation) -> int:
-    return regularity_formula(*_least(v, w))
-
-
 # ----------------------------------------------------------------------
 # The chart memo
 
@@ -251,7 +248,7 @@ _PAIR_H: dict = {}
 
 def _h(v: Permutation, w: Permutation) -> UniPoly:
     """H_{v,w}: a stored Groebner H if there is one, else for covexillary w
-    G_{w0 kappa}(1-q) / (1-q)^height with kappa the orbit's companion
+    G_{w0 kappa}(1-q) / (1-q)^height with kappa the pair's companion
     (Li-Yong 2012), else the Groebner H from `_chart`.
 
     A companion H not yet in its memo first tests the enclosing
@@ -261,7 +258,7 @@ def _h(v: Permutation, w: Permutation) -> UniPoly:
         return _groebner_h(v, w)
     H = _PAIR_H.get((v, w))
     if H is None:
-        key = companion_permutation(*_least(v, w)).perm, chart_shape(v, w)[1]
+        key = companion(v, w), chart_shape(v, w)[1]
         H = _KAPPA_H.get(key)
         if H is None:
             check_budget("grothendieck polynomial")
@@ -370,7 +367,7 @@ def regularity(
 
     formula_reg = None
     if method in ("formula", "both"):
-        formula_reg = _formula(v, w)
+        formula_reg = regularity_formula(v, w)
 
     H = homogeneous = groebner_reg = None
     if method in ("groebner", "both"):
@@ -430,8 +427,7 @@ def finalps_check(v: Permutation, w: Permutation) -> bool:
     companion, and is computed under the enclosing `time_budget` scope on a
     miss.
     """
-    companion = companion_permutation(v, w).perm
-    lhs = groth_spec_1mq(w0_compose(companion))
+    lhs = groth_spec_1mq(w0_compose(companion_permutation(v, w).perm))
     H = _groebner_h(v, w)
     rhs = H * UniPoly.one_minus_q() ** chart_shape(v, w)[1]
     return lhs == rhs
@@ -449,7 +445,7 @@ class _PairFacts:
         self.v, self.w = v, w
 
     H = cached_property(lambda self: _h(self.v, self.w))
-    reg = cached_property(lambda self: _formula(self.v, self.w))
+    reg = cached_property(lambda self: regularity_formula(self.v, self.w))
 
     @cached_property
     def deg_p(self) -> int:
@@ -468,7 +464,9 @@ _CHECKS = {
         for u in covers_below(f.v)
         for a, b in zip_longest(f.H.coeffs, _h(u, f.w).coeffs, fillvalue=0)
     ),
-    "reg-semicontinuity": lambda f: all(f.reg <= _formula(u, f.w) for u in covers_below(f.v)),
+    "reg-semicontinuity": lambda f: all(
+        f.reg <= regularity_formula(u, f.w) for u in covers_below(f.v)
+    ),
     "dual-path": lambda f: f.reg == int(f.H.degree()),
     "kl-degree": lambda f: f.deg_p == f.reg,
     "reg-le-deg-p": lambda f: f.deg_p >= f.reg,
@@ -559,7 +557,7 @@ class ScanRecord:
     elapsed_ms: float
 
     def to_json_line(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
+        return _ENCODER.encode(self.__dict__)
 
     @classmethod
     def from_json_line(cls, line: str) -> "ScanRecord":
@@ -578,32 +576,43 @@ _RECORD_TYPES = frozenset(
     product(*(get_args(hint) or (hint,) for hint in get_type_hints(ScanRecord).values()))
 )
 _VERDICTS = {"pass", "fail", "not-checkable"}
+_ENCODER = json.JSONEncoder(sort_keys=True)
+# The record fields that are report fields of the same name
+_REPORTED = _FIXED + ("reg", "kl_degree", "homogeneous_ideal")
+_reported = attrgetter(*_REPORTED)
+_KERNEL_VERSION = "schubreg-%s-%s" % (__version__, kernel.implementation_name())
 
 
 def kernel_version() -> str:
-    return "schubreg-%s-%s" % (__version__, kernel.implementation_name())
+    return _KERNEL_VERSION
 
 
 def scan_record(v: Permutation, w: Permutation, checks=(), budget_ms=None) -> ScanRecord:
     """Compute one pair for a scan; budget overruns become error records.
 
-    One `time_budget(budget_ms)` scope bounds all of the pair's work.  Both
-    kinds of record carry the fields the pair fixes in advance, so an
-    error record is labelled as the pair's report would be.
+    One `time_budget(budget_ms)` scope bounds all of the pair's work; with
+    no budget the enclosing scope's deadline holds.  Both kinds of record
+    carry the fields the pair fixes in advance, so an error record is
+    labelled as the pair's report would be.
     """
     start = time.monotonic()
-    fields = dict(n=v.n, v=str(v), w=str(w), conjecture_flags={}, error=None)
     try:
-        with time_budget(budget_ms):
-            fields.update(regularity(v, w, checks=checks).to_json())
+        if budget_ms is None:
+            report = regularity(v, w, checks=checks)
+        else:
+            with time_budget(budget_ms):
+                report = regularity(v, w, checks=checks)
     except ResourceBudgetExceeded as exc:
-        fields.update(_fixed_fields(v, w), error="budget: %s" % exc)
-    fields.update(
-        conjectures=fields["conjecture_flags"],
-        kernel=kernel_version(),
-        elapsed_ms=round((time.monotonic() - start) * 1000.0, 3),
+        fields = dict(_fixed_fields(v, w), reg=None, kl_degree=None, homogeneous_ideal=None)
+        fields.update(h_coeffs=None, conjectures={}, error="budget: %s" % exc)
+    else:
+        H = report.H
+        fields = dict(zip(_REPORTED, _reported(report)), conjectures=report.conjecture_flags)
+        fields.update(h_coeffs=list(H.coeffs) if H is not None else None, error=None)
+    elapsed_ms = round((time.monotonic() - start) * 1000.0, 3)
+    return ScanRecord(
+        n=v.n, v=str(v), w=str(w), kernel=_KERNEL_VERSION, elapsed_ms=elapsed_ms, **fields
     )
-    return ScanRecord(**{name: fields.get(name) for name in ScanRecord.__dataclass_fields__})
 
 
 def _scan_worker(payload):
@@ -750,7 +759,9 @@ def max_reg_scan(
     argmax = tuple(
         (r.v, r.w) for r in records if r.reg is not None and r.reg == max_reg
     )
-    failures = tuple((r.v, r.w, name) for r in records for name in falsified(r.conjectures))
+    failures = tuple(
+        (r.v, r.w, name) for r in records if r.conjectures for name in falsified(r.conjectures)
+    )
     partial = any(r.error is not None for r in records)
     return ScanResult(
         n=n,

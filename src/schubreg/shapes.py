@@ -17,6 +17,7 @@ from .perm import (
     Permutation,
     code_and_shape,
     diagram,
+    essential_ranks,
     essential_set,
     is_covexillary,
     length,
@@ -208,7 +209,32 @@ def diag_level_sum(filling: Filling) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+# The tableau route's memos.  The companion of (v, w) reads v only through
+# R_v on Ess(w), so (w, those ranks) fixes it, and the regularity reads the
+# pair only through kappa.  Both memos are exact.
+_COMPANIONS: dict = {}  # (w, essential_ranks(v, w)) -> kappa
+_KAPPA_REG: dict = {}  # kappa -> diag_level_sum of its rank filling
+
+
+def companion(v: Permutation, w: Permutation) -> Permutation:
+    """The companion kappa of (v, w), computed once per (w, R_v on Ess(w)).
+
+    A hit needs no Bruhat test: in one S_n, R_v <= R_w on Ess(w) already
+    gives v <= w (Fulton 1992).  A miss runs every check of
+    `companion_permutation`.
+    """
+    key = w, essential_ranks(v, w)
+    kappa = _COMPANIONS.get(key)
+    if kappa is None or v.n != w.n:
+        kappa = _COMPANIONS[key] = companion_permutation(v, w).perm
+    return kappa
+
+
 def regularity_formula(v: Permutation, w: Permutation) -> int:
-    """Tangent-cone regularity of the (v, w) chart by the tableau rule."""
-    return diag_level_sum(rank_filling(v, w))
+    """Tangent-cone regularity of the (v, w) chart by the tableau rule,
+    computed once per companion."""
+    kappa = companion(v, w)
+    found = _KAPPA_REG.get(kappa)
+    if found is None:
+        found = _KAPPA_REG[kappa] = diag_level_sum(covexillary_rank_filling(kappa))
+    return found

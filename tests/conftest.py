@@ -24,7 +24,8 @@ def cold_memos():
     gb.chart_basis.cache_clear()
     reg._KL.clear()
     reg._r_coeffs.cache_clear()
-    shapes.regularity_formula.cache_clear()
+    shapes._COMPANIONS.clear()
+    shapes._KAPPA_REG.clear()
     shapes.companion_permutation.cache_clear()
     groth.groth_terms.cache_clear()
 

@@ -417,9 +417,8 @@ def test_check_conjectures_reads_each_fact_of_the_pair_once(monkeypatch):
     assert is_covexillary(w)
     flags = check_conjectures(v, w, checks="all")
     assert flags == {name: "pass" for name in ALL_CHECKS}
-    least = reg._least(v, w)
-    assert calls["kl_polynomial", least] == 1
-    assert calls["regularity_formula", least] == 1
+    assert calls["kl_polynomial", reg._least(v, w)] == 1
+    assert calls["regularity_formula", (v, w)] == 1
 
 
 def test_staircase_permutations():
@@ -468,6 +467,40 @@ def test_budget_error_records_keep_the_pair_labels():
     assert done.error is None
     for name in ("method", "cm_status", "covexillary", "dim", "height", "n_vars"):
         assert getattr(over, name) == getattr(done, name), name
+
+
+def test_an_enclosing_budget_scope_bounds_a_scan_record():
+    import schubreg.reg as reg
+
+    v, w = Permutation.identity(4), Permutation((3, 4, 1, 2))
+    assert not is_covexillary(w)
+    with time_budget(0):
+        enclosed = scan_record(v, w)
+    own = scan_record(v, w, budget_ms=0)
+    done = scan_record(v, w)
+    assert done.error is None and done.reg == 1
+    for rec in (enclosed, own):
+        assert rec.error.startswith("budget:")
+        assert (rec.reg, rec.h_coeffs, rec.kl_degree, rec.conjectures) == (None, None, None, {})
+        for name in ("n", "v", "w", "kernel") + reg._FIXED:
+            assert getattr(rec, name) == getattr(done, name), name
+
+
+def test_a_covexillary_s5_scan_builds_each_companion_and_filling_once(monkeypatch):
+    import schubreg.shapes as shapes
+
+    fillings = Counter()
+    real = shapes.covexillary_rank_filling
+
+    def counting(kappa):
+        fillings[kappa] += 1
+        return real(kappa)
+
+    monkeypatch.setattr(shapes, "covexillary_rank_filling", counting)
+    max_reg_scan(5, "covexillary-only")
+    info = shapes.companion_permutation.cache_info()
+    assert (info.misses, info.hits) == (120, 0)
+    assert len(fillings) == 52 and set(fillings.values()) == {1}
 
 
 def test_budget_covers_the_charts_of_the_checks(monkeypatch):

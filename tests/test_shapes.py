@@ -4,9 +4,11 @@ import pytest
 
 from conftest import rng, random_permutation_word
 
+from schubreg import shapes
 from schubreg.perm import (
     Permutation,
     all_permutations,
+    bruhat_interval,
     bruhat_leq,
     essential_set,
     is_covexillary,
@@ -18,6 +20,7 @@ from schubreg.shapes import (
     CompanionData,
     Filling,
     NotCovexillaryError,
+    companion,
     companion_permutation,
     covexillary_rank_filling,
     diag_level_sum,
@@ -219,3 +222,45 @@ def test_filling_is_weakly_increasing_down_diagonals():
             boxes.sort()
             vals = [val for _, val in boxes]
             assert vals == sorted(vals)
+
+
+@pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.slow)])
+def test_the_companion_memo_matches_a_fresh_companion(n):
+    # pairs of one w share the memo, so a key missing an essential box
+    # hands some pair another pair's companion
+    for v, w in covexillary_pairs(n):
+        assert companion(v, w) is companion_permutation.__wrapped__(v, w).perm, (v, w)
+        assert regularity_formula(v, w) == diag_level_sum(rank_filling(v, w)), (v, w)
+
+
+def test_a_companion_memo_hit_still_rejects_pairs_out_of_bruhat_order():
+    # R_v <= R_w on Ess(w) already gives v <= w (Fulton 1992); a v of
+    # another size is rejected whatever its packed ranks
+    s4, s5 = list(all_permutations(4)), list(all_permutations(5))
+    for w in s5:
+        if not is_covexillary(w):
+            continue
+        for v in s5:
+            if bruhat_leq(v, w):
+                companion(v, w)
+        for v in s4 + [v for v in s5 if not bruhat_leq(v, w)]:
+            with pytest.raises(ValueError):
+                companion(v, w)
+
+
+@pytest.mark.slow
+def test_the_tableau_rule_reaches_4_on_covexillary_s7():
+    # every covexillary pair of S7, streamed: about 4 s
+    e = Permutation.identity(7)
+    best, argmax = 0, []
+    for w in all_permutations(7):
+        if is_covexillary(w):
+            for v in bruhat_interval(e, w):
+                r = regularity_formula(v, w)
+                if r > best:
+                    best, argmax = r, []
+                if r == best:
+                    argmax.append((v, w))
+    assert best == 4
+    assert (e, Permutation((7, 2, 3, 4, 5, 6, 1))) in argmax
+    assert (len(shapes._COMPANIONS), len(shapes._KAPPA_REG)) == (4849, 859)
