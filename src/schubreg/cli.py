@@ -306,9 +306,7 @@ def _cmd_verify(args, out) -> int:
     w = _parse_perm(args.w, "--w")
     cov = is_covexillary(w)
     with time_budget(_budget(args)):
-        report = regularity(
-            v, w, method="both" if cov else "groebner", with_kl=cov, checks="all"
-        )
+        report = regularity(v, w, verify=True, with_kl=cov, checks="all")
         finalps = finalps_check(v, w) if cov else None
         _check_inverse_chart(v, w, report.H)
     failures = falsified(report.conjecture_flags)

@@ -16,7 +16,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product, zip_longest
-from operator import attrgetter
+from math import comb
 from typing import get_args, get_type_hints
 
 from . import kernel
@@ -239,11 +239,10 @@ def _groebner_h(v: Permutation, w: Permutation) -> UniPoly:
     return found[0] if found is not None else _chart(v, w)[0]
 
 
-# (kappa, height) -> H_{v,w} read off the companion kappa, and pair -> that H
-# for every member of each orbit read so.  Never written to _CHARTS, which
-# holds only Groebner H, so the Groebner route's cross-checks stay honest.
+# kappa -> H_{v,w} read off the companion kappa, shared by every pair whose
+# companion it is.  Never written to _CHARTS, which holds only Groebner H,
+# so the Groebner route's cross-checks stay honest.
 _KAPPA_H: dict = {}
-_PAIR_H: dict = {}
 
 
 def _h(v: Permutation, w: Permutation) -> UniPoly:
@@ -251,21 +250,19 @@ def _h(v: Permutation, w: Permutation) -> UniPoly:
     G_{w0 kappa}(1-q) / (1-q)^height with kappa the pair's companion
     (Li-Yong 2012), else the Groebner H from `_chart`.
 
-    A companion H not yet in its memo first tests the enclosing
-    `time_budget` scope.
+    The height C(n,2) - l(w) is C(n,2) - l(kappa), since l(kappa) = l(w), so
+    H is memoised once per companion.  A companion H not yet in its memo
+    first tests the enclosing `time_budget` scope.
     """
     if (v, w) in _CHARTS or not is_covexillary(w):
         return _groebner_h(v, w)
-    H = _PAIR_H.get((v, w))
+    kappa = companion(v, w)
+    H = _KAPPA_H.get(kappa)
     if H is None:
-        key = companion(v, w), chart_shape(v, w)[1]
-        H = _KAPPA_H.get(key)
-        if H is None:
-            check_budget("grothendieck polynomial")
-            spec = groth_spec_1mq(w0_compose(key[0]))
-            H = _KAPPA_H[key] = spec.exact_divide(UniPoly.one_minus_q() ** key[1])
-        for pair in _orbit(v, w):
-            _PAIR_H[pair] = H
+        check_budget("grothendieck polynomial")
+        spec = groth_spec_1mq(w0_compose(kappa))
+        height = comb(kappa.n, 2) - length(kappa)
+        H = _KAPPA_H[kappa] = spec.exact_divide(UniPoly.one_minus_q() ** height)
     return H
 
 
@@ -318,12 +315,10 @@ class RegularityReport:
         }
 
 
-# The report fields that the pair and the requested method fix in advance
-_FIXED = ("method", "covexillary", "cm_status", "dim", "height", "n_vars")
-
-
-def _fixed_fields(v: Permutation, w: Permutation, method="auto", verify=False) -> dict:
-    """The `_FIXED` fields of the pair's report.
+def _blank_report(v: Permutation, w: Permutation, method="auto", verify=False) -> RegularityReport:
+    """The pair's report with only the fields that the pair and the requested
+    method fix in advance set: method, covexillary, cm_status, dim, height
+    and n_vars.
 
     "auto" picks the formula for covexillary w (upgraded to "both" under
     verify) and the Groebner route otherwise.
@@ -331,8 +326,13 @@ def _fixed_fields(v: Permutation, w: Permutation, method="auto", verify=False) -
     cov = is_covexillary(w)
     if method == "auto":
         method = ("both" if verify else "formula") if cov else "groebner"
-    status = "proven" if cov else "conjectural"
-    return dict(zip(_FIXED, (method, cov, status, *chart_shape(v, w))))
+    dim, height, n_vars = chart_shape(v, w)
+    return RegularityReport(
+        v=v, w=w, method=method, reg=None, formula_reg=None, groebner_reg=None,
+        discrepant=False, H=None, dim=dim, height=height, n_vars=n_vars,
+        covexillary=cov, cm_status="proven" if cov else "conjectural",
+        homogeneous_ideal=None, kl_degree=None, conjecture_flags={}, elapsed_ms=0.0,
+    )
 
 
 def regularity(
@@ -356,41 +356,24 @@ def regularity(
     """
     start = time.monotonic()
     require_bruhat(v, w)
-    fixed = _fixed_fields(v, w, method, verify)
-    method = fixed["method"]
+    report = _blank_report(v, w, method, verify)
+    method = report.method
     if method not in ("formula", "groebner", "both"):
         raise ValueError("unknown method %r" % method)
-    if method in ("formula", "both") and not fixed["covexillary"]:
+    if method in ("formula", "both") and not report.covexillary:
         raise NotCovexillaryError(
             "method %s needs a 3412-avoiding w; %s is not" % (method, w)
         )
-
-    formula_reg = None
     if method in ("formula", "both"):
-        formula_reg = regularity_formula(v, w)
-
-    H = homogeneous = groebner_reg = None
+        report.formula_reg = regularity_formula(v, w)
     if method in ("groebner", "both"):
-        H, homogeneous = _chart(v, w)
-        groebner_reg = int(H.degree())
-
-    discrepant = method == "both" and formula_reg != groebner_reg
-    reg = None if discrepant else formula_reg if formula_reg is not None else groebner_reg
-
-    report = RegularityReport(
-        v=v,
-        w=w,
-        **fixed,
-        reg=reg,
-        formula_reg=formula_reg,
-        groebner_reg=groebner_reg,
-        discrepant=discrepant,
-        H=H,
-        homogeneous_ideal=homogeneous,
-        kl_degree=kl_degree(v, w) if with_kl else None,
-        conjecture_flags={},
-        elapsed_ms=0.0,
-    )
+        report.H, report.homogeneous_ideal = _chart(v, w)
+        report.groebner_reg = int(report.H.degree())
+    report.discrepant = method == "both" and report.formula_reg != report.groebner_reg
+    if not report.discrepant:
+        report.reg = report.groebner_reg if report.formula_reg is None else report.formula_reg
+    if with_kl:
+        report.kl_degree = kl_degree(v, w)
     if checks:
         report.conjecture_flags = check_conjectures(v, w, checks=checks)
     report.elapsed_ms = (time.monotonic() - start) * 1000.0
@@ -577,9 +560,6 @@ _RECORD_TYPES = frozenset(
 )
 _VERDICTS = {"pass", "fail", "not-checkable"}
 _ENCODER = json.JSONEncoder(sort_keys=True)
-# The record fields that are report fields of the same name
-_REPORTED = _FIXED + ("reg", "kl_degree", "homogeneous_ideal")
-_reported = attrgetter(*_REPORTED)
 _KERNEL_VERSION = "schubreg-%s-%s" % (__version__, kernel.implementation_name())
 
 
@@ -596,6 +576,7 @@ def scan_record(v: Permutation, w: Permutation, checks=(), budget_ms=None) -> Sc
     labelled as the pair's report would be.
     """
     start = time.monotonic()
+    error = None
     try:
         if budget_ms is None:
             report = regularity(v, w, checks=checks)
@@ -603,15 +584,16 @@ def scan_record(v: Permutation, w: Permutation, checks=(), budget_ms=None) -> Sc
             with time_budget(budget_ms):
                 report = regularity(v, w, checks=checks)
     except ResourceBudgetExceeded as exc:
-        fields = dict(_fixed_fields(v, w), reg=None, kl_degree=None, homogeneous_ideal=None)
-        fields.update(h_coeffs=None, conjectures={}, error="budget: %s" % exc)
-    else:
-        H = report.H
-        fields = dict(zip(_REPORTED, _reported(report)), conjectures=report.conjecture_flags)
-        fields.update(h_coeffs=list(H.coeffs) if H is not None else None, error=None)
-    elapsed_ms = round((time.monotonic() - start) * 1000.0, 3)
+        report, error = _blank_report(v, w), "budget: %s" % exc
+    H = report.H
     return ScanRecord(
-        n=v.n, v=str(v), w=str(w), kernel=_KERNEL_VERSION, elapsed_ms=elapsed_ms, **fields
+        n=v.n, v=str(v), w=str(w), reg=report.reg, method=report.method,
+        covexillary=report.covexillary, cm_status=report.cm_status, dim=report.dim,
+        height=report.height, n_vars=report.n_vars,
+        h_coeffs=list(H.coeffs) if H is not None else None,
+        kl_degree=report.kl_degree, homogeneous_ideal=report.homogeneous_ideal,
+        conjectures=report.conjecture_flags, error=error, kernel=_KERNEL_VERSION,
+        elapsed_ms=round((time.monotonic() - start) * 1000.0, 3),
     )
 
 
@@ -721,14 +703,17 @@ def max_reg_scan(
             stale = stale or record is None or pair in latest
             if record is not None:
                 latest[pair] = record
-    payloads = []
+    # records in scan order; `todo` holds the slots of the pairs to recompute
+    records, todo, payloads = [], [], []
     for v, w in pairs:
         record = latest.get((str(v), str(w)))
         if record is None or record.error is not None or not all(
             name in record.conjectures for name in wanted
         ):
             stale = stale or record is not None
+            todo.append(len(records))
             payloads.append((v, w, wanted, budget_ms))
+        records.append(record)
 
     with ExitStack() as stack:
         handle = (
@@ -743,9 +728,10 @@ def max_reg_scan(
             results = pool.imap(_scan_worker, payloads, chunksize=4)
         else:
             results = map(_scan_worker, payloads)
-        for record in results:
-            latest[(record.v, record.w)] = record
+        for k, record in zip(todo, results):
+            records[k] = record
             if handle is not None:
+                latest[(record.v, record.w)] = record
                 handle.write(record.to_json_line() + "\n")
                 handle.flush()
             if record_sink is not None:
@@ -753,7 +739,6 @@ def max_reg_scan(
     if stale:
         _compact_cache(cache_path, latest.values())
 
-    records = [latest[(str(v), str(w))] for v, w in pairs]
     regs = [r.reg for r in records if r.reg is not None]
     max_reg = max(regs) if regs else None
     argmax = tuple(

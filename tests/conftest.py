@@ -20,7 +20,6 @@ def cold_memos():
     """
     reg._CHARTS.clear()
     reg._KAPPA_H.clear()
-    reg._PAIR_H.clear()
     gb.chart_basis.cache_clear()
     reg._KL.clear()
     reg._r_coeffs.cache_clear()

@@ -470,8 +470,6 @@ def test_budget_error_records_keep_the_pair_labels():
 
 
 def test_an_enclosing_budget_scope_bounds_a_scan_record():
-    import schubreg.reg as reg
-
     v, w = Permutation.identity(4), Permutation((3, 4, 1, 2))
     assert not is_covexillary(w)
     with time_budget(0):
@@ -482,8 +480,38 @@ def test_an_enclosing_budget_scope_bounds_a_scan_record():
     for rec in (enclosed, own):
         assert rec.error.startswith("budget:")
         assert (rec.reg, rec.h_coeffs, rec.kl_degree, rec.conjectures) == (None, None, None, {})
-        for name in ("n", "v", "w", "kernel") + reg._FIXED:
+        fixed = ("method", "covexillary", "cm_status", "dim", "height", "n_vars")
+        for name in ("n", "v", "w", "kernel") + fixed:
             assert getattr(rec, name) == getattr(done, name), name
+
+
+def test_scan_records_carry_the_report_of_every_s4_pair():
+    for v, w in scan_pairs(4):
+        record = scan_record(v, w, checks="all")
+        report = regularity(v, w, checks="all")
+        expected = report.to_json()
+        assert record.error is None
+        assert record.conjectures == expected.pop("conjecture_flags")
+        shared = (set(expected) & set(ScanRecord.__dataclass_fields__)) - {"elapsed_ms"}
+        assert {name: getattr(record, name) for name in shared} == {
+            name: expected[name] for name in shared
+        }, (v, w)
+
+
+def test_the_companion_h_memo_grows_with_companions_not_pairs(monkeypatch):
+    import schubreg.reg as reg
+
+    specialized = Counter()
+    real = reg.groth_spec_1mq
+
+    def counting(u):
+        specialized[u] += 1
+        return real(u)
+
+    monkeypatch.setattr(reg, "groth_spec_1mq", counting)
+    max_reg_scan(5, "covexillary-only", checks=("h-nonneg", "h-semicontinuity"))
+    assert sum(specialized.values()) == 51 and set(specialized.values()) == {1}
+    assert len(reg._KAPPA_H) == 51
 
 
 def test_a_covexillary_s5_scan_builds_each_companion_and_filling_once(monkeypatch):

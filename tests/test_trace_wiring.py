@@ -79,6 +79,23 @@ CHECK_LAYERS = (
     "shapes.companion_permutation",
 )
 
+# a scan that writes its cache, then resumes from it: the record path
+SCAN_PATH = """
+cache = %r
+first = reg.max_reg_scan(4, cache_path=cache)
+again = reg.max_reg_scan(4, cache_path=cache)
+assert len(first.records) == 213 and again.records == first.records
+"""
+
+SCAN_LAYERS = (
+    "reg.max_reg_scan",
+    "reg.scan_pairs",
+    "reg.scan_record",
+    "reg.regularity",
+    "reg.ScanRecord.to_json_line",
+    "reg.ScanRecord.from_json_line",
+)
+
 
 def run_child(task, layers):
     """The layer calls and work counts of `task`, run in a traced child."""
@@ -105,3 +122,7 @@ def test_tracer_records_every_pipeline_layer_on_the_golden_chart():
 
 def test_tracer_records_the_layers_of_the_conjecture_checks():
     run_child(CHECK_PATH, CHECK_LAYERS)
+
+
+def test_tracer_records_the_layers_of_a_scan_and_its_resume(tmp_path):
+    run_child(SCAN_PATH % str(tmp_path / "scan4.jsonl"), SCAN_LAYERS)
