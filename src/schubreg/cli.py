@@ -287,7 +287,7 @@ def _cmd_groth(args, out) -> int:
 
 def _check_inverse_chart(v: Permutation, w: Permutation, H):
     """Compute the charts of (v, w) and (v^-1, w^-1) afresh, outside the
-    chart memo, and compare both H with the report's.
+    H memo, and compare both H with the report's.
 
     The report may have read H off either chart, and the two chart ideals
     differ, so this checks the Groebner pipeline against the symmetry.  A

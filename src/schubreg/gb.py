@@ -143,7 +143,7 @@ def _buchberger_terms(kgens, pack: OrderPack):
 
     for gen in sorted(kgens):
         check_budget("generator interreduction")
-        reduced = kernel.normal_form(gen, reducers, corr, hmask)
+        reduced = kernel.normal_form(gen, reducers, corr)
         if reduced:
             update(reduced, _sugar(reduced, pack))
 
@@ -158,7 +158,7 @@ def _buchberger_terms(kgens, pack: OrderPack):
         if not spoly:
             stats["zero_reductions"] += 1
             continue
-        reduced = kernel.normal_form(spoly, reducers, corr, hmask)
+        reduced = kernel.normal_form(spoly, reducers, corr)
         if reduced:
             update(reduced, max(pair_sugar, _sugar(reduced, pack)))
         else:
@@ -182,7 +182,7 @@ def _reduce_basis(term_lists, pack: OrderPack):
     for terms in sorted((t for t in term_lists if t), key=lambda ts: ts[0][0]):
         if reducers.find(terms[0][1]) is not None:
             continue  # a kept leading monomial divides this one
-        reduced = kernel.normal_form(terms, reducers, corr, hmask)
+        reduced = kernel.normal_form(terms, reducers, corr)
         reducers.insert(reduced)
         out.append(reduced)
     return out
@@ -213,7 +213,7 @@ class GroebnerBasis:
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
         terms = _keyed(pack_poly(f), self.order)
-        reduced = kernel.normal_form(terms, self._reducers, self.order.corr, self.order.hmask)
+        reduced = kernel.normal_form(terms, self._reducers, self.order.corr)
         return unpack_poly(self.ring, [(r, c) for _, r, c in reduced])
 
     def contains(self, f: MultiPoly) -> bool:
@@ -234,9 +234,7 @@ class GroebnerBasis:
             for j in range(i + 1, n):
                 check_budget("certificate check")
                 spoly = kernel.s_polynomial(self._terms[i], self._terms[j], self.order)
-                if spoly and kernel.normal_form(
-                    spoly, self._reducers, self.order.corr, self.order.hmask
-                ):
+                if spoly and kernel.normal_form(spoly, self._reducers, self.order.corr):
                     return False
         return True
 

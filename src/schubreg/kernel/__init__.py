@@ -6,9 +6,8 @@ Terms travel as (key, raw, coeff) triples sorted by descending key.  A
 index on the variables its leading monomial uses (a support filter, after the
 short exponent vectors of Bachmann-Schoenemann 1998) rather than by a scan.
 Coefficients are integers; reduction is fraction-free, scaling the work
-polynomial by the smallest integer that cancels each leading term, with
-periodic content stripping to keep growth in check.  Results are defined up
-to a positive integer scalar; callers normalize content and sign.
+polynomial by the smallest integer that cancels each leading term.  A
+normal form strips the content of its remainder once, at the end.
 
 Callers look these functions up on this module at call time
 (kernel.normal_form, not a from-import), so that a tracer installed from
@@ -22,9 +21,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .orders import SHIFT, raw_lcm
-
-_STRIP_EVERY = 64
-_STRIP_BITS = 4096
 
 # the index splits the variables into blocks of this many fields
 _BLOCK_FIELDS = 4
@@ -149,7 +145,7 @@ class Reducers:
                 yield pos
 
 
-def normal_form(fterms, reducers, corr, hmask):
+def normal_form(fterms, reducers, corr):
     """Remainder of fterms under a `Reducers` table.
 
     Each term is reduced by the divisor of smallest leading key.  Returns a
@@ -163,7 +159,6 @@ def normal_form(fterms, reducers, corr, hmask):
         heap.append((-k, r))
     heapify(heap)
     out = []
-    steps = 0
     while heap:
         nk, r = heappop(heap)
         c = acc.pop(r, 0)
@@ -200,22 +195,6 @@ def normal_form(fterms, reducers, corr, hmask):
                     acc[nr] = nv
                 else:
                     del acc[nr]
-        steps += 1
-        if steps % _STRIP_EVERY == 0 and acc:
-            big = max(abs(v).bit_length() for v in acc.values())
-            if big > _STRIP_BITS:
-                g = 0
-                for v in acc.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                for _, _, cc in out:
-                    g = gcd(g, cc)
-                    if g == 1:
-                        break
-                if g > 1:
-                    acc = {key: v // g for key, v in acc.items()}
-                    out = [(a, b, cc // g) for (a, b, cc) in out]
     return content_normalize(out)
 
 

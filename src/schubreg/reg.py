@@ -185,62 +185,57 @@ def _least(v: Permutation, w: Permutation):
 
 
 # ----------------------------------------------------------------------
-# The chart memo
-
-# pair -> (H, homogeneous flag or None).  H is stored for every member of
-# each orbit computed, the flag for both members of each transpose class
-# whose grevlex basis was computed.  Only these two are kept: a HilbertData
+# The chart memos
+#
+# Only two facts of a chart are kept, each in its own memo: a HilbertData
 # also holds the chart ideal and the cone basis, too much to keep for every
 # pair of a scan.
-_CHARTS: dict = {}
+
+# pair -> the Groebner H, stored for every member of each orbit computed
+_H: dict = {}
+# pair -> whether its chart ideal is homogeneous, stored for both members of
+# each transpose class whose grevlex basis was computed.  Inversion can
+# change the flag, so it is not an orbit invariant.
+_HOMOGENEOUS: dict = {}
 
 
-def _chart(v: Permutation, w: Permutation):
-    """(H_{v,w}, whether the chart ideal is homogeneous), computed once per
-    orbit and transpose class.
-
-    A pair with no stored flag has its own chart ideal and grevlex basis
-    computed (`chart_basis`); the flag is not an orbit invariant, since
-    inversion can change it.  If H is not stored either, one tangent cone is
-    computed for the orbit: on the pair when its basis is homogeneous, else
-    on its inverse when that basis is homogeneous or has fewer chart
-    generators, else on the pair.  H is stored for the whole orbit and each
-    computed flag for its transpose class.  All of it runs under the enclosing
-    `time_budget` scope; an overrun propagates and stores nothing.  A stored
-    chart is returned without consulting the budget.
-    """
-    found = _CHARTS.get((v, w))
-    if found is not None and found[1] is not None:
-        return found
-    ideal, basis = chart_basis(v, w)
-    flags = {(v, w): basis.is_homogeneous()}
-    if found is not None:
-        H = found[0]
-    else:
-        source = (v, w)
-        if not flags[source]:
-            inverse = (v.inverse(), w.inverse())
-            inverse_ideal, inverse_basis = chart_basis(*inverse)
-            flags[inverse] = inverse_basis.is_homogeneous()
-            if flags[inverse] or len(inverse_ideal) < len(ideal):
-                source = inverse
-        H = hilbert_data(*source).H
-        for pair in _orbit(v, w):
-            _CHARTS[pair] = (H, None)
-    for pair, flag in flags.items():
-        _CHARTS[pair] = _CHARTS[_orbit(*pair)[1]] = (H, flag)
-    return H, flags[(v, w)]
+def _homogeneous(v: Permutation, w: Permutation) -> bool:
+    """Whether the chart ideal of (v, w) is homogeneous, read off the pair's
+    own grevlex basis (`chart_basis`) on a miss."""
+    flag = _HOMOGENEOUS.get((v, w))
+    if flag is None:
+        flag = chart_basis(v, w)[1].is_homogeneous()
+        _HOMOGENEOUS[(v, w)] = _HOMOGENEOUS[_orbit(v, w)[1]] = flag
+    return flag
 
 
 def _groebner_h(v: Permutation, w: Permutation) -> UniPoly:
-    """The Groebner H_{v,w} from the chart memo, with no flag computed for a
-    stored H."""
-    found = _CHARTS.get((v, w))
-    return found[0] if found is not None else _chart(v, w)[0]
+    """The Groebner H_{v,w}, with one tangent cone computed per orbit.
+
+    On a miss the cone is computed on the pair when its chart ideal is
+    homogeneous, else on its inverse when that ideal is homogeneous or has
+    fewer generators, else on the pair, and H is stored for the whole orbit.
+    The work runs under the enclosing `time_budget` scope; an overrun stores
+    no H, though a flag whose basis finished is kept.  A stored H is
+    returned without consulting the budget.
+    """
+    H = _H.get((v, w))
+    if H is None:
+        source = (v, w)
+        if not _homogeneous(v, w):
+            inverse = (v.inverse(), w.inverse())
+            if _homogeneous(*inverse) or (
+                len(chart_basis(*inverse)[0]) < len(chart_basis(v, w)[0])
+            ):
+                source = inverse
+        H = hilbert_data(*source).H
+        for pair in _orbit(v, w):
+            _H[pair] = H
+    return H
 
 
 # kappa -> H_{v,w} read off the companion kappa, shared by every pair whose
-# companion it is.  Never written to _CHARTS, which holds only Groebner H,
+# companion it is.  Never written to _H, which holds only Groebner H,
 # so the Groebner route's cross-checks stay honest.
 _KAPPA_H: dict = {}
 
@@ -248,13 +243,13 @@ _KAPPA_H: dict = {}
 def _h(v: Permutation, w: Permutation) -> UniPoly:
     """H_{v,w}: a stored Groebner H if there is one, else for covexillary w
     G_{w0 kappa}(1-q) / (1-q)^height with kappa the pair's companion
-    (Li-Yong 2012), else the Groebner H from `_chart`.
+    (Li-Yong 2012), else the Groebner H from `_groebner_h`.
 
     The height C(n,2) - l(w) is C(n,2) - l(kappa), since l(kappa) = l(w), so
     H is memoised once per companion.  A companion H not yet in its memo
     first tests the enclosing `time_budget` scope.
     """
-    if (v, w) in _CHARTS or not is_covexillary(w):
+    if (v, w) in _H or not is_covexillary(w):
         return _groebner_h(v, w)
     kappa = companion(v, w)
     H = _KAPPA_H.get(kappa)
@@ -351,8 +346,8 @@ def regularity(
     Groebner route otherwise.  Outside the covexillary theorem the reported
     value is deg H with cm_status "conjectural".  The enclosing
     `time_budget` scope bounds the Groebner and KL work of the pair,
-    conjecture checks included; a chart already in the per-process chart
-    memo costs no budget.
+    conjecture checks included; a chart whose H and flag are memoised costs
+    no budget.
     """
     start = time.monotonic()
     require_bruhat(v, w)
@@ -367,7 +362,8 @@ def regularity(
     if method in ("formula", "both"):
         report.formula_reg = regularity_formula(v, w)
     if method in ("groebner", "both"):
-        report.H, report.homogeneous_ideal = _chart(v, w)
+        report.H = _groebner_h(v, w)
+        report.homogeneous_ideal = _homogeneous(v, w)
         report.groebner_reg = int(report.H.degree())
     report.discrepant = method == "both" and report.formula_reg != report.groebner_reg
     if not report.discrepant:
@@ -390,7 +386,7 @@ def ps_series(v: Permutation, w: Permutation, order: int):
     Returns (coefficients, multiplicity) where multiplicity = H(1) is the
     Hilbert-Samuel multiplicity of the chart.  H is read as the checks read
     it (`_h`): off the companion's Grothendieck polynomial for covexillary w
-    unless a Groebner H is stored, else from the chart memo.  A miss is
+    unless a Groebner H is stored, else the Groebner H.  A miss is
     computed under the enclosing `time_budget` scope.
     """
     if order < 0:
@@ -406,7 +402,7 @@ def finalps_check(v: Permutation, w: Permutation) -> bool:
     The companion's partner polynomial specialized at 1-q must equal
     H_{v,w}(q) * (1-q)^{codim X_w}; the two sides come from independent
     routes (divided differences vs the Groebner pipeline).  H is the
-    Groebner one from the chart memo, never the one `_h` reads off the
+    Groebner one from the H memo, never the one `_h` reads off the
     companion, and is computed under the enclosing `time_budget` scope on a
     miss.
     """
@@ -493,7 +489,7 @@ def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
 
     Every check passes on v = w.  H is read by `_h`: off the companion for
     covexillary w, so dual-path compares the tableau rule with the
-    Grothendieck degree, else from the chart memo.  The enclosing
+    Grothendieck degree, else the Groebner H.  The enclosing
     `time_budget` scope bounds the checks together: it covers every chart,
     companion H and KL polynomial they compute, and is tested again after
     the KL degree.  A memoised chart, H or KL polynomial costs no budget.

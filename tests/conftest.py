@@ -11,14 +11,15 @@ from schubreg.poly import MultiPoly, PolyRing
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Start each test with empty chart and companion-H memos and cold
+    """Start each test with empty H, flag and companion-H memos and cold
     tableau-route, KL and Grothendieck caches.
 
     Tests assume a cold process, as the CLI has: a budget of 0 or a patched
     hilbert_data must reach the computation, not a chart, H or KL
     polynomial an earlier test stored.
     """
-    reg._CHARTS.clear()
+    reg._H.clear()
+    reg._HOMOGENEOUS.clear()
     reg._KAPPA_H.clear()
     gb.chart_basis.cache_clear()
     reg._KL.clear()

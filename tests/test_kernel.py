@@ -234,7 +234,7 @@ def test_normal_form_by_monomial_reducers_drops_divisible_terms():
         ]
         reducers.sort(key=lambda t: t[0][0])
         prepared = kernel.Reducers(pack.hmask, reducers)
-        got = kernel.normal_form(list(f), prepared, pack.corr, pack.hmask)
+        got = kernel.normal_form(list(f), prepared, pack.corr)
         kept = [
             (k, m, c)
             for (k, m, c) in f
@@ -265,7 +265,7 @@ def test_normal_form_certifies_membership_of_multiples():
         prod = [(k + mk - pack.corr, raw + mr, c) for (k, raw, c) in g]
         prepared = kernel.Reducers(pack.hmask, [g])
         assert (
-            kernel.normal_form(prod, prepared, pack.corr, pack.hmask) == []
+            kernel.normal_form(prod, prepared, pack.corr) == []
         )
 
 

@@ -318,7 +318,7 @@ def _companion_and_groebner_h(pairs):
     import schubreg.reg as reg
 
     companion = [reg._h(v, w) for v, w in pairs]
-    assert not reg._CHARTS  # the companion's H never reaches the chart memo
+    assert not reg._H  # the companion's H never reaches the Groebner H memo
     return companion, [reg._groebner_h(v, w) for v, w in pairs]
 
 
@@ -630,6 +630,45 @@ def test_the_slowest_known_chart_takes_its_cone_from_the_inverse():
     assert report.homogeneous_ideal is False
 
 
+def test_a_cone_stage_overrun_stores_no_h_but_keeps_the_flag(monkeypatch):
+    import schubreg.gb as gb
+    import schubreg.reg as reg
+
+    # (1234, 1423) is not homogeneous; its cone comes from the inverse
+    v, w = Permutation.identity(4), Permutation.from_string("1423")
+    compute = reg.hilbert_data
+    calls = []
+
+    def overrun_once(v, w):
+        calls.append((v, w))
+        if len(calls) == 1:
+            raise ResourceBudgetExceeded("tangent cone ran past the time budget")
+        return compute(v, w)
+
+    monkeypatch.setattr(reg, "hilbert_data", overrun_once)
+    with pytest.raises(ResourceBudgetExceeded):
+        regularity(v, w, method="groebner")
+    assert not reg._H and reg._HOMOGENEOUS[(v, w)] is False
+    report = regularity(v, w, method="groebner")
+    assert len(calls) == 2
+    gb.chart_basis.cache_clear()
+    cold_flag = gb.chart_basis(v, w)[1].is_homogeneous()
+    assert (report.H, report.homogeneous_ideal) == (compute(v, w).H, cold_flag)
+
+
+def test_s5_scan_flags_and_h_match_each_pair_computed_afresh():
+    import schubreg.gb as gb
+
+    records = [r for r in max_reg_scan(5).records if not r.covexillary]
+    assert len(records) == 814
+    for record in records:
+        v, w = Permutation.from_string(record.v), Permutation.from_string(record.w)
+        gb.chart_basis.cache_clear()
+        flag = gb.chart_basis(v, w)[1].is_homogeneous()
+        assert record.homogeneous_ideal == flag, record
+        assert record.h_coeffs == list(gb.hilbert_data(v, w).H.coeffs), record
+
+
 @pytest.mark.parametrize("first", ["1342", "1423"])
 def test_an_orbit_computes_one_cone_and_each_flag_from_its_own_basis(monkeypatch, first):
     # (1234, 1342) and (1234, 1423) are each other's inverse: one H for
@@ -754,6 +793,20 @@ def test_max_reg_scan_cache_resume(tmp_path):
         fh.write("{not json}\n")
     fourth = max_reg_scan(4, cache_path=cache)
     assert fourth.max_reg == 1 and len(fourth.records) == 213
+
+
+def test_record_sink_sees_each_computed_record_once(tmp_path):
+    cache = str(tmp_path / "scan4.jsonl")
+    sent = []
+    first = max_reg_scan(4, cache_path=cache, record_sink=sent.append)
+    assert sent == first.records
+    sent.clear()
+    max_reg_scan(4, cache_path=cache, record_sink=sent.append)
+    assert sent == []  # a resume computes nothing
+    checked = max_reg_scan(
+        4, checks=("h-nonneg",), cache_path=cache, record_sink=sent.append
+    )
+    assert len(sent) == 213 and sent == checked.records
 
 
 def test_max_reg_scan_workers_agree():
