@@ -205,13 +205,6 @@ def _cmd_scan(args, out) -> int:
         )
     except OSError as exc:
         raise _UsageError("--cache: %s" % exc) from exc
-    counts = {
-        name: {"pass": 0, "fail": 0, "not-checkable": 0} for name in check_names
-    }
-    for record in result.records:
-        for name, value in record.conjectures.items():
-            if name in counts:
-                counts[name][value] += 1
     if args.json:
         payload = {
             "n": result.n,
@@ -220,7 +213,7 @@ def _cmd_scan(args, out) -> int:
             "max_reg": result.max_reg,
             "max_is_lower_bound": result.partial,
             "argmax": [{"v": v, "w": w} for (v, w) in result.argmax],
-            "check_counts": counts,
+            "check_counts": result.check_counts,
             "failures": [
                 {"v": v, "w": w, "check": name}
                 for (v, w, name) in result.conjecture_failures
@@ -230,14 +223,12 @@ def _cmd_scan(args, out) -> int:
     else:
         _kv(out, "scan", "n=%d restrict=%s pairs=%d" % (result.n, result.restrict, len(result.records)))
         if result.partial:
-            skipped = sum(1 for r in result.records if r.error is not None)
-            _kv(out, "maxReg", ">= %s (lower bound: %d pairs over budget)" % (result.max_reg, skipped))
+            _kv(out, "maxReg", ">= %s (lower bound: %d pairs over budget)" % (result.max_reg, result.errors))
         else:
             _kv(out, "maxReg", result.max_reg)
         for (v, w) in result.argmax:
             _kv(out, "argmax", "v=%s w=%s" % (v, w))
-        for name in check_names:
-            tally = counts[name]
+        for name, tally in result.check_counts.items():
             _kv(
                 out,
                 "check %s" % name,

@@ -633,13 +633,23 @@ def _compact_cache(path, records):
 
 @dataclass
 class ScanResult:
+    """A scan's records in scan order and the summary folded over them;
+    `check_counts` tallies each requested check's verdicts in request order,
+    `errors` counts the pairs that overran the budget."""
+
     n: int
     restrict: str
     max_reg: int | None
     argmax: tuple
     records: list
-    partial: bool
     conjecture_failures: tuple
+    check_counts: dict
+    errors: int
+
+    @property
+    def partial(self) -> bool:
+        """Some pair overran the budget, so max_reg is only a lower bound."""
+        return self.errors > 0
 
 
 def scan_pairs(n: int, restrict: str = "all"):
@@ -699,18 +709,20 @@ def max_reg_scan(
             stale = stale or record is None or pair in latest
             if record is not None:
                 latest[pair] = record
-    # records in scan order; `todo` holds the slots of the pairs to recompute
-    records, todo, payloads = [], [], []
+    # per pair in scan order, the cached record to reuse or None to recompute
+    plan, payloads = [], []
     for v, w in pairs:
         record = latest.get((str(v), str(w)))
         if record is None or record.error is not None or not all(
             name in record.conjectures for name in wanted
         ):
             stale = stale or record is not None
-            todo.append(len(records))
+            record = None
             payloads.append((v, w, wanted, budget_ms))
-        records.append(record)
+        plan.append(record)
 
+    records, argmax, failures, max_reg, errors = [], [], [], None, 0
+    counts = {name: {"pass": 0, "fail": 0, "not-checkable": 0} for name in wanted}
     with ExitStack() as stack:
         handle = (
             stack.enter_context(open(cache_path, "a", encoding="utf-8"))
@@ -724,34 +736,31 @@ def max_reg_scan(
             results = pool.imap(_scan_worker, payloads, chunksize=4)
         else:
             results = map(_scan_worker, payloads)
-        for k, record in zip(todo, results):
-            records[k] = record
-            if handle is not None:
-                latest[(record.v, record.w)] = record
-                handle.write(record.to_json_line() + "\n")
-                handle.flush()
-            if record_sink is not None:
-                record_sink(record)
+        for record in plan:
+            if record is None:
+                record = next(results)
+                if handle is not None:
+                    latest[(record.v, record.w)] = record
+                    handle.write(record.to_json_line() + "\n")
+                    handle.flush()
+                if record_sink is not None:
+                    record_sink(record)
+            records.append(record)
+            errors += record.error is not None
+            if record.reg is not None and (max_reg is None or record.reg >= max_reg):
+                if record.reg != max_reg:
+                    max_reg, argmax = record.reg, []
+                argmax.append((record.v, record.w))
+            if record.conjectures:
+                for name, tally in counts.items():  # a record without error has them all
+                    tally[record.conjectures[name]] += 1
+                if "fail" in record.conjectures.values():
+                    failures.extend((record.v, record.w, name) for name in falsified(record.conjectures))
     if stale:
         _compact_cache(cache_path, latest.values())
-
-    regs = [r.reg for r in records if r.reg is not None]
-    max_reg = max(regs) if regs else None
-    argmax = tuple(
-        (r.v, r.w) for r in records if r.reg is not None and r.reg == max_reg
-    )
-    failures = tuple(
-        (r.v, r.w, name) for r in records if r.conjectures for name in falsified(r.conjectures)
-    )
-    partial = any(r.error is not None for r in records)
     return ScanResult(
-        n=n,
-        restrict=restrict,
-        max_reg=max_reg,
-        argmax=argmax,
-        records=records,
-        partial=partial,
-        conjecture_failures=failures,
+        n=n, restrict=restrict, max_reg=max_reg, argmax=tuple(argmax), records=records,
+        conjecture_failures=tuple(failures), check_counts=counts, errors=errors,
     )
 
 

@@ -6,6 +6,7 @@ never occur on honest data, so those paths are checked by stubbing the
 backend and confirming the wiring.
 """
 
+import dataclasses
 import io
 import json
 import time
@@ -18,7 +19,7 @@ import schubreg.reg
 import schubreg.shapes
 from schubreg.cli import entry
 from schubreg.perm import Permutation
-from schubreg.reg import ScanResult, regularity
+from schubreg.reg import regularity
 
 GOLDEN = ("1423576", "7314562")
 
@@ -91,6 +92,11 @@ def test_analyze_json_schema_is_frozen():
     assert sorted(payload) == sorted(ANALYZE_KEYS + ["ps_coeffs", "multiplicity"])
     assert payload["ps_coeffs"] == [1, 3, 6, 10]
     assert payload["multiplicity"] == 1
+    # the text form prints the same two facts
+    code, text = run(["analyze", "--v", "123", "--w", "321", "--ps-order", "3"])
+    assert code == 0
+    report = kv(text)
+    assert report["ps[0..3]"] == "1 3 6 10" and report["multiplicity"] == "1"
 
 
 def test_usage_and_math_errors_exit_1(capsys):
@@ -344,6 +350,35 @@ def test_scan_cache_serves_only_the_checks_it_ran(tmp_path):
     assert tally[0].split()[2:] == ["pass=213", "fail=0", "not-checkable=0"]
 
 
+def test_an_over_budget_scan_reports_a_lower_bound(monkeypatch):
+    real = cli.max_reg_scan
+    results = []
+
+    def keeping(n, **kwargs):
+        results.append(real(n, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "max_reg_scan", keeping)
+    argv = ["scan", "--n", "4", "--checks", "all", "--budget-ms", "0"]
+    code, text = run(argv)
+    assert code == 0
+    over = sum(r.error is not None for r in results[0].records)
+    assert over == 190  # a cold process, as the memos are cleared
+    assert kv(text)["maxReg"] == ">= %s (lower bound: %d pairs over budget)" % (
+        results[0].max_reg,
+        over,
+    )
+    code, text = run(argv + ["--json"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["max_is_lower_bound"] is True
+    complete = sum(r.error is None for r in results[1].records)
+    assert 0 < complete < payload["pairs"]
+    assert len(payload["check_counts"]) == 7
+    for name, tally in payload["check_counts"].items():
+        assert sum(tally.values()) == complete, name
+
+
 def test_groth_text_report():
     code, text = run(["groth", "--u", "312", "--poly"])
     assert code == 0
@@ -465,14 +500,8 @@ def test_exit_3_when_a_scan_falsifies_a_check(monkeypatch):
 
     def poisoned(n, **kwargs):
         result = real(n, **kwargs)
-        return ScanResult(
-            n=result.n,
-            restrict=result.restrict,
-            max_reg=result.max_reg,
-            argmax=result.argmax,
-            records=result.records,
-            partial=result.partial,
-            conjecture_failures=(("123", "321", "h-nonneg"),),
+        return dataclasses.replace(
+            result, conjecture_failures=(("123", "321", "h-nonneg"),)
         )
 
     monkeypatch.setattr(cli, "max_reg_scan", poisoned)
