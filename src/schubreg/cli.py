@@ -209,7 +209,7 @@ def _cmd_scan(args, out) -> int:
         payload = {
             "n": result.n,
             "restrict": result.restrict,
-            "pairs": len(result.records),
+            "pairs": result.pairs,
             "max_reg": result.max_reg,
             "max_is_lower_bound": result.partial,
             "argmax": [{"v": v, "w": w} for (v, w) in result.argmax],
@@ -221,7 +221,7 @@ def _cmd_scan(args, out) -> int:
         }
         out.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
-        _kv(out, "scan", "n=%d restrict=%s pairs=%d" % (result.n, result.restrict, len(result.records)))
+        _kv(out, "scan", "n=%d restrict=%s pairs=%d" % (result.n, result.restrict, result.pairs))
         if result.partial:
             _kv(out, "maxReg", ">= %s (lower bound: %d pairs over budget)" % (result.max_reg, result.errors))
         else:

@@ -17,6 +17,14 @@ kernel.orders), and an `Ideal` stores its generators that way.  MultiPoly
 appears only at the edges: `Ideal.from_polys` packs polynomials given by a
 caller, and `Ideal.generators` unpacks on first use (parsing, printing, the
 Macaulay2 export).
+
+The chart matrix of v and each of its minors depend on v alone, never on
+w: w only picks which (rows, cols) the corners impose.  So one process-wide
+memo, keyed on v, keeps v's matrix, built once, and every packed minor of
+it expanded so far, keyed by (rows, cols).  A pair's generators are lookups
+in the memo of its v, in the order a fresh expansion gives, and exactly
+the same polynomials.  The sub-determinants a cofactor expansion passes
+through are dropped at the end of each call.
 """
 
 from __future__ import annotations
@@ -63,9 +71,11 @@ def var_name(i: int, j: int) -> str:
 
 def generic_matrix(v: Permutation) -> GenericMatrix:
     n = v.n
-    grid = [[(ZERO,) for _ in range(n)] for _ in range(n)]
+    # the matrix lives as long as the memo of v, so its 0 and 1 cells are shared
+    zero, one = (ZERO,), (ONE,)
+    grid = [[zero] * n for _ in range(n)]
     for j in range(1, n + 1):
-        grid[v(j) - 1][j - 1] = (ONE,)
+        grid[v(j) - 1][j - 1] = one
     free = []
     for (r, j) in sorted(diagram(v), key=lambda box: (v.n - box[0], box[1])):
         # display row r, bottom-up row i = n - r + 1; sort yields (i, j) order
@@ -120,15 +130,18 @@ class Ideal:
 
 
 class _DetTable:
-    """Memoized cofactor expansion over a patterned matrix.
+    """The chart matrix of v and its minors, memoized.
 
-    Rows and columns are display coordinates; the expansion walks the line
-    (row or column) with the most structural zeros.  Determinants are
-    {raw: int} dicts: a 1 cell multiplies by raw 0, a free cell by the raw
-    of its variable.
+    Rows and columns are display coordinates; the cofactor expansion walks
+    the line (row or column) with the most structural zeros.  Determinants
+    are {raw: int} dicts: a 1 cell multiplies by raw 0, a free cell by the
+    raw of its variable.  `minors` keeps each packed minor for the life of
+    the table; `memo` holds the sub-determinants of the current call.
     """
 
     def __init__(self, matrix: GenericMatrix):
+        self.matrix = matrix
+        self.keyof = order_pack(matrix.ring.nvars).keyof
         var_raw = {ij: 1 << (SHIFT * k) for k, ij in enumerate(matrix.free_cells)}
         # entry[r - 1][c - 1]: None for a zero cell, else the raw it multiplies by
         self.entry = [
@@ -136,7 +149,20 @@ class _DetTable:
              for kind in row]
             for row in matrix.cells
         ]
+        self.minors: dict = {}
         self.memo: dict = {}
+
+    def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple:
+        """The packed minor on rows x cols, content 1 with a positive
+        grevlex leading coefficient; () when it vanishes."""
+        key = (rows, cols)
+        poly = self.minors.get(key)
+        if poly is None:
+            keyof = self.keyof
+            det = self.det(rows, cols)
+            terms = sorted(((keyof(r), r, c) for r, c in det.items()), reverse=True)
+            poly = self.minors[key] = tuple((r, c) for _, r, c in content_normalize(terms))
+        return poly
 
     def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
         key = (rows, cols)
@@ -148,11 +174,15 @@ class _DetTable:
     def _expand(self, rows, cols) -> dict:
         size = len(rows)
         grid = [[self.entry[r - 1][c - 1] for c in cols] for r in rows]
-        # every row, then every column, as (row index, column index) cells;
-        # expand along the first line with the fewest nonzero cells
-        lines = [[(i, j) for j in range(size)] for i in range(size)]
-        lines += [[(i, j) for i in range(size)] for j in range(size)]
-        line = min(lines, key=lambda cells: sum(grid[i][j] is not None for i, j in cells))
+        # expand along the first line, rows before columns, with the most zeros
+        row_zeros = [row.count(None) for row in grid]
+        col_zeros = [col.count(None) for col in zip(*grid)]
+        i = max(range(size), key=row_zeros.__getitem__)
+        j = max(range(size), key=col_zeros.__getitem__)
+        if col_zeros[j] > row_zeros[i]:
+            line = [(k, j) for k in range(size)]
+        else:
+            line = [(i, k) for k in range(size)]
         total: dict = {}
         for i, j in line:
             shift = grid[i][j]
@@ -170,27 +200,38 @@ class _DetTable:
         return total
 
 
+# v -> the _DetTable of its chart, for the life of the process
+_MINORS: dict[Permutation, _DetTable] = {}
+
+
+def _chart_table(v: Permutation) -> _DetTable:
+    table = _MINORS.get(v)
+    if table is None:
+        table = _MINORS[v] = _DetTable(generic_matrix(v))
+    return table
+
+
 def _minors_for_conditions(matrix: GenericMatrix, conditions) -> tuple:
     """All minors of size rank+1 of southwest s x t corners, packed.
 
     `conditions` yields (s, t, rank) in bottom-up coordinates.  Each minor
     is normalized to content 1 with a positive grevlex leading coefficient,
-    and zero or repeated minors are dropped.
+    and zero or repeated minors are dropped.  The minors come from the memo
+    of matrix.v.
     """
     n = matrix.n
-    keyof = order_pack(matrix.ring.nvars).keyof
-    table = _DetTable(matrix)
+    table = _chart_table(matrix.v)
+    minor = table.minor
     seen = set()
     out = []
     for (s, t, rank) in conditions:
         for rows in combinations(range(n - s + 1, n + 1), rank + 1):
             for cols in combinations(range(1, t + 1), rank + 1):
-                det = table.det(rows, cols)
-                terms = sorted(((keyof(r), r, c) for r, c in det.items()), reverse=True)
-                poly = tuple((r, c) for _, r, c in content_normalize(terms))
+                poly = minor(rows, cols)
                 if poly and poly not in seen:
                     seen.add(poly)
                     out.append(poly)
+    table.memo.clear()
     return tuple(out)
 
 
@@ -198,7 +239,7 @@ def kl_generators(v: Permutation, w: Permutation) -> Ideal:
     """Rank-condition generators for the chart of X_w attached to v <= w,
     imposed at the southwest corners of the essential set of w."""
     require_bruhat(v, w)
-    matrix = generic_matrix(v)
+    matrix = _chart_table(v).matrix
     n = w.n
     conditions = [(n - i + 1, j, sw_rank(w, i, j)) for (i, j) in sorted(essential_set(w))]
     return Ideal(matrix.ring, _minors_for_conditions(matrix, conditions))

@@ -634,11 +634,13 @@ def _compact_cache(path, records):
 @dataclass
 class ScanResult:
     """A scan's records in scan order and the summary folded over them;
-    `check_counts` tallies each requested check's verdicts in request order,
-    `errors` counts the pairs that overran the budget."""
+    `pairs` counts the scan's Bruhat pairs, `check_counts` tallies each
+    requested check's verdicts in request order, `errors` counts the pairs
+    that overran the budget."""
 
     n: int
     restrict: str
+    pairs: int
     max_reg: int | None
     argmax: tuple
     records: list
@@ -759,8 +761,8 @@ def max_reg_scan(
     if stale:
         _compact_cache(cache_path, latest.values())
     return ScanResult(
-        n=n, restrict=restrict, max_reg=max_reg, argmax=tuple(argmax), records=records,
-        conjecture_failures=tuple(failures), check_counts=counts, errors=errors,
+        n=n, restrict=restrict, pairs=len(pairs), max_reg=max_reg, argmax=tuple(argmax),
+        records=records, conjecture_failures=tuple(failures), check_counts=counts, errors=errors,
     )
 
 

@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from schubreg import gb, groth, reg, shapes
+from schubreg import gb, groth, ideal, reg, shapes
 from schubreg.poly import MultiPoly, PolyRing
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Start each test with empty H, flag and companion-H memos and cold
-    tableau-route, KL and Grothendieck caches.
+    """Start each test with empty H, flag and companion-H memos, an empty
+    chart-minor memo and cold tableau-route, KL and Grothendieck caches.
 
     Tests assume a cold process, as the CLI has: a budget of 0 or a patched
     hilbert_data must reach the computation, not a chart, H or KL
@@ -22,6 +22,7 @@ def cold_memos():
     reg._HOMOGENEOUS.clear()
     reg._KAPPA_H.clear()
     gb.chart_basis.cache_clear()
+    ideal._MINORS.clear()
     reg._KL.clear()
     reg._r_coeffs.cache_clear()
     shapes._COMPANIONS.clear()

@@ -22,11 +22,14 @@ from schubreg.perm import (
     sw_rank,
 )
 from schubreg.poly import MultiPoly
+from schubreg.reg import max_reg_scan, scan_pairs
 from schubreg.ideal import (
     ONE,
     VAR,
     ZERO,
     Ideal,
+    _MINORS,
+    _DetTable,
     _minors_for_conditions,
     generic_matrix,
     kl_generators,
@@ -276,6 +279,39 @@ def test_essential_minors_span_all_corner_minors_s4():
 @pytest.mark.slow
 def test_essential_minors_span_all_corner_minors_s5():
     assert assert_same_ideal_as_all_corners(5) == 3781
+
+
+def test_a_warm_minor_memo_gives_the_cold_generators():
+    pairs = scan_pairs(4) + scan_pairs(5)
+    cold = []
+    for v, w in pairs:
+        _MINORS.clear()
+        cold.append(kl_generators(v, w).terms)
+    _MINORS.clear()
+    max_reg_scan(4)
+    max_reg_scan(5)
+    assert [kl_generators(v, w).terms for v, w in pairs] == cold
+
+
+def test_a_cold_s5_scan_expands_each_minor_once(monkeypatch):
+    expansions = []
+    real = _DetTable._expand
+
+    def counting(table, rows, cols):
+        expansions.append(table.matrix.v)
+        return real(table, rows, cols)
+
+    monkeypatch.setattr(_DetTable, "_expand", counting)
+    max_reg_scan(5)
+    assert len(expansions) == 1955
+    assert len(_MINORS) == 91
+    assert sum(len(table.minors) for table in _MINORS.values()) == 925
+    # a repeated pair reads every minor off the memo
+    first = kl_generators(GOLDEN_V, GOLDEN_W)
+    assert expansions[-1] is GOLDEN_V
+    expansions.clear()
+    assert kl_generators(GOLDEN_V, GOLDEN_W).terms == first.terms
+    assert expansions == []
 
 
 def test_trivial_pairs_have_no_generators():

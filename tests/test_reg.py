@@ -760,6 +760,16 @@ def test_max_reg_scan_small():
     assert ("1234", "4231") in res4.argmax
 
 
+@pytest.mark.parametrize("restrict", ["all", "covexillary-only"])
+def test_a_scan_counts_its_pairs_with_and_without_a_cache(tmp_path, restrict):
+    expected = len(scan_pairs(4, restrict))
+    assert max_reg_scan(4, restrict).pairs == expected
+    cache = str(tmp_path / "scan4.jsonl")
+    assert max_reg_scan(4, restrict, cache_path=cache).pairs == expected
+    # the rerun reuses every record of the cache
+    assert max_reg_scan(4, restrict, cache_path=cache).pairs == expected
+
+
 def stable_fields(record):
     data = json.loads(record.to_json_line())
     data.pop("elapsed_ms")
