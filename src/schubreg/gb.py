@@ -23,9 +23,10 @@ tangent-cone ideal; no third basis computation is needed.
 
 From the chart's generators to the Hilbert numerator every polynomial is a
 packed integer term list: `buchberger` keys an `Ideal`'s (raw, coeff) terms,
-homogenization shifts raws to make room for t, and the cone is returned as
-its `GroebnerBasis`.  MultiPoly appears only at the edges, in
-`GroebnerBasis.elements` and `GroebnerBasis.normal_form`.
+homogenization shifts raws to make room for t, the cone is returned as its
+`GroebnerBasis`, and K is computed on its packed leading monomials.
+MultiPoly and exponent tuples appear only at the edges: in `elements`,
+`normal_form` and `leading_exponents` of a basis, and `hilbert_numerator`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
+from itertools import zip_longest
 
 from . import kernel
 from .ideal import Ideal, kl_generators, pack_poly, unpack_poly
@@ -302,97 +304,66 @@ def lowest_degree_forms_ideal(ideal: Ideal) -> GroebnerBasis:
 # Hilbert series of monomial ideals
 
 
-def _minimalize_monomials(exps):
-    exps = sorted(set(tuple(e) for e in exps), key=lambda e: (sum(e), e))
+def _minimal(raws, pack: OrderPack) -> list:
+    """The minimal packed monomials among raws under divisibility."""
+    hmask = pack.hmask
     out = []
-    for e in exps:
-        if not any(all(a <= b for a, b in zip(m, e)) for m in out):
-            out.append(e)
+    # a proper divisor has a lower degree, so it is kept before its multiples
+    for r in sorted(set(raws), key=pack.degree_of_raw):
+        if not any(divides(m, r, hmask) for m in out):
+            out.append(r)
     return out
 
 
-def _support_components(gens):
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _numerator(gens, pack: OrderPack) -> list:
+    """The coefficient list of the numerator K of the ideal of the minimal
+    packed monomials `gens`, by the pivot recursion of Bayer-Stillman."""
+    hmask = pack.hmask
+    ones = hmask >> (SHIFT - 1)
+    # K is multiplicative over the components of the shared-variable graph;
+    # in one of two or more generators the pivot is shared by two of them,
+    # which makes both recursive calls smaller
+    components = []  # (support mask, generators), masks pairwise disjoint
     for g in gens:
-        support = [k for k, e in enumerate(g) if e]
-        for k in support:
-            parent.setdefault(k, k)
-        for a, b in zip(support, support[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    buckets: dict = {}
-    for g in gens:
-        root = find(next(k for k, e in enumerate(g) if e))
-        buckets.setdefault(root, []).append(g)
-    return list(buckets.values())
-
-
-def _numerator(gens, memo) -> list:
-    """The coefficient list of the numerator of the minimal generators
-    `gens`, by pivot splitting; `memo` maps gens to their result."""
-    if not gens:
-        return [1]
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
-    if any(sum(g) == 0 for g in gens):
-        return []
-    components = _support_components(list(gens))
-    if len(components) > 1:
-        result = [1]
-        for comp in components:
-            result = coeff_product(result, _numerator(tuple(sorted(comp)), memo))
-        memo[gens] = result
-        return result
-    supports = [sum(1 for e in g if e) for g in gens]
-    if all(s == 1 for s in supports):
-        result = [1]
-        for g in gens:
-            result = coeff_product(result, [1] + [0] * (sum(g) - 1) + [-1])  # 1 - q^deg g
-        memo[gens] = result
-        return result
-    nvars = len(gens[0])
-    counts = [0] * nvars
-    for g in gens:
-        for k, e in enumerate(g):
-            if e:
-                counts[k] += 1
-    pivot = max(range(nvars), key=lambda k: counts[k])
-    plus = [g for g in gens if g[pivot] == 0]
-    unit = tuple(1 if k == pivot else 0 for k in range(nvars))
-    plus.append(unit)
-    colon = [
-        tuple(e - 1 if k == pivot and e else e for k, e in enumerate(g)) for g in gens
-    ]
-    # K(plus) + q K(colon)
-    first = _numerator(tuple(sorted(_minimalize_monomials(plus))), memo)
-    second = _numerator(tuple(sorted(_minimalize_monomials(colon))), memo)
-    result = [0] * max(len(first), len(second) + 1)
-    for k, c in enumerate(first):
-        result[k] += c
-    for k, c in enumerate(second):
-        result[k + 1] += c
-    memo[gens] = result
+        mask, members, apart = ((g | hmask) - ones) & hmask, [g], []
+        for other, others in components:
+            if other & mask:
+                mask |= other
+                members += others
+            else:
+                apart.append((other, others))
+        components = apart + [(mask, members)]
+    result = [1]
+    for _, members in components:
+        if len(members) == 1:
+            d = pack.degree_of_raw(members[0])
+            factor = [1] + [0] * (d - 1) + [-1] if d else []  # 1 - q^d
+        else:
+            # generators per variable, one field each; the lowest top one wins
+            counts = sum(((g | hmask) - ones) >> (SHIFT - 1) & ones for g in members)
+            fields = [(counts >> (SHIFT * k)) & FIELD for k in range(pack.nvars)]
+            k = fields.index(max(fields))
+            unit, field_k = 1 << (SHIFT * k), FIELD << (SHIFT * k)
+            # K(M) = K(M + (x_k)) + q K(M : x_k); M + (x_k) is minimal as built
+            plus = _numerator([g for g in members if not g & field_k] + [unit], pack)
+            colon = _numerator(
+                _minimal([g - unit if g & field_k else g for g in members], pack), pack
+            )
+            factor = [a + b for a, b in zip_longest(plus, [0] + colon, fillvalue=0)]
+        result = coeff_product(result, factor)
     return result
 
 
 def hilbert_numerator(monomials, nvars: int) -> UniPoly:
     """Numerator K with PS(S/M; q) = K(q) / (1-q)^nvars for the monomial
-    ideal M generated by the given exponent tuples."""
+    ideal M generated by the given exponent tuples.  They are packed, so an
+    exponent outside [0, 2^14) or a total degree of 2^14 or more raises
+    OverflowError."""
     exps = [tuple(e) for e in monomials]
-    for e in exps:
-        if len(e) != nvars:
-            raise ValueError("exponent arity mismatch")
-    minimal = _minimalize_monomials(exps)
-    return UniPoly(_numerator(tuple(minimal), {}))
+    if any(len(e) != nvars for e in exps):
+        raise ValueError("exponent arity mismatch")
+    pack = order_pack(nvars)
+    return UniPoly(_numerator(_minimal([pack.pack(e) for e in exps], pack), pack))
 
 
 # ----------------------------------------------------------------------

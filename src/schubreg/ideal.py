@@ -183,6 +183,10 @@ class _DetTable:
             line = [(k, j) for k in range(size)]
         else:
             line = [(i, k) for k in range(size)]
+        # Each row and column has at most one 1 and every other nonzero cell
+        # its own variable, so the variables of a monomial fix the
+        # permutation it comes from: no two cells of the line give the same
+        # monomial, and every coefficient is +-1.
         total: dict = {}
         for i, j in line:
             shift = grid[i][j]
@@ -191,12 +195,7 @@ class _DetTable:
             minor = self.det(rows[:i] + rows[i + 1 :], cols[:j] + cols[j + 1 :])
             sign = -1 if (i + j) % 2 else 1
             for r, c in minor.items():
-                r += shift
-                s = total.get(r, 0) + sign * c
-                if s:
-                    total[r] = s
-                else:
-                    del total[r]
+                total[r + shift] = sign * c
         return total
 
 

@@ -7,7 +7,9 @@ ideal, witnessed by equal reduced Groebner bases.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -312,6 +314,34 @@ def test_a_cold_s5_scan_expands_each_minor_once(monkeypatch):
     expansions.clear()
     assert kl_generators(GOLDEN_V, GOLDEN_W).terms == first.terms
     assert expansions == []
+
+
+def leibniz_minor(table, rows, cols):
+    """The minor on rows x cols as a sum over permutations, normalized to
+    content 1 with a positive grevlex leading coefficient."""
+    det = Counter()
+    for perm in itertools.permutations(cols):
+        cells = [table.entry[r - 1][c - 1] for r, c in zip(rows, perm)]
+        if None not in cells:
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            det[sum(cells)] += (-1) ** inversions
+    terms = sorted(((table.keyof(r), r, c) for r, c in det.items() if c), reverse=True)
+    if not terms:
+        return ()
+    unit = gcd(*(c for _, _, c in terms)) * (1 if terms[0][2] > 0 else -1)
+    return tuple((r, c // unit) for _, r, c in terms)
+
+
+def test_every_memoised_s5_minor_is_its_leibniz_determinant():
+    # the cofactor expansion assigns each monomial's coefficient instead of
+    # summing it, which holds only while no two permutations share one
+    max_reg_scan(5)
+    checked = 0
+    for table in _MINORS.values():
+        for (rows, cols), poly in table.minors.items():
+            assert poly == leibniz_minor(table, rows, cols), (table.matrix.v, rows, cols)
+            checked += 1
+    assert checked == 925
 
 
 def test_trivial_pairs_have_no_generators():

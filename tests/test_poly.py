@@ -69,6 +69,13 @@ def test_exact_divide_round_trip():
         assert (a * b).exact_divide(b) == a
     with pytest.raises(ValueError):
         UniPoly([1, 1]).exact_divide(UniPoly([0, 1]))
+    with pytest.raises(ZeroDivisionError):
+        UniPoly([1, 1]).exact_divide(UniPoly.zero())
+    # a divisor of higher degree, and a leading coefficient it does not divide
+    with pytest.raises(ValueError):
+        UniPoly([1]).exact_divide(UniPoly([1, 1]))
+    with pytest.raises(ValueError):
+        UniPoly([1, 1]).exact_divide(UniPoly([0, 2]))
 
 
 def test_series_coefficients_match_binomial_convolution():

@@ -243,6 +243,11 @@ def test_regularity_non_covexillary_is_conjectural():
         regularity(v, w, method="both")
 
 
+def test_regularity_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        regularity(Permutation.identity(3), Permutation((3, 1, 2)), method="bogus")
+
+
 def test_regularity_rejects_incomparable():
     with pytest.raises(ValueError, match=BRUHAT_ERROR):
         regularity(Permutation((2, 1, 3)), Permutation((1, 2, 3)))
@@ -1010,12 +1015,13 @@ SCAN_DIGEST = """
 import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
 from schubreg.reg import max_reg_scan
-digest = hashlib.sha256()
-for record in max_reg_scan(4, checks="all").records:
-    fields = dict(record.__dict__)
-    del fields["elapsed_ms"]
-    digest.update(json.dumps(fields, sort_keys=True).encode() + b"\\n")
-print(digest.hexdigest())
+for n in (4, 5):
+    digest = hashlib.sha256()
+    for record in max_reg_scan(n, checks="all").records:
+        fields = dict(record.__dict__)
+        del fields["elapsed_ms"]
+        digest.update(json.dumps(fields, sort_keys=True).encode() + b"\\n")
+    print(digest.hexdigest())
 """
 
 
@@ -1033,11 +1039,15 @@ def test_scan_records_do_not_depend_on_the_hash_seed():
             env=dict(os.environ, PYTHONHASHSEED=seed),
         )
         assert done.returncode == 0, done.stderr
-        digests.append(done.stdout.strip())
-    assert digests[0] == digests[1]
-    # the records themselves are pinned: a change that alters any field but
-    # elapsed_ms must update this digest on purpose
-    assert digests[0] == "895154978442243c0e439d2d7746a7edf5950092a8a63a3b35d8cbb2fe403f8d"
+        digests.append(done.stdout.split())
+    # the records themselves are pinned, S4 and S5 with every check: a
+    # change that alters any field but elapsed_ms, H included, must update
+    # these digests on purpose
+    pinned = [
+        "895154978442243c0e439d2d7746a7edf5950092a8a63a3b35d8cbb2fe403f8d",
+        "8f58405e54d57f2696e9bdd848cadcb00e79ab3341384e9714627765d1f26584",
+    ]
+    assert digests == [pinned, pinned]
 
 
 def test_max_reg_scan_cache_recomputes_records_missing_checks(tmp_path):
