@@ -48,7 +48,7 @@ from .poly import UniPoly
 from .shapes import NotCovexillaryError, companion, companion_permutation, regularity_formula
 
 # ----------------------------------------------------------------------
-# Kazhdan-Lusztig polynomials (classical recursion, plumbing)
+# Kazhdan-Lusztig polynomials: one column per w, by the descent recursion
 
 
 @lru_cache(maxsize=None)
@@ -78,72 +78,70 @@ def _r_coeffs(v: Permutation, w: Permutation) -> tuple:
 
 
 def r_polynomial(v: Permutation, w: Permutation) -> UniPoly:
-    """R_{v,w} by the right-descent recursion; zero unless v <= w."""
+    """R_{v,w} by the right-descent recursion; zero unless v <= w.  Only the
+    tests read it, as the oracle of the KL functional equation."""
     return UniPoly(_r_coeffs(v, w))
 
 
-# (z, w) -> P_{z,w}, for every z of every interval [v, w] computed
+# w -> (column, mu): the coefficients of P_{x,w} for every x <= w, and
+# (z, mu(z, w)) for every z < w with mu(z, w) != 0.  Complete columns only,
+# kept for the process: one entry per Bruhat pair below each w reached.
 _KL: dict = {}
 
 
-def kl_polynomial(v: Permutation, w: Permutation) -> UniPoly:
-    """P_{v,w}, from q^{l(w)-l(z)} P_{z,w}(1/q) = sum over y in [z, w] of
-    R_{z,y} P_{y,w}.
+def _kl_column(w: Permutation):
+    """P_{x,w} for every x <= w, by the recursion of Kazhdan-Lusztig (2.2.c).
 
-    [v, w] is built once.  The up-set [z, w] of each of its elements is read
-    off its cover graph, and P_{z,w} is computed from the top down for every
-    z whose polynomial is not yet in the per-process memo: its coefficients
-    up to q^{(l(w)-l(z)-1)/2} are minus those of the sum over y > z, and the
-    mirrored half of the equation is checked as a certificate.  Each
-    polynomial computed first tests the enclosing `time_budget` scope, so an
-    overrun leaves only finished polynomials stored; a stored one costs
-    nothing.
+    With s = s_i the first right descent of w, v = ws and c = 1 iff xs < x,
+        P_{x,w} = q^{1-c} P_{xs,v} + q^c P_{x,v}
+                  - sum over z < v with zs < z of mu(z,v) q^{(l(w)-l(z))/2} P_{x,z},
+    where P_{x,u} = 0 unless x <= u.  As P_{x,w} = P_{xs,w}, only the x with
+    c = 0 are computed, each for xs too, and each first tests the enclosing
+    `time_budget` scope.  Every result is checked: constant term 1 and
+    2 deg P_{y,w} <= l(w) - l(y) - 1 for y in {x, xs} below w.
     """
-    found = _KL.get((v, w))
+    found = _KL.get(w)
     if found is not None:
         return found
-    order = sorted(bruhat_interval(v, w), key=lambda u: (-length(u), u.word))
-    index = {u: k for k, u in enumerate(order)}
-    # above[k]: the up-set [order[k], w], as a bitmask over indices
-    above = [1 << k for k in range(len(order))]
-    for k, u in enumerate(order):
-        for c in covers_below(u):
-            m = index.get(c)
-            if m is not None:
-                above[m] |= above[k]
-    coeffs = []  # coeffs[k]: the coefficients of P_{order[k], w}
-    for k, z in enumerate(order):
-        p = _KL.get((z, w))
-        if p is None:
-            check_budget("kl polynomial")
-            total = [0] * (length(w) - length(z) + 1)
-            rest = above[k] ^ (1 << k)
-            while rest:
-                m = rest.bit_length() - 1
-                rest ^= 1 << m
-                pm = coeffs[m]
-                for i, a in enumerate(_r_coeffs(z, order[m])):
-                    if a:
-                        for j, b in enumerate(pm):
-                            total[i + j] += a * b
-            p = _KL[(z, w)] = _kl_from_sum(z, w, total)
-        coeffs.append(p.coeffs)
-    return p
+    lw, word = length(w), w.word
+    if not lw:
+        _KL[w] = found = ({w: (1,)}, ())
+        return found
+    i = next(k for k in range(1, w.n) if word[k - 1] > word[k])
+    v = w.right_s(i)
+    below, v_mu = _kl_column(v)
+    # (P_{.,z}, mu(z, v), (l(w) - l(z)) / 2) for each z of the sum
+    terms = [(_kl_column(z)[0], m, (lw - length(z)) // 2) for z, m in v_mu if z.word[i - 1] > z.word[i]]
+    column = {}
+    for x in bruhat_interval(Permutation.identity(w.n), w):
+        if x.word[i - 1] > x.word[i]:
+            continue
+        check_budget("kl polynomial")
+        xs = x.right_s(i)
+        top = lw - length(x) - 1 - (xs is not w)  # 2 deg P_{x,w} <= top, from x or xs
+        p = [0] * (top // 2 + 2)
+        for k, a in enumerate(below.get(x, ())):
+            p[k] += a
+        for k, a in enumerate(below.get(xs, ())):
+            p[k + 1] += a
+        for col, m, shift in terms:
+            for k, a in enumerate(col.get(x, ())):
+                p[k + shift] -= m * a
+        while p and not p[-1]:
+            p.pop()
+        if not p or p[0] != 1 or 2 * len(p) - 2 > top:
+            raise RuntimeError("KL recursion broke its bounds at (%s, %s)" % (x, w))
+        column[x] = column[xs] = tuple(p)
+    # mu(x, w) is the coefficient of q^{(l(w)-l(x)-1)/2}, the top one allowed
+    mu = tuple((x, p[-1]) for x, p in column.items() if 2 * len(p) - 1 == lw - length(x))
+    _KL[w] = found = (column, mu)
+    return found
 
 
-def _kl_from_sum(z: Permutation, w: Permutation, total: list) -> UniPoly:
-    """P_{z,w} from the coefficients of the sum of R_{z,y} P_{y,w} over y > z."""
-    gap = len(total) - 1
-    if gap == 0:
-        return UniPoly.one()
-    p = [-c for c in total[: (gap + 1) // 2]]
-    if p[0] != 1:
-        raise RuntimeError("KL polynomial without constant term 1 for (%s, %s)" % (z, w))
-    # q^gap P(1/q) = P + total; its upper half, unused above, is an exact certificate
-    padded = p + [0] * (gap + 1 - len(p))
-    if [a + b for a, b in zip(padded, total)] != padded[::-1]:
-        raise RuntimeError("KL functional equation violated for (%s, %s)" % (z, w))
-    return UniPoly(p)
+def kl_polynomial(v: Permutation, w: Permutation) -> UniPoly:
+    """P_{v,w}, read off the column of w (see `_kl_column`)."""
+    require_bruhat(v, w)
+    return UniPoly(_kl_column(w)[0][v])
 
 
 def kl_degree(v: Permutation, w: Permutation) -> int:
@@ -491,8 +489,8 @@ def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
     covexillary w, so dual-path compares the tableau rule with the
     Grothendieck degree, else the Groebner H.  The enclosing
     `time_budget` scope bounds the checks together: it covers every chart,
-    companion H and KL polynomial they compute, and is tested again after
-    the KL degree.  A memoised chart, H or KL polynomial costs no budget.
+    companion H and KL column they compute, and is tested again after the
+    KL degree.  A memoised chart, H or KL column costs no budget.
     """
     require_bruhat(v, w)
     selected = select_checks(checks)

@@ -172,6 +172,32 @@ def test_kl_polynomial_matches_the_per_interval_recursion_on_s5():
         assert kl_polynomial(v, w) == per_interval_kl(v, w, r_cache, cache), (v, w)
 
 
+def assert_functional_equation(pairs):
+    """q^{l(w)-l(x)} P_{x,w}(1/q) = sum over y in [x, w] of R_{x,y} P_{y,w},
+    with the R-polynomials of `r_polynomial`."""
+    for x, w in pairs:
+        gap = length(w) - length(x)
+        mirrored = [0] * (gap + 1)
+        for k, a in enumerate(kl_polynomial(x, w).coeffs):
+            mirrored[gap - k] = a
+        total = [0] * (gap + 1)
+        for y in bruhat_interval(x, w):
+            p = kl_polynomial(y, w).coeffs
+            for i, a in enumerate(r_polynomial(x, y).coeffs):
+                for j, b in enumerate(p):
+                    total[i + j] += a * b
+        assert total == mirrored, (x, w)
+
+
+def test_kl_polynomial_satisfies_the_functional_equation_on_s5():
+    assert_functional_equation(scan_pairs(5))
+
+
+@pytest.mark.slow
+def test_kl_polynomial_satisfies_the_functional_equation_below_covexillary_s6():
+    assert_functional_equation(scan_pairs(6, "covexillary-only"))
+
+
 def brute_scan_pairs(n, restrict):
     """Bruhat pairs of S_n by comparing every two rank matrices, with
     covexillarity as the absence of a 3412 subsequence."""
@@ -705,13 +731,19 @@ def test_kl_polynomials_of_two_s7_pairs():
     assert kl_polynomial(Permutation.identity(7), w) == UniPoly([1, 3, 3, 1])
 
 
+def test_kl_polynomials_below_w0_and_7613524():
+    e = Permutation.identity(7)
+    assert kl_polynomial(e, Permutation.from_string("7654321")) == UniPoly.one()
+    assert kl_polynomial(e, Permutation.from_string("7613524")) == UniPoly([1, 1])
+
+
 def test_kl_polynomial_stops_at_the_budget_and_keeps_only_finished_values(monkeypatch):
     import schubreg.reg as reg
 
     v, w = Permutation.identity(7), Permutation.from_string("7314562")
     with pytest.raises(ResourceBudgetExceeded), time_budget(0):
         kl_polynomial(v, w)
-    # an overrun part way down the interval of 696
+    # an overrun part way down the columns below w
     checks = []
 
     def overrun_after_300(what):
@@ -723,7 +755,16 @@ def test_kl_polynomial_stops_at_the_budget_and_keeps_only_finished_values(monkey
     with pytest.raises(ResourceBudgetExceeded):
         kl_polynomial(v, w)
     monkeypatch.undo()
-    assert len(reg._KL) == 300
+    stored = dict(reg._KL)
+    assert stored and w not in stored
+    # no partial column: each stored one covers [e, u] and equals a fresh one
+    for u, (column, mu) in stored.items():
+        assert set(column) == bruhat_interval(v, u), u
+        reg._KL.clear()
+        fresh_column, fresh_mu = reg._kl_column(u)
+        assert column == fresh_column and set(mu) == set(fresh_mu), u
+    reg._KL.clear()
+    reg._KL.update(stored)
     assert kl_polynomial(v, w) == UniPoly([1, 3, 3, 1])
     assert kl_polynomial(GOLDEN_V, w) == UniPoly([1, 2, 1])
 
