@@ -27,7 +27,6 @@ from .groth import (
 )
 from .ideal import (
     Ideal,
-    generic_matrix,
     kl_generators,
 )
 from .perm import (
@@ -89,7 +88,6 @@ __all__ = [
     "companion_permutation",
     "rank_filling",
     "regularity_formula",
-    "generic_matrix",
     "kl_generators",
     "buchberger",
     "lowest_degree_forms_ideal",

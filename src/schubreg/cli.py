@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes separate operational failures from mathematical ones: 0 success,
-1 usage or resource errors, 2 the two regularity routes disagreed, 3 a
+1 usage or resource errors (an input too large for Python's recursion limit
+among them), 2 the two regularity routes disagreed, 3 a
 falsifiable conjecture check failed, 4 an internal invariant failed (a bug in
 the pipeline, never a property of the input).  A CI wrapper can therefore
 tell a bug from a discovery.  Every failure prints one `error:` line on
@@ -349,6 +350,9 @@ def entry(argv=None, out=None) -> int:
         return _COMMANDS[args.command](args, out)
     except (_UsageError, ValueError, ResourceBudgetExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except RecursionError:  # a RuntimeError, but a property of the input
+        print("error: input too large: Python's recursion limit was exceeded", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print("error: internal invariant failed: %s" % exc, file=sys.stderr)

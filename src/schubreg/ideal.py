@@ -7,10 +7,10 @@ left).  The free cells, read in display coordinates, are exactly the diagram
 boxes of v, so there are C(n,2) - length(v) of them.
 
 The chart of the Schubert variety of w inside is cut out by the minors of
-size r_w(s, t) + 1 of every southwest s x t corner, where r_w(s, t) counts
-{h <= t : w(h) >= n - s + 1}.  By Fulton's essential-set theorem (Fulton
-1992) the corners at the essential set of w already generate that ideal, so
-those are the only corners imposed.
+size R_w(i, j) + 1 of every southwest corner, the submatrix on display rows
+i..n and columns 1..j, where R_w(i, j) counts {h <= j : w(h) >= i}.  By
+Fulton's essential-set theorem (Fulton 1992) the corners at the essential
+set of w already generate that ideal, so those are the only corners imposed.
 
 Minors are expanded straight into packed integer term lists (raws as in
 kernel.orders), and an `Ideal` stores its generators that way.  MultiPoly
@@ -20,11 +20,12 @@ Macaulay2 export).
 
 The chart matrix of v and each of its minors depend on v alone, never on
 w: w only picks which (rows, cols) the corners impose.  So one process-wide
-memo, keyed on v, keeps v's matrix, built once, and every packed minor of
-it expanded so far, keyed by (rows, cols).  A pair's generators are lookups
-in the memo of its v, in the order a fresh expansion gives, and exactly
-the same polynomials.  The sub-determinants a cofactor expansion passes
-through are dropped at the end of each call.
+memo, keyed on v, keeps a `_DetTable`: v's matrix as one grid of packed
+cells, built once from the diagram of v, and every packed minor of it
+expanded so far, keyed by (rows, cols).  A pair's generators are lookups in
+the memo of its v, in the order a fresh expansion gives, and exactly the
+same polynomials.  The sub-determinants a cofactor expansion passes through
+are dropped at the end of each call.
 """
 
 from __future__ import annotations
@@ -40,50 +41,9 @@ from .kernel.orders import SHIFT, order_pack
 from .perm import Permutation, diagram, essential_set, require_bruhat, sw_rank
 from .poly import MultiPoly, PolyRing
 
-ZERO = 0
-ONE = 1
-VAR = 2
-
-
-@dataclass(frozen=True, slots=True)
-class GenericMatrix:
-    """The patterned coordinate matrix of the chart attached to v.
-
-    `cells` is indexed [display_row - 1][col - 1]; each cell is (ZERO,),
-    (ONE,) or (VAR, i, j) with (i, j) the bottom-up coordinates naming the
-    free variable z_i_j.  `free_cells` lists the (i, j) pairs in the order
-    matching the ring's variables.
-    """
-
-    v: Permutation
-    cells: tuple[tuple[tuple, ...], ...]
-    free_cells: tuple[tuple[int, int], ...]
-    ring: PolyRing
-
-    @property
-    def n(self) -> int:
-        return self.v.n
-
 
 def var_name(i: int, j: int) -> str:
     return "z_%d_%d" % (i, j)
-
-
-def generic_matrix(v: Permutation) -> GenericMatrix:
-    n = v.n
-    # the matrix lives as long as the memo of v, so its 0 and 1 cells are shared
-    zero, one = (ZERO,), (ONE,)
-    grid = [[zero] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        grid[v(j) - 1][j - 1] = one
-    free = []
-    for (r, j) in sorted(diagram(v), key=lambda box: (v.n - box[0], box[1])):
-        # display row r, bottom-up row i = n - r + 1; sort yields (i, j) order
-        i = n - r + 1
-        grid[r - 1][j - 1] = (VAR, i, j)
-        free.append((i, j))
-    ring = PolyRing(tuple(var_name(i, j) for (i, j) in free))
-    return GenericMatrix(v, tuple(tuple(row) for row in grid), tuple(free), ring)
 
 
 def pack_poly(f: MultiPoly) -> tuple[tuple[int, int], ...]:
@@ -132,23 +92,26 @@ class Ideal:
 class _DetTable:
     """The chart matrix of v and its minors, memoized.
 
-    Rows and columns are display coordinates; the cofactor expansion walks
-    the line (row or column) with the most structural zeros.  Determinants
-    are {raw: int} dicts: a 1 cell multiplies by raw 0, a free cell by the
-    raw of its variable.  `minors` keeps each packed minor for the life of
-    the table; `memo` holds the sub-determinants of the current call.
+    `entry[r - 1][c - 1]` is the cell in display row r, column c: None for
+    a zero, 0 (the raw it multiplies by) for the 1 in row v(c), and the raw
+    of z_i_c, i = n - r + 1, for a free cell.  `ring` names the free cells
+    in (i, j) order.  The cofactor expansion walks the line (row or column)
+    with the most structural zeros; determinants are {raw: int} dicts.
+    `minors` keeps each packed minor for the life of the table; `memo`
+    holds the sub-determinants of the current call.
     """
 
-    def __init__(self, matrix: GenericMatrix):
-        self.matrix = matrix
-        self.keyof = order_pack(matrix.ring.nvars).keyof
-        var_raw = {ij: 1 << (SHIFT * k) for k, ij in enumerate(matrix.free_cells)}
-        # entry[r - 1][c - 1]: None for a zero cell, else the raw it multiplies by
-        self.entry = [
-            [None if kind[0] == ZERO else 0 if kind[0] == ONE else var_raw[kind[1:]]
-             for kind in row]
-            for row in matrix.cells
-        ]
+    def __init__(self, v: Permutation):
+        n = v.n
+        free = sorted((n - r + 1, j) for (r, j) in diagram(v))
+        self.v = v
+        self.ring = PolyRing(tuple(var_name(i, j) for (i, j) in free))
+        self.keyof = order_pack(len(free)).keyof
+        self.entry = [[None] * n for _ in range(n)]
+        for j, r in enumerate(v.word):
+            self.entry[r - 1][j] = 0
+        for k, (i, j) in enumerate(free):
+            self.entry[n - i][j - 1] = 1 << (SHIFT * k)
         self.minors: dict = {}
         self.memo: dict = {}
 
@@ -206,26 +169,26 @@ _MINORS: dict[Permutation, _DetTable] = {}
 def _chart_table(v: Permutation) -> _DetTable:
     table = _MINORS.get(v)
     if table is None:
-        table = _MINORS[v] = _DetTable(generic_matrix(v))
+        table = _MINORS[v] = _DetTable(v)
     return table
 
 
-def _minors_for_conditions(matrix: GenericMatrix, conditions) -> tuple:
-    """All minors of size rank+1 of southwest s x t corners, packed.
+def _minors_for_conditions(v: Permutation, conditions) -> tuple:
+    """All minors of size rank+1 of the southwest corners, packed.
 
-    `conditions` yields (s, t, rank) in bottom-up coordinates.  Each minor
-    is normalized to content 1 with a positive grevlex leading coefficient,
-    and zero or repeated minors are dropped.  The minors come from the memo
-    of matrix.v.
+    `conditions` yields (i, j, rank): the corner spans display rows i..n
+    and columns 1..j.  Each minor is normalized to content 1 with a
+    positive grevlex leading coefficient, and zero or repeated minors are
+    dropped.  The minors come from the memo of v.
     """
-    n = matrix.n
-    table = _chart_table(matrix.v)
+    n = v.n
+    table = _chart_table(v)
     minor = table.minor
     seen = set()
     out = []
-    for (s, t, rank) in conditions:
-        for rows in combinations(range(n - s + 1, n + 1), rank + 1):
-            for cols in combinations(range(1, t + 1), rank + 1):
+    for (i, j, rank) in conditions:
+        for rows in combinations(range(i, n + 1), rank + 1):
+            for cols in combinations(range(1, j + 1), rank + 1):
                 poly = minor(rows, cols)
                 if poly and poly not in seen:
                     seen.add(poly)
@@ -238,7 +201,5 @@ def kl_generators(v: Permutation, w: Permutation) -> Ideal:
     """Rank-condition generators for the chart of X_w attached to v <= w,
     imposed at the southwest corners of the essential set of w."""
     require_bruhat(v, w)
-    matrix = _chart_table(v).matrix
-    n = w.n
-    conditions = [(n - i + 1, j, sw_rank(w, i, j)) for (i, j) in sorted(essential_set(w))]
-    return Ideal(matrix.ring, _minors_for_conditions(matrix, conditions))
+    conditions = [(i, j, sw_rank(w, i, j)) for (i, j) in sorted(essential_set(w))]
+    return Ideal(_chart_table(v).ring, _minors_for_conditions(v, conditions))

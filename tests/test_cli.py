@@ -121,6 +121,18 @@ def test_usage_and_math_errors_exit_1(capsys):
         assert err.count("\n") == 1, argv
 
 
+def test_too_deep_a_recursion_is_an_input_error_not_a_bug(capsys):
+    # the Grothendieck and KL recursions nest deeper than Python allows on
+    # S_50; RecursionError is a RuntimeError, which alone would exit 4
+    up = ",".join(map(str, range(1, 51)))
+    down = ",".join(map(str, range(50, 0, -1)))
+    for argv in (["groth", "--u", up], ["analyze", "--v", up, "--w", down, "--with-kl"]):
+        code, _ = run(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert err.startswith("error: input too large") and err.count("\n") == 1, argv
+
+
 def test_companion_beyond_s9_with_moved_boxes_runs_both_routes():
     # n = 10 with nonzero moves: the companion is built, not searched for
     code, text = run(

@@ -26,17 +26,15 @@ from schubreg.perm import (
 from schubreg.poly import MultiPoly
 from schubreg.reg import max_reg_scan, scan_pairs
 from schubreg.ideal import (
-    ONE,
-    VAR,
-    ZERO,
     Ideal,
     _MINORS,
     _DetTable,
+    _chart_table,
     _minors_for_conditions,
-    generic_matrix,
     kl_generators,
     var_name,
 )
+from schubreg.kernel.orders import SHIFT
 
 GOLDEN_V = Permutation((1, 4, 2, 3, 5, 7, 6))
 GOLDEN_W = Permutation((7, 3, 1, 4, 5, 6, 2))
@@ -120,8 +118,10 @@ def poly_from_terms(ring, fingerprint):
 
 def all_corner_ideal(v, w):
     """The chart ideal cut out by every southwest corner (the oracle)."""
-    matrix = generic_matrix(v)
-    return Ideal(matrix.ring, _minors_for_conditions(matrix, all_corners(w)))
+    n = v.n
+    # the oracle's corners count s rows from the bottom: display rows n-s+1..n
+    corners = [(n - s + 1, t, rank) for (s, t, rank) in all_corners(w)]
+    return Ideal(_chart_table(v).ring, _minors_for_conditions(v, corners))
 
 
 def assert_same_ideal_as_all_corners(n):
@@ -168,48 +168,55 @@ def our_terms(f: MultiPoly):
     return frozenset(out.items())
 
 
+def var_raw(table, i, j):
+    """The packed raw of z_i_j in the table's ring."""
+    return 1 << (SHIFT * table.ring.names.index(var_name(i, j)))
+
+
 def test_generic_matrix_golden_layout():
-    gm = generic_matrix(GOLDEN_V)
+    table = _chart_table(GOLDEN_V)
     # "." is a zero cell, "1" a one, "zij" the free variable z_i_j
-    picture = {".": (ZERO,), "1": (ONE,)}
-    assert gm.cells == tuple(
-        tuple(picture.get(x) or (VAR, int(x[1]), int(x[2])) for x in line.split())
+    picture = {".": None, "1": 0}
+    assert table.entry == [
+        [picture[x] if x in picture else var_raw(table, int(x[1]), int(x[2]))
+         for x in line.split()]
         for line in GOLDEN_ASCII.splitlines()
-    )
-    assert len(gm.free_cells) == 18
-    assert gm.ring.nvars == 18
-    # free cells are the diagram of v, flipped to bottom-up rows
+    ]
+    assert table.ring.nvars == 18
+    # the variables are the diagram of v, flipped to bottom-up rows
     n = GOLDEN_V.n
-    assert set(gm.free_cells) == {
-        (n - r + 1, j) for (r, j) in diagram(GOLDEN_V)
+    assert set(table.ring.names) == {
+        var_name(n - r + 1, j) for (r, j) in diagram(GOLDEN_V)
     }
 
 
 def test_generic_matrix_identity_is_lower_triangular():
-    gm = generic_matrix(Permutation.identity(4))
+    table = _chart_table(Permutation.identity(4))
     for r in range(1, 5):
         for c in range(1, 5):
-            kind = gm.cells[r - 1][c - 1][0]
+            cell = table.entry[r - 1][c - 1]
             if r == c:
-                assert kind == ONE
+                assert cell == 0
             elif r > c:
-                assert kind == VAR
+                assert cell == var_raw(table, 4 - r + 1, c)
             else:
-                assert kind == ZERO
+                assert cell is None
 
 
 def test_cell_lookups_agree():
     # the free cell in display row r, column c is z_i_c with i = n - r + 1
     for v in all_permutations(4):
-        gm = generic_matrix(v)
+        table = _chart_table(v)
         free = [
-            (kind[1:], (4 - r + 1, c))
-            for r, row in enumerate(gm.cells, start=1)
-            for c, kind in enumerate(row, start=1)
-            if kind[0] == VAR
+            (cell, var_raw(table, 4 - r + 1, c))
+            for r, row in enumerate(table.entry, start=1)
+            for c, cell in enumerate(row, start=1)
+            if cell  # neither a zero (None) nor a one (raw 0)
         ]
-        assert all(named == at for named, at in free), v
-        assert sorted(named for named, _ in free) == sorted(gm.free_cells), v
+        assert all(cell == named for cell, named in free), v
+        assert sorted(cell for cell, _ in free) == [
+            1 << (SHIFT * k) for k in range(table.ring.nvars)
+        ], v
 
 
 def test_kl_generators_match_sympy_minors_small():
@@ -300,7 +307,7 @@ def test_a_cold_s5_scan_expands_each_minor_once(monkeypatch):
     real = _DetTable._expand
 
     def counting(table, rows, cols):
-        expansions.append(table.matrix.v)
+        expansions.append(table.v)
         return real(table, rows, cols)
 
     monkeypatch.setattr(_DetTable, "_expand", counting)
@@ -339,7 +346,7 @@ def test_every_memoised_s5_minor_is_its_leibniz_determinant():
     checked = 0
     for table in _MINORS.values():
         for (rows, cols), poly in table.minors.items():
-            assert poly == leibniz_minor(table, rows, cols), (table.matrix.v, rows, cols)
+            assert poly == leibniz_minor(table, rows, cols), (table.v, rows, cols)
             checked += 1
     assert checked == 925
 

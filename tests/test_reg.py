@@ -18,11 +18,12 @@ from schubreg.perm import (
     all_permutations,
     bruhat_interval,
     bruhat_leq,
+    chart_shape,
     contains_pattern,
     is_covexillary,
     length,
 )
-from schubreg.gb import ResourceBudgetExceeded, time_budget
+from schubreg.gb import ResourceBudgetExceeded, hilbert_data, time_budget
 from schubreg.poly import UniPoly
 from schubreg.reg import (
     ALL_CHECKS,
@@ -461,6 +462,27 @@ def test_staircase_permutations():
         assert is_covexillary(w)
     with pytest.raises(ValueError):
         staircase_permutation(0)
+
+
+def linear_family(n):
+    """F_n = n (n-1) 3 4 ... (n-2) 2 1."""
+    return Permutation((n, n - 1) + tuple(range(3, n - 1)) + (2, 1))
+
+
+def test_linear_family_reaches_2n_minus_10_at_the_identity():
+    # one covexillary chart per n, where reg = deg H (Li-Yong): so
+    # maxReg(8) >= 6 and maxReg(9) >= 8
+    for n in range(6, 11):
+        e, w = Permutation.identity(n), linear_family(n)
+        assert is_covexillary(w), n
+        assert regularity_formula(e, w) == 2 * n - 10, n
+        assert chart_shape(e, w)[1] == comb(n - 4, 2), n
+        assert check_conjectures(e, w, "dual-path") == {"dual-path": "pass"}, n
+    for n in (8, 9):
+        data = hilbert_data(Permutation.identity(n), linear_family(n))
+        assert data.homogeneous, n
+        assert data.H.degree() == 2 * n - 10, n
+        assert data.H.coeffs == data.H.coeffs[::-1], n
 
 
 def test_scan_pairs_order_and_restriction():
