@@ -52,7 +52,6 @@ def _build_parser() -> _Parser:
     analyze.add_argument(
         "--method", default="auto", choices=("auto", "formula", "groebner", "both")
     )
-    analyze.add_argument("--verify", action="store_true", help="auto upgrades to both")
     analyze.add_argument("--json", action="store_true")
     analyze.add_argument(
         "--ps-order",
@@ -73,7 +72,6 @@ def _build_parser() -> _Parser:
     )
     scan.add_argument("--cache", default=None, help="JSON-lines cache file (resumable)")
     scan.add_argument("--budget-ms", type=int, default=None)
-    scan.add_argument("--workers", type=int, default=1)
     scan.add_argument("--json", action="store_true")
 
     groth = sub.add_parser("groth", help="Grothendieck polynomial facts for one u")
@@ -169,9 +167,7 @@ def _cmd_analyze(args, out) -> int:
         raise _UsageError("--ps-order: must be nonnegative")
     ps_payload = None
     with time_budget(_budget(args)):
-        report = regularity(
-            v, w, method=args.method, verify=args.verify, with_kl=args.with_kl
-        )
+        report = regularity(v, w, method=args.method, with_kl=args.with_kl)
         if args.ps_order is not None:
             coeffs, multiplicity = ps_series(v, w, args.ps_order)
             ps_payload = {"ps_coeffs": coeffs, "multiplicity": multiplicity}
@@ -202,7 +198,6 @@ def _cmd_scan(args, out) -> int:
             checks=check_names,
             budget_ms=_budget(args),
             cache_path=args.cache,
-            workers=args.workers,
         )
     except OSError as exc:
         raise _UsageError("--cache: %s" % exc) from exc
@@ -298,7 +293,9 @@ def _cmd_verify(args, out) -> int:
     w = _parse_perm(args.w, "--w")
     cov = is_covexillary(w)
     with time_budget(_budget(args)):
-        report = regularity(v, w, verify=True, with_kl=cov, checks="all")
+        report = regularity(
+            v, w, method="both" if cov else "groebner", with_kl=cov, checks="all"
+        )
         finalps = finalps_check(v, w) if cov else None
         _check_inverse_chart(v, w, report.H)
     failures = falsified(report.conjecture_flags)

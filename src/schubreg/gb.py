@@ -157,9 +157,6 @@ def _buchberger_terms(kgens, pack: OrderPack):
         check_budget("pair processing")
         spoly = kernel.s_polynomial(basis[i], basis[j], pack)
         stats["pairs_processed"] += 1
-        if not spoly:
-            stats["zero_reductions"] += 1
-            continue
         reduced = kernel.normal_form(spoly, reducers, corr)
         if reduced:
             update(reduced, max(pair_sugar, _sugar(reduced, pack)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product, zip_longest
@@ -241,7 +241,9 @@ _KAPPA_H: dict = {}
 def _h(v: Permutation, w: Permutation) -> UniPoly:
     """H_{v,w}: a stored Groebner H if there is one, else for covexillary w
     G_{w0 kappa}(1-q) / (1-q)^height with kappa the pair's companion
-    (Li-Yong 2012), else the Groebner H from `_groebner_h`.
+    (Li-Yong 2012), else the Groebner H from `_groebner_h`.  An inexact
+    division there raises RuntimeError: it is a bug, not a property of the
+    pair.
 
     The height C(n,2) - l(w) is C(n,2) - l(kappa), since l(kappa) = l(w), so
     H is memoised once per companion.  A companion H not yet in its memo
@@ -255,7 +257,12 @@ def _h(v: Permutation, w: Permutation) -> UniPoly:
         check_budget("grothendieck polynomial")
         spec = groth_spec_1mq(w0_compose(kappa))
         height = comb(kappa.n, 2) - length(kappa)
-        H = _KAPPA_H[kappa] = spec.exact_divide(UniPoly.one_minus_q() ** height)
+        try:
+            H = _KAPPA_H[kappa] = spec.exact_divide(UniPoly.one_minus_q() ** height)
+        except ValueError as exc:  # the companion theorem says it divides
+            raise RuntimeError(
+                "G_{w0 kappa}(1-q) of (%s, %s) is not divisible by (1-q)^%d" % (v, w, height)
+            ) from exc
     return H
 
 
@@ -308,17 +315,17 @@ class RegularityReport:
         }
 
 
-def _blank_report(v: Permutation, w: Permutation, method="auto", verify=False) -> RegularityReport:
+def _blank_report(v: Permutation, w: Permutation, method="auto") -> RegularityReport:
     """The pair's report with only the fields that the pair and the requested
     method fix in advance set: method, covexillary, cm_status, dim, height
     and n_vars.
 
-    "auto" picks the formula for covexillary w (upgraded to "both" under
-    verify) and the Groebner route otherwise.
+    "auto" picks the formula for covexillary w and the Groebner route
+    otherwise.
     """
     cov = is_covexillary(w)
     if method == "auto":
-        method = ("both" if verify else "formula") if cov else "groebner"
+        method = "formula" if cov else "groebner"
     dim, height, n_vars = chart_shape(v, w)
     return RegularityReport(
         v=v, w=w, method=method, reg=None, formula_reg=None, groebner_reg=None,
@@ -332,7 +339,6 @@ def regularity(
     v: Permutation,
     w: Permutation,
     method: str = "auto",
-    verify: bool = False,
     with_kl: bool = False,
     checks=(),
 ) -> RegularityReport:
@@ -340,8 +346,7 @@ def regularity(
 
     method "formula" runs the covexillary tableau rule, "groebner" the
     Hilbert-series pipeline, "both" runs and compares them, and "auto" picks
-    the formula for covexillary w (upgraded to "both" under verify) and the
-    Groebner route otherwise.  Outside the covexillary theorem the reported
+    the formula for covexillary w and the Groebner route otherwise.  Outside the covexillary theorem the reported
     value is deg H with cm_status "conjectural".  The enclosing
     `time_budget` scope bounds the Groebner and KL work of the pair,
     conjecture checks included; a chart whose H and flag are memoised costs
@@ -349,7 +354,7 @@ def regularity(
     """
     start = time.monotonic()
     require_bruhat(v, w)
-    report = _blank_report(v, w, method, verify)
+    report = _blank_report(v, w, method)
     method = report.method
     if method not in ("formula", "groebner", "both"):
         raise ValueError("unknown method %r" % method)
@@ -591,11 +596,6 @@ def scan_record(v: Permutation, w: Permutation, checks=(), budget_ms=None) -> Sc
     )
 
 
-def _scan_worker(payload):
-    v, w, checks, budget_ms = payload
-    return scan_record(v, w, checks=checks, budget_ms=budget_ms)
-
-
 def _read_cache(path):
     """(pair, record) for every nonblank line of a scan cache file; record is
     None on a line that is not a valid record.  A byte that is not UTF-8
@@ -691,14 +691,14 @@ def max_reg_scan(
     pair, the cache is rewritten from the records in memory as one canonical
     line per pair, its last record (pairs outside this scan are kept,
     unreadable lines dropped).  A budget overrun marks the scan
-    partial and the reported max is only a lower bound.  At most
-    os.cpu_count() worker processes are started.  A negative budget raises
-    ValueError before the cache is opened.
+    partial and the reported max is only a lower bound.  Every pair is
+    computed in the calling process; `workers` remains for callers that
+    pass 1, and any other value raises ValueError, as does a negative
+    budget, before the cache is opened.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1, got %d" % workers)
+    if workers != 1:
+        raise ValueError("scans run in one process; workers must be 1, got %d" % workers)
     require_budget(budget_ms)
-    workers = min(workers, os.cpu_count() or 1)
     wanted = select_checks(checks)
     pairs = scan_pairs(n, restrict)
     # (v, w) strings -> the pair's last valid record on file, then its fresh one
@@ -709,36 +709,18 @@ def max_reg_scan(
             stale = stale or record is None or pair in latest
             if record is not None:
                 latest[pair] = record
-    # per pair in scan order, the cached record to reuse or None to recompute
-    plan, payloads = [], []
-    for v, w in pairs:
-        record = latest.get((str(v), str(w)))
-        if record is None or record.error is not None or not all(
-            name in record.conjectures for name in wanted
-        ):
-            stale = stale or record is not None
-            record = None
-            payloads.append((v, w, wanted, budget_ms))
-        plan.append(record)
 
     records, argmax, failures, max_reg, errors = [], [], [], None, 0
     counts = {name: {"pass": 0, "fail": 0, "not-checkable": 0} for name in wanted}
-    with ExitStack() as stack:
-        handle = (
-            stack.enter_context(open(cache_path, "a", encoding="utf-8"))
-            if cache_path is not None
-            else None
-        )
-        if workers > 1 and payloads:
-            from multiprocessing import Pool
-
-            pool = stack.enter_context(Pool(workers))
-            results = pool.imap(_scan_worker, payloads, chunksize=4)
-        else:
-            results = map(_scan_worker, payloads)
-        for record in plan:
-            if record is None:
-                record = next(results)
+    cache = open(cache_path, "a", encoding="utf-8") if cache_path is not None else nullcontext()
+    with cache as handle:
+        for v, w in pairs:
+            record = latest.get((str(v), str(w)))
+            if record is None or record.error is not None or not all(
+                name in record.conjectures for name in wanted
+            ):
+                stale = stale or record is not None
+                record = scan_record(v, w, checks=wanted, budget_ms=budget_ms)
                 if handle is not None:
                     latest[(record.v, record.w)] = record
                     handle.write(record.to_json_line() + "\n")

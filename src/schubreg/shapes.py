@@ -56,6 +56,8 @@ def push_to_partition(boxes, n: int) -> tuple[tuple[int, ...], dict[Box, Box]]:
     Boxes sharing an antidiagonal keep their relative order; the result must
     be a French Young diagram anchored at the bottom-left of the grid.
     Returns (partition, phi) where phi maps each pushed cell to its source.
+    The boxes are the diagram of a covexillary permutation, so a result that
+    is not such a diagram raises RuntimeError: it is a bug.
     """
     by_diag: dict[int, list[Box]] = {}
     for box in boxes:
@@ -66,9 +68,7 @@ def push_to_partition(boxes, n: int) -> tuple[tuple[int, ...], dict[Box, Box]]:
         row = min(n, d - 1)
         for box in group:
             if row < max(1, d - n):
-                raise NotCovexillaryError(
-                    "antidiagonal %d overflows the grid while pushing" % d
-                )
+                raise RuntimeError("antidiagonal %d overflows the grid while pushing" % d)
             phi[(row, d - row)] = box
             row -= 1
     widths: dict[int, int] = {}
@@ -82,7 +82,7 @@ def push_to_partition(boxes, n: int) -> tuple[tuple[int, ...], dict[Box, Box]]:
     ok = ok and all(count_by_row[r] == widths[r] for r in rows)
     ok = ok and all(widths[rows[k]] <= widths[rows[k + 1]] for k in range(len(rows) - 1))
     if not ok:
-        raise NotCovexillaryError("pushed boxes do not form an anchored Young diagram")
+        raise RuntimeError("pushed boxes do not form an anchored Young diagram")
     shape = tuple(widths[r] for r in sorted(widths, reverse=True))
     return shape, phi
 

@@ -137,7 +137,7 @@ def test_criterion_05_max_regularity_n5():
 @pytest.mark.slow
 def test_criterion_05_max_regularity_n6():
     with criterion(5, "exhaustive scan: maxReg(6) = 3", 36000):
-        assert max_reg_scan(6, workers=4).max_reg == 3
+        assert max_reg_scan(6).max_reg == 3
 
 
 def test_criterion_06_dual_path_agreement_s4():

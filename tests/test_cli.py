@@ -19,6 +19,7 @@ import schubreg.reg
 import schubreg.shapes
 from schubreg.cli import entry
 from schubreg.perm import Permutation
+from schubreg.poly import UniPoly
 from schubreg.reg import regularity
 
 GOLDEN = ("1423576", "7314562")
@@ -110,8 +111,8 @@ def test_usage_and_math_errors_exit_1(capsys):
         (["scan", "--n", "1"], "need n >= 2"),
         (["scan", "--n", "8"], "not supported"),
         (["scan", "--n", "3", "--checks", "bogus"], "unknown check"),
-        (["scan", "--n", "3", "--workers", "0"], "workers must be at least 1"),
-        (["scan", "--n", "3", "--workers", "-3"], "workers must be at least 1"),
+        (["scan", "--n", "3", "--workers", "0"], "unrecognized arguments"),
+        (["scan", "--n", "3", "--workers", "-3"], "unrecognized arguments"),
     ]
     for argv, fragment in cases:
         code, _ = run(argv)
@@ -201,6 +202,28 @@ def test_exit_4_when_the_report_shape_disagrees(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 4 and text == ""
     assert err.startswith("error: internal invariant failed: shape mismatch for (1234, 3412)")
+    assert err.count("\n") == 1
+
+
+def test_exit_4_when_the_pushed_diagram_is_not_a_young_diagram(monkeypatch, capsys):
+    # the tableau route pushes only covexillary diagrams, so a bad push is a bug
+    real = schubreg.shapes.diagram
+    monkeypatch.setattr(schubreg.shapes, "diagram", lambda u: real(u) | {(1, 1)})
+    code, text = run(["analyze", "--v", GOLDEN[0], "--w", GOLDEN[1]])
+    err = capsys.readouterr().err
+    assert code == 4 and text == ""
+    assert err.startswith(
+        "error: internal invariant failed: pushed boxes do not form an anchored Young diagram"
+    )
+    assert err.count("\n") == 1
+
+
+def test_exit_4_when_the_companion_h_division_is_inexact(monkeypatch, capsys):
+    monkeypatch.setattr(schubreg.reg, "groth_spec_1mq", lambda u: UniPoly([1, 1]))
+    code, text = run(["analyze", "--v", "1234567", "--w", GOLDEN[1], "--ps-order", "2"])
+    err = capsys.readouterr().err
+    assert code == 4 and text == ""
+    assert err.startswith("error: internal invariant failed: G_{w0 kappa}(1-q) of (1234567, 7314562)")
     assert err.count("\n") == 1
 
 

@@ -253,7 +253,7 @@ def test_regularity_methods_and_labels():
     auto = regularity(GOLDEN_V, GOLDEN_W)
     assert auto.method == "formula" and auto.reg == 2
     assert auto.H is None and auto.groebner_reg is None
-    verified = regularity(GOLDEN_V, GOLDEN_W, verify=True)
+    verified = regularity(GOLDEN_V, GOLDEN_W, method="both")
     assert verified.method == "both" and verified.reg == 2
 
 
@@ -925,56 +925,6 @@ def test_a_resume_that_mixes_cached_and_recomputed_pairs_keeps_the_summary(tmp_p
     assert fewer.check_counts == {"dual-path": cold.check_counts["dual-path"]}
 
 
-def test_max_reg_scan_workers_agree():
-    serial = max_reg_scan(4, restrict="covexillary-only")
-    parallel = max_reg_scan(4, restrict="covexillary-only", workers=2)
-    assert serial.max_reg == parallel.max_reg
-    assert [stable_fields(r) for r in serial.records] == [
-        stable_fields(r) for r in parallel.records
-    ]
-    # checks="all" must reach the workers as check names
-    serial = max_reg_scan(3, checks="all")
-    parallel = max_reg_scan(3, checks="all", workers=2)
-    assert [stable_fields(r) for r in serial.records] == [
-        stable_fields(r) for r in parallel.records
-    ]
-
-
-def test_max_reg_scan_caps_workers_at_the_cpu_count(monkeypatch):
-    import multiprocessing
-
-    sizes = []
-
-    class InProcessPool:
-        """Records its size and maps in this process; starts no process."""
-
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, iterable, chunksize=1):
-            return map(func, iterable)
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    serial = max_reg_scan(3)
-    for workers in (2, 4000):
-        capped = max_reg_scan(3, workers=workers)
-        assert [stable_fields(r) for r in capped.records] == [
-            stable_fields(r) for r in serial.records
-        ]
-    assert sizes == [2, 2]
-    for workers in (0, -3):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            max_reg_scan(3, workers=workers)
-    assert sizes == [2, 2]
-
-
 def test_max_reg_scan_cache_retries_budget_errors(tmp_path):
     cache = str(tmp_path / "scan4.jsonl")
     assert max_reg_scan(4, budget_ms=0, cache_path=cache).partial
@@ -1072,6 +1022,15 @@ def test_max_reg_scan_rejects_a_negative_budget_before_opening_the_cache(tmp_pat
     with pytest.raises(ValueError, match="must be nonnegative, got -5 ms"):
         max_reg_scan(3, budget_ms=-5, cache_path=str(cache))
     assert not cache.exists()
+
+
+def test_max_reg_scan_rejects_workers_other_than_1_before_opening_the_cache(tmp_path):
+    cache = tmp_path / "scan3.jsonl"
+    for workers in (2, 0, -3):
+        with pytest.raises(ValueError, match="workers must be 1, got %d" % workers):
+            max_reg_scan(3, cache_path=str(cache), workers=workers)
+    assert not cache.exists()
+    assert max_reg_scan(3, cache_path=str(cache), workers=1).max_reg == 0
 
 
 SCAN_DIGEST = """

@@ -10,6 +10,8 @@ from schubreg.perm import (
     all_permutations,
     bruhat_interval,
     bruhat_leq,
+    code_and_shape,
+    diagram,
     essential_set,
     is_covexillary,
     length,
@@ -59,9 +61,22 @@ def test_push_to_partition_staircase():
     lam, phi = push_to_partition(boxes, 3)
     assert sorted(lam, reverse=True) == [2, 1]
     assert set(phi) == set(boxes)
-    # pushing preserves the diagonal of every box
-    for src, dst in phi.items():
-        assert src[0] - src[1] == dst[0] - dst[1]
+    # pushing slides each box along its antidiagonal
+    for cell, src in phi.items():
+        assert cell[0] + cell[1] == src[0] + src[1]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_push_to_partition_gives_the_shape_of_every_covexillary_u(n):
+    for u in all_permutations(n):
+        if not is_covexillary(u):
+            continue
+        lam, phi = push_to_partition(diagram(u), n)
+        assert lam == code_and_shape(u)[1], u
+        # the French diagram of lam: row k from the bottom is grid row n - k
+        assert set(phi) == {(n - k, c) for k, part in enumerate(lam) for c in range(1, part + 1)}, u
+        assert set(phi.values()) == diagram(u), u
+        assert all(cell[0] + cell[1] == src[0] + src[1] for cell, src in phi.items()), u
 
 
 def test_companion_golden_values():
