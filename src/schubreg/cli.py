@@ -244,6 +244,7 @@ def _cmd_scan(args, out) -> int:
 def _cmd_groth(args, out) -> int:
     u = _parse_perm(args.u, "--u")
     vex = is_vexillary(u)
+    spec = groth_spec_1mq(u)
     payload = {
         "u": str(u),
         "n": u.n,
@@ -252,7 +253,7 @@ def _cmd_groth(args, out) -> int:
         "min_degree": groth_min_degree(u),
         "vexillary": vex,
         "formula_degree": vexillary_degree_formula(u) if vex else None,
-        "spec_1mq_coeffs": list(groth_spec_1mq(u).coeffs),
+        "spec_1mq_coeffs": list(spec.coeffs),
     }
     if args.poly:
         payload["poly"] = str(grothendieck(u))
@@ -266,7 +267,7 @@ def _cmd_groth(args, out) -> int:
         _kv(out, "vexillary", "yes" if vex else "no")
         if vex:
             _kv(out, "formula_degree", payload["formula_degree"])
-        _kv(out, "spec_1mq", groth_spec_1mq(u))
+        _kv(out, "spec_1mq", spec)
         if args.poly:
             _kv(out, "poly", payload["poly"])
     return 0

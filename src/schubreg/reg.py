@@ -31,7 +31,6 @@ from .gb import (
 )
 from .groth import groth_spec_1mq
 from .perm import (
-    BRUHAT_ERROR,  # re-exported for callers that match the message
     Permutation,
     all_permutations,
     bruhat_interval,

@@ -14,6 +14,7 @@ import pytest
 from conftest import rng
 
 from schubreg.perm import (
+    BRUHAT_ERROR,
     Permutation,
     all_permutations,
     bruhat_interval,
@@ -27,7 +28,6 @@ from schubreg.gb import ResourceBudgetExceeded, hilbert_data, time_budget
 from schubreg.poly import UniPoly
 from schubreg.reg import (
     ALL_CHECKS,
-    BRUHAT_ERROR,
     FALSIFIABLE_CHECKS,
     ScanRecord,
     check_conjectures,
