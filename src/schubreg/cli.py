@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from ._version import __version__
@@ -102,22 +101,12 @@ def _parse_perm(text: str, flag: str) -> Permutation:
 
 
 def _budget(args) -> int | None:
-    """--budget-ms, else SCHUBREG_BUDGET_MS, else None; negative exits 1."""
-    budget, source = getattr(args, "budget_ms", None), ""
-    if budget is None:
-        env = os.environ.get("SCHUBREG_BUDGET_MS")
-        if not env:
-            return None
-        try:
-            budget = int(env)
-        except ValueError as exc:
-            raise _UsageError("SCHUBREG_BUDGET_MS must be an integer") from exc
-        source = " (from SCHUBREG_BUDGET_MS)"
+    """--budget-ms (None if absent); a negative budget exits 1."""
     try:
-        require_budget(budget)
+        require_budget(args.budget_ms)
     except ValueError as exc:
-        raise _UsageError("--budget-ms: %s%s" % (exc, source)) from exc
-    return budget
+        raise _UsageError("--budget-ms: %s" % exc) from exc
+    return args.budget_ms
 
 
 def _parse_checks(text: str):
@@ -357,9 +346,5 @@ def entry(argv=None, out=None) -> int:
         return 4
 
 
-def main():  # console_scripts hook
-    sys.exit(entry())
-
-
 if __name__ == "__main__":
-    main()
+    sys.exit(entry())

@@ -232,23 +232,23 @@ def _groebner_h(v: Permutation, w: Permutation) -> UniPoly:
 
 
 # kappa -> H_{v,w} read off the companion kappa, shared by every pair whose
-# companion it is.  Never written to _H, which holds only Groebner H,
-# so the Groebner route's cross-checks stay honest.
+# companion it is.  Kept apart from _H, which holds only Groebner H: neither
+# memo is written or read in place of the other, so each route checks the other.
 _KAPPA_H: dict = {}
 
 
 def _h(v: Permutation, w: Permutation) -> UniPoly:
-    """H_{v,w}: a stored Groebner H if there is one, else for covexillary w
+    """H_{v,w} by the route the pair fixes: for covexillary w
     G_{w0 kappa}(1-q) / (1-q)^height with kappa the pair's companion
     (Li-Yong 2012), else the Groebner H from `_groebner_h`.  An inexact
     division there raises RuntimeError: it is a bug, not a property of the
-    pair.
+    pair.  What the process computed before never changes the route.
 
     The height C(n,2) - l(w) is C(n,2) - l(kappa), since l(kappa) = l(w), so
     H is memoised once per companion.  A companion H not yet in its memo
     first tests the enclosing `time_budget` scope.
     """
-    if (v, w) in _H or not is_covexillary(w):
+    if not is_covexillary(w):
         return _groebner_h(v, w)
     kappa = companion(v, w)
     H = _KAPPA_H.get(kappa)
@@ -387,9 +387,9 @@ def ps_series(v: Permutation, w: Permutation, order: int):
 
     Returns (coefficients, multiplicity) where multiplicity = H(1) is the
     Hilbert-Samuel multiplicity of the chart.  H is read as the checks read
-    it (`_h`): off the companion's Grothendieck polynomial for covexillary w
-    unless a Groebner H is stored, else the Groebner H.  A miss is
-    computed under the enclosing `time_budget` scope.
+    it (`_h`): off the companion's Grothendieck polynomial for covexillary w,
+    else the Groebner H.  A miss is computed under the enclosing
+    `time_budget` scope.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -403,8 +403,8 @@ def finalps_check(v: Permutation, w: Permutation) -> bool:
 
     The companion's partner polynomial specialized at 1-q must equal
     H_{v,w}(q) * (1-q)^{codim X_w}; the two sides come from independent
-    routes (divided differences vs the Groebner pipeline).  H is the
-    Groebner one from the H memo, never the one `_h` reads off the
+    routes (divided differences vs the Groebner pipeline).  H is always the
+    Groebner one (`_groebner_h`), never the one `_h` reads off the
     companion, and is computed under the enclosing `time_budget` scope on a
     miss.
     """
@@ -491,10 +491,10 @@ def check_conjectures(v: Permutation, w: Permutation, checks="all") -> dict:
 
     Every check passes on v = w.  H is read by `_h`: off the companion for
     covexillary w, so dual-path compares the tableau rule with the
-    Grothendieck degree, else the Groebner H.  The enclosing
-    `time_budget` scope bounds the checks together: it covers every chart,
-    companion H and KL column they compute, and is tested again after the
-    KL degree.  A memoised chart, H or KL column costs no budget.
+    Grothendieck degree whatever Groebner H is stored, else the Groebner H.
+    The enclosing `time_budget` scope bounds the checks together: it covers
+    every chart, companion H and KL column they compute, and is tested again
+    after the KL degree.  A memoised chart, H or KL column costs no budget.
     """
     require_bruhat(v, w)
     selected = select_checks(checks)

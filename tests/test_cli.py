@@ -232,15 +232,11 @@ def test_budget_flag_and_environment(capsys, monkeypatch):
     code, _ = run(slow + ["--budget-ms", "0"])
     assert code == 1
     assert "budget" in capsys.readouterr().err
+    # --budget-ms is the only way to set a budget: the environment sets
+    # none, so the chart, still cold, is computed in full
     monkeypatch.setenv("SCHUBREG_BUDGET_MS", "0")
-    assert run(slow)[0] == 1
-    capsys.readouterr()
-    # An explicit flag wins over the environment.
-    code, text = run(slow + ["--budget-ms", "600000"])
+    code, text = run(slow)
     assert code == 0 and kv(text)["reg"] == "2"
-    monkeypatch.setenv("SCHUBREG_BUDGET_MS", "abc")
-    assert run(slow)[0] == 1
-    assert "SCHUBREG_BUDGET_MS must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -256,16 +252,6 @@ def test_negative_budget_flag_exits_1(argv, capsys):
     err = capsys.readouterr().err
     assert code == 1 and text == ""
     assert err == "error: --budget-ms: a time budget must be nonnegative, got -5 ms\n"
-
-
-def test_negative_budget_variable_exits_1(monkeypatch, capsys):
-    monkeypatch.setenv("SCHUBREG_BUDGET_MS", "-3")
-    for argv in (["analyze", "--v", "1234", "--w", "4231"], ["scan", "--n", "4"]):
-        code, text = run(argv)
-        err = capsys.readouterr().err
-        assert code == 1 and text == ""
-        assert err.startswith("error: --budget-ms: ") and err.count("\n") == 1
-        assert "got -3 ms" in err and "SCHUBREG_BUDGET_MS" in err
 
 
 def test_negative_ps_order_is_rejected_before_any_work(monkeypatch, capsys):

@@ -1,6 +1,6 @@
 """The package's import surface: what `schubreg` itself exports, what one
 import loads, and the callers outside the library that rely on it (the
-benchmark child and README's examples)."""
+benchmark child, README's examples and `python -m schubreg.cli`)."""
 
 import json
 import os
@@ -79,3 +79,21 @@ def test_readme_library_examples_run_as_written():
     assert report.reg == 2
     assert str(report.H) == "1 + 3*q + q^2"
     assert (report.dim, report.height, report.n_vars) == (8, 10, 18)
+
+
+def test_cli_module_runs_as_a_script():
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "schubreg.cli", *argv],
+            cwd=ROOT,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    done = cli("--version")
+    assert done.returncode == 0 and done.stdout == "schubreg 0.1.0\n"
+    done = cli("analyze", "--v", "1234", "--w", "4231", "--budget-ms", "-5")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

@@ -385,14 +385,32 @@ def test_series_and_finalps_read_the_chart_memo(monkeypatch):
         return compute(v, w)
 
     monkeypatch.setattr(reg, "hilbert_data", counting_hilbert_data)
-    H = regularity(GOLDEN_V, GOLDEN_W, method="groebner").H
+    # ps_series reads the Groebner H only where w is not covexillary
+    v, w = Permutation.identity(5), Permutation.from_string("34512")
+    assert not is_covexillary(w)
+    H = regularity(v, w).H
     with time_budget(0):
-        coeffs, mult = ps_series(GOLDEN_V, GOLDEN_W, 3)
+        coeffs, mult = ps_series(v, w, 3)
+    assert coeffs == tuple(H.series_coefficients(6, 3)) == (1, 7, 27, 77) and mult == 2
+    regularity(GOLDEN_V, GOLDEN_W, method="groebner")
+    with time_budget(0):
         assert finalps_check(GOLDEN_V, GOLDEN_W)
-    assert coeffs == tuple(H.series_coefficients(8, 3)) and mult == 5
     # the orbit's one cone may come from the pair's inverse chart
-    inverse = (GOLDEN_V.inverse(), GOLDEN_W.inverse())
-    assert len(calls) == 1 and calls[0] in ((GOLDEN_V, GOLDEN_W), inverse)
+    assert len(calls) == 2
+    for pair, call in zip(((v, w), (GOLDEN_V, GOLDEN_W)), calls):
+        assert call in (pair, (pair[0].inverse(), pair[1].inverse()))
+
+
+def test_dual_path_reads_the_companion_h_even_with_a_groebner_h_stored():
+    # a wrong companion H must fail dual-path whatever the process computed
+    # before: a Groebner H in the memo never stands in for it
+    import schubreg.reg as reg
+    from schubreg.shapes import companion
+
+    reg._KAPPA_H[companion(GOLDEN_V, GOLDEN_W)] = UniPoly((1, 3, 1, 1))
+    assert check_conjectures(GOLDEN_V, GOLDEN_W, "dual-path") == {"dual-path": "fail"}
+    assert regularity(GOLDEN_V, GOLDEN_W, method="groebner").reg == 2
+    assert check_conjectures(GOLDEN_V, GOLDEN_W, "dual-path") == {"dual-path": "fail"}
 
 
 def test_budget_bounds_the_power_series():
