@@ -16,7 +16,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product, zip_longest
-from math import comb
+from math import comb, isfinite
+from operator import itemgetter
 from typing import get_args, get_type_hints
 
 from . import kernel
@@ -538,15 +539,49 @@ class ScanRecord:
     elapsed_ms: float
 
     def to_json_line(self) -> str:
-        return _ENCODER.encode(self.__dict__)
+        """The record as `json.dumps(self.__dict__, sort_keys=True)`, byte for
+        byte, for integer H coefficients and a finite elapsed_ms."""
+        h, checks = self.h_coeffs, self.conjectures
+        # the values in the template's order, the sorted field names
+        return _LINE % (
+            _string(self.cm_status),
+            "{%s}" % ", ".join([_string(k) + ": " + _string(checks[k]) for k in sorted(checks)])
+            if checks else "{}",
+            "true" if self.covexillary else "false",
+            self.dim,
+            repr(self.elapsed_ms),
+            "null" if self.error is None else _string(self.error),
+            "null" if h is None else "[%s]" % ", ".join(map(str, h)),
+            self.height,
+            "null" if self.homogeneous_ideal is None else "true" if self.homogeneous_ideal else "false",
+            _string(self.kernel),
+            "null" if self.kl_degree is None else self.kl_degree,
+            _string(self.method),
+            self.n,
+            self.n_vars,
+            "null" if self.reg is None else self.reg,
+            _string(self.v),
+            _string(self.w),
+        )
 
     @classmethod
     def from_json_line(cls, line: str) -> "ScanRecord":
-        """One cache line as a record; ValueError on a wrong JSON type or verdict."""
-        data = json.loads(line)
-        values = [data[name] for name in cls.__dataclass_fields__]
+        """One cache line as a record, parsed as `json.loads` parses it.
+        ValueError on a line that is not one JSON value, a field of the wrong
+        JSON type, a non-integer H coefficient, a non-finite elapsed_ms or an
+        unknown verdict; KeyError on a missing field, TypeError on a non-object."""
+        line = line.strip(" \t\n\r")
+        data, end = _decode(line)
+        if end != len(line):
+            raise ValueError("extra data after the record: %s" % line)
+        values = _fields(data)
         if tuple(map(type, values)) not in _RECORD_TYPES:
             raise ValueError("a field has the wrong JSON type: %s" % line)
+        h = data["h_coeffs"]
+        if h is not None and not _INT.issuperset(map(type, h)):
+            raise ValueError("an H coefficient is not an integer: %s" % line)
+        if not isfinite(data["elapsed_ms"]):
+            raise ValueError("elapsed_ms is not finite: %s" % line)
         if not _VERDICTS.issuperset(data["conjectures"].values()):
             raise ValueError("a check has an unknown verdict: %s" % line)
         return cls(*values)
@@ -557,7 +592,11 @@ _RECORD_TYPES = frozenset(
     product(*(get_args(hint) or (hint,) for hint in get_type_hints(ScanRecord).values()))
 )
 _VERDICTS = {"pass", "fail", "not-checkable"}
-_ENCODER = json.JSONEncoder(sort_keys=True)
+_INT = {int}
+_fields = itemgetter(*ScanRecord.__dataclass_fields__)
+_decode = json.JSONDecoder().raw_decode
+_string = json.encoder.encode_basestring_ascii
+_LINE = "{%s}" % ", ".join('"%s": %%s' % name for name in sorted(ScanRecord.__dataclass_fields__))
 _KERNEL_VERSION = "schubreg-%s-%s" % (__version__, kernel.implementation_name())
 
 

@@ -1004,7 +1004,16 @@ def test_a_compacting_scan_parses_each_cache_line_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("conjectures", None), ("reg", "0"), ("conjectures", {"h-nonneg": "maybe"})],
+    [
+        ("conjectures", None),
+        ("reg", "0"),
+        ("conjectures", {"h-nonneg": "maybe"}),
+        # H is a list of exact integers; a bool is not one
+        ("h_coeffs", ["a", 1.5, True]),
+        ("h_coeffs", [1, True]),
+        ("elapsed_ms", float("nan")),
+        ("elapsed_ms", float("-inf")),
+    ],
 )
 def test_cache_lines_with_wrong_json_types_are_recomputed(tmp_path, field, value):
     cache = tmp_path / "scan3.jsonl"
@@ -1026,6 +1035,57 @@ def test_cache_lines_with_wrong_json_types_are_recomputed(tmp_path, field, value
     assert {(r.v, r.w) for r in map(ScanRecord.from_json_line, kept)} == {
         (r.v, r.w) for r in plain.records
     }
+
+
+def test_a_record_line_is_json_dumps_of_its_fields():
+    records = (
+        max_reg_scan(4, checks="all", budget_ms=0).records
+        + max_reg_scan(4, checks="all").records
+    )
+    assert sum(r.error is not None for r in records) == 190
+    base = records[-1]
+    edges = itertools.product(
+        (0, 3, None),  # reg and kl_degree
+        (None, True, False),  # homogeneous_ideal
+        (None, 'a "quoted" \\ back\x00slash \u00e9 \U0001d11e'),  # error
+        (None, [], [1, -2, 3]),  # h_coeffs
+        (1e-05, 1e16, 0.1 + 0.2),  # elapsed_ms
+        ({}, {"reg-semicontinuity": "pass", "dual-path": "fail", "h-nonneg": "not-checkable"}),
+    )
+    for small, homogeneous, error, h, elapsed, checks in edges:
+        records.append(
+            ScanRecord(**{
+                **base.__dict__, "reg": small, "kl_degree": small, "homogeneous_ideal": homogeneous,
+                "error": error, "h_coeffs": h, "elapsed_ms": elapsed, "conjectures": checks,
+            })
+        )
+    for record in records:
+        line = record.to_json_line()
+        assert line == json.dumps(record.__dict__, sort_keys=True), record
+        assert ScanRecord.from_json_line(line) == record
+
+
+def test_a_record_line_is_read_as_json_loads_reads_it():
+    record = scan_record(GOLDEN_V, GOLDEN_W, checks=("h-nonneg",))
+    line = record.to_json_line()
+    for padded in (line + "\n", " \t\r\n" + line + "\r\n \t"):
+        assert ScanRecord.from_json_line(padded) == record
+    missing = json.dumps({k: v for k, v in record.__dict__.items() if k != "kernel"})
+    # the exception json.loads and the field reads raise on each input
+    for bad, error in [
+        (line + " {}", ValueError),
+        (line + "x", ValueError),
+        ("\f" + line, ValueError),  # not JSON whitespace
+        ("\u00a0" + line, ValueError),
+        ("", ValueError),
+        ("{not json}", ValueError),
+        ("[1, 2]", TypeError),
+        ('"a string"', TypeError),
+        ("null", TypeError),
+        (missing, KeyError),
+    ]:
+        with pytest.raises(error):
+            ScanRecord.from_json_line(bad)
 
 
 def test_max_reg_scan_rejects_unknown_checks_before_opening_the_cache(tmp_path):

@@ -79,10 +79,15 @@ CHECK_LAYERS = (
     "shapes.companion_permutation",
 )
 
-# a scan that writes its cache, then resumes from it: the record path
+# a scan that writes its cache, then resumes from it: the record path.  Every
+# cache line, less its newline, passes through the wrapped to_json_line.
 SCAN_PATH = """
 cache = %r
 first = reg.max_reg_scan(4, cache_path=cache)
+with open(cache, "rb") as handle:
+    written = handle.read()
+encoded = tracer.counts["reg.ScanRecord.to_json_line"]["bytes"]
+assert encoded == len(written) - written.count(b"\\n"), (encoded, len(written))
 again = reg.max_reg_scan(4, cache_path=cache)
 assert len(first.records) == 213 and again.records == first.records
 """
