@@ -409,7 +409,7 @@ def finalps_check(v: Permutation, w: Permutation) -> bool:
     companion, and is computed under the enclosing `time_budget` scope on a
     miss.
     """
-    lhs = groth_spec_1mq(w0_compose(companion_permutation(v, w).perm))
+    lhs = groth_spec_1mq(w0_compose(companion_permutation(v, w)))
     H = _groebner_h(v, w)
     rhs = H * UniPoly.one_minus_q() ** chart_shape(v, w)[1]
     return lhs == rhs

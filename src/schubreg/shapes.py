@@ -9,7 +9,6 @@ diagonals over the level sets of the filling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .perm import (
@@ -30,32 +29,12 @@ class NotCovexillaryError(ValueError):
     """Raised when the tableau rule is asked about a 3412-containing w."""
 
 
-@dataclass(frozen=True, slots=True)
-class CompanionData:
-    """Moved essential boxes with their imposed ranks, and the witness."""
-
-    moved: tuple[tuple[Box, int], ...]
-    perm: Permutation
-
-
-@dataclass(slots=True)
-class Filling:
-    """A bottom-left anchored French Young diagram with integer entries.
-
-    `shape` lists row lengths bottom row first (grid row n, then n-1, ...);
-    `entries` is keyed by grid cells (row, col).
-    """
-
-    shape: tuple[int, ...]
-    entries: dict[Box, int]
-
-
-def push_to_partition(boxes, n: int) -> tuple[tuple[int, ...], dict[Box, Box]]:
+def push_to_partition(boxes, n: int) -> dict[Box, Box]:
     """Slide boxes to the southwest ends of their antidiagonals.
 
     Boxes sharing an antidiagonal keep their relative order; the result must
     be a French Young diagram anchored at the bottom-left of the grid.
-    Returns (partition, phi) where phi maps each pushed cell to its source.
+    Returns phi, which maps each pushed cell (row, col) to its source.
     The boxes are the diagram of a covexillary permutation, so a result that
     is not such a diagram raises RuntimeError: it is a bug.
     """
@@ -74,21 +53,18 @@ def push_to_partition(boxes, n: int) -> tuple[tuple[int, ...], dict[Box, Box]]:
     widths: dict[int, int] = {}
     for (r, c) in phi:
         widths[r] = max(widths.get(r, 0), c)
-    if not phi:
-        return (), {}
-    count_by_row = {r: sum(1 for cell in phi if cell[0] == r) for r in widths}
     rows = sorted(widths)
     ok = rows == list(range(n - len(rows) + 1, n + 1))
-    ok = ok and all(count_by_row[r] == widths[r] for r in rows)
+    ok = ok and len(phi) == sum(widths.values())  # no row has a gap
     ok = ok and all(widths[rows[k]] <= widths[rows[k + 1]] for k in range(len(rows) - 1))
     if not ok:
         raise RuntimeError("pushed boxes do not form an anchored Young diagram")
-    shape = tuple(widths[r] for r in sorted(widths, reverse=True))
-    return shape, phi
+    return phi
 
 
+# Never hit, since companion() memoises in front; the benchmark tracer reads its cache_info().
 @lru_cache(maxsize=None)
-def companion_permutation(v: Permutation, w: Permutation) -> CompanionData:
+def companion_permutation(v: Permutation, w: Permutation) -> Permutation:
     """The covexillary permutation carrying the tangent-cone data of (v, w).
 
     Each essential box e of D(w) moves rho = R_v(e) steps southwest along its
@@ -120,12 +96,11 @@ def companion_permutation(v: Permutation, w: Permutation) -> CompanionData:
                 % ((i, j), w, (i + rho, j - rho), imposed, v)
             )
         moved.append(((i + rho, j - rho), imposed))
-    moved_tuple = tuple(moved)
 
     # sums[j] = sum over a of R(a, j); column 0 is zero
     sums = [0] * (n + 1)
     for a in range(1, n + 1):
-        row = [(r + max(0, i - a), c) for (i, c), r in moved_tuple]
+        row = [(r + max(0, i - a), c) for (i, c), r in moved]
         for j in range(1, n + 1):
             sums[j] += min([n - a + 1, j] + [t + max(0, j - c) for t, c in row])
     word = [sums[j] - sums[j - 1] for j in range(1, n + 1)]
@@ -140,7 +115,7 @@ def companion_permutation(v: Permutation, w: Permutation) -> CompanionData:
             ("length", length(kappa) == length(w)),
             ("shape", code_and_shape(kappa)[1] == code_and_shape(w)[1]),
             ("covexillary", is_covexillary(kappa)),
-            ("ranks", all(sw_rank(kappa, *box) == r for box, r in moved_tuple)),
+            ("ranks", all(sw_rank(kappa, *box) == r for box, r in moved)),
         )
         if not ok
     ]
@@ -148,21 +123,19 @@ def companion_permutation(v: Permutation, w: Permutation) -> CompanionData:
         raise RuntimeError(
             "companion %s of (%s, %s) fails: %s" % (kappa, v, w, ", ".join(broken))
         )
-    return CompanionData(moved_tuple, kappa)
+    return kappa
 
 
-def covexillary_rank_filling(u: Permutation) -> Filling:
-    """Push D(u) to a partition and fill each cell b with R_u(phi(b))."""
+def covexillary_rank_filling(u: Permutation) -> dict[Box, int]:
+    """Push D(u) to a partition and fill each cell b with R_u(phi(b)).
+
+    The filling maps grid cells (row, col) to ranks; its cells form the
+    French diagram of shape(u), bottom row at grid row n.
+    """
     if not is_covexillary(u):
         raise NotCovexillaryError("%s contains 3412" % u)
-    shape, phi = push_to_partition(diagram(u), u.n)
-    entries = {cell: sw_rank(u, src[0], src[1]) for cell, src in phi.items()}
-    return Filling(shape, entries)
-
-
-def rank_filling(v: Permutation, w: Permutation) -> Filling:
-    """The filled diagram of the companion permutation of (v, w)."""
-    return covexillary_rank_filling(companion_permutation(v, w).perm)
+    phi = push_to_partition(diagram(u), u.n)
+    return {cell: sw_rank(u, src[0], src[1]) for cell, src in phi.items()}
 
 
 def longest_diagonal(cells) -> int:
@@ -177,9 +150,9 @@ def longest_diagonal(cells) -> int:
     return best
 
 
-def level_components(filling: Filling, k: int) -> list[frozenset[Box]]:
+def level_components(filling: dict[Box, int], k: int) -> list[frozenset[Box]]:
     """Edge-connected components of the cells with entry >= k."""
-    alive = {cell for cell, value in filling.entries.items() if value >= k}
+    alive = {cell for cell, value in filling.items() if value >= k}
     components = []
     while alive:
         seed = min(alive)
@@ -198,12 +171,10 @@ def level_components(filling: Filling, k: int) -> list[frozenset[Box]]:
     return components
 
 
-def diag_level_sum(filling: Filling) -> int:
+def diag_level_sum(filling: dict[Box, int]) -> int:
     """Sum of longest diagonals over components of every positive level."""
-    if not filling.entries:
-        return 0
     total = 0
-    for k in range(1, max(filling.entries.values()) + 1):
+    for k in range(1, max(filling.values(), default=0) + 1):
         for comp in level_components(filling, k):
             total += longest_diagonal(comp)
     return total
@@ -226,7 +197,7 @@ def companion(v: Permutation, w: Permutation) -> Permutation:
     key = w, essential_ranks(v, w)
     kappa = _COMPANIONS.get(key)
     if kappa is None or v.n != w.n:
-        kappa = _COMPANIONS[key] = companion_permutation(v, w).perm
+        kappa = _COMPANIONS[key] = companion_permutation(v, w)
     return kappa
 
 

@@ -41,7 +41,11 @@ from schubreg.reg import (
     max_reg_scan,
     staircase_permutation,
 )
-from schubreg.shapes import companion_permutation, rank_filling, regularity_formula
+from schubreg.shapes import (
+    companion_permutation,
+    covexillary_rank_filling,
+    regularity_formula,
+)
 
 GOLDEN_V = "1423576"
 GOLDEN_W = "7314562"
@@ -107,10 +111,10 @@ def test_criterion_03_companion_and_filling_rows():
     with criterion(3, "companion permutation and filling rows", 1):
         v = Permutation.from_string(GOLDEN_V)
         w = Permutation.from_string(GOLDEN_W)
-        assert str(companion_permutation(v, w).perm) == "3472561"
-        f = rank_filling(v, w)
+        kappa = companion_permutation(v, w)
+        assert str(kappa) == "3472561"
         rows = {}
-        for (r, c), val in f.entries.items():
+        for (r, c), val in covexillary_rank_filling(kappa).items():
             rows.setdefault(r, {})[c] = val
         listed = [[rows[r][c] for c in sorted(rows[r])] for r in sorted(rows)]
         assert listed == [[0], [0, 0], [0, 0, 1], [0, 0, 1, 1]]

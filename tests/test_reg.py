@@ -1,5 +1,6 @@
 """Regularity reports, KL polynomials, conjecture suite, and scans."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -1148,6 +1149,20 @@ def test_scan_records_do_not_depend_on_the_hash_seed():
         "8f58405e54d57f2696e9bdd848cadcb00e79ab3341384e9714627765d1f26584",
     ]
     assert digests == [pinned, pinned]
+
+
+def test_the_tableau_route_records_of_covexillary_s6_are_pinned():
+    # every covexillary pair of S6 goes through the tableau rule (about 1.2 s);
+    # the digest follows SCAN_DIGEST's recipe, and a change to any field but
+    # elapsed_ms must update it on purpose
+    result = max_reg_scan(6, "covexillary-only")
+    digest = hashlib.sha256()
+    for record in result.records:
+        fields = dict(record.__dict__)
+        del fields["elapsed_ms"]
+        digest.update(json.dumps(fields, sort_keys=True).encode() + b"\n")
+    assert (len(result.records), result.max_reg) == (57847, 3)
+    assert digest.hexdigest() == "5c5c6d3498ba221c0a78b5982e3265dcb157d9b5a7c04446e25e2e12e08b55eb"
 
 
 def test_max_reg_scan_cache_recomputes_records_missing_checks(tmp_path):

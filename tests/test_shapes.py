@@ -19,8 +19,6 @@ from schubreg.perm import (
     sw_rank,
 )
 from schubreg.shapes import (
-    CompanionData,
-    Filling,
     NotCovexillaryError,
     companion,
     companion_permutation,
@@ -29,12 +27,34 @@ from schubreg.shapes import (
     level_components,
     longest_diagonal,
     push_to_partition,
-    rank_filling,
     regularity_formula,
 )
 
 GOLDEN_V = Permutation((1, 4, 2, 3, 5, 7, 6))
 GOLDEN_W = Permutation((7, 3, 1, 4, 5, 6, 2))
+
+
+def pair_filling(v, w):
+    """The rank filling of the companion of (v, w): the tableau rule's input."""
+    return covexillary_rank_filling(companion_permutation(v, w))
+
+
+def row_lengths(cells):
+    """Row lengths of a French diagram of grid cells, bottom row first."""
+    counts = {}
+    for (r, _) in cells:
+        counts[r] = counts.get(r, 0) + 1
+    return tuple(counts[r] for r in sorted(counts, reverse=True))
+
+
+def moved_boxes(v, w):
+    """Each essential box of w moved rho = R_v(e) steps southwest, with its
+    imposed rank R_w(e) - rho."""
+    moved = []
+    for (i, j) in sorted(essential_set(w)):
+        rho = sw_rank(v, i, j)
+        moved.append(((i + rho, j - rho), sw_rank(w, i, j) - rho))
+    return tuple(moved)
 
 
 def covexillary_pairs(n):
@@ -58,12 +78,25 @@ def test_longest_diagonal():
 def test_push_to_partition_staircase():
     # boxes already SW-justified stay put
     boxes = [(3, 1), (2, 1), (3, 2)]
-    lam, phi = push_to_partition(boxes, 3)
-    assert sorted(lam, reverse=True) == [2, 1]
+    phi = push_to_partition(boxes, 3)
+    assert row_lengths(phi) == (2, 1)
     assert set(phi) == set(boxes)
     # pushing slides each box along its antidiagonal
     for cell, src in phi.items():
         assert cell[0] + cell[1] == src[0] + src[1]
+
+
+@pytest.mark.parametrize(
+    "boxes",
+    [
+        [(3, 1), (3, 3)],  # a gap in the bottom row
+        [(2, 1)],  # nothing in the bottom row
+        [(3, 1), (2, 1), (1, 3)],  # a row longer than the one below it
+    ],
+)
+def test_push_to_partition_rejects_a_result_that_is_not_an_anchored_young_diagram(boxes):
+    with pytest.raises(RuntimeError, match="anchored Young diagram"):
+        push_to_partition(boxes, 3)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -71,7 +104,8 @@ def test_push_to_partition_gives_the_shape_of_every_covexillary_u(n):
     for u in all_permutations(n):
         if not is_covexillary(u):
             continue
-        lam, phi = push_to_partition(diagram(u), n)
+        phi = push_to_partition(diagram(u), n)
+        lam = row_lengths(phi)
         assert lam == code_and_shape(u)[1], u
         # the French diagram of lam: row k from the bottom is grid row n - k
         assert set(phi) == {(n - k, c) for k, part in enumerate(lam) for c in range(1, part + 1)}, u
@@ -80,10 +114,11 @@ def test_push_to_partition_gives_the_shape_of_every_covexillary_u(n):
 
 
 def test_companion_golden_values():
-    data = companion_permutation(GOLDEN_V, GOLDEN_W)
-    assert isinstance(data, CompanionData)
-    assert data.perm == Permutation((3, 4, 7, 2, 5, 6, 1))
-    assert data.moved == (((4, 1), 0), ((5, 2), 0), ((5, 4), 1), ((6, 5), 1))
+    kappa = companion_permutation(GOLDEN_V, GOLDEN_W)
+    assert kappa == Permutation((3, 4, 7, 2, 5, 6, 1))
+    moved = moved_boxes(GOLDEN_V, GOLDEN_W)
+    assert moved == (((4, 1), 0), ((5, 2), 0), ((5, 4), 1), ((6, 5), 1))
+    assert all(sw_rank(kappa, *box) == rank for box, rank in moved)
 
 
 def companion_by_search(v, w, candidates):
@@ -92,17 +127,14 @@ def companion_by_search(v, w, candidates):
     `candidates` maps (length, shape) to the covexillary permutations of S_n
     with that length and shape; the imposed ranks pick one of them.
     """
-    moved = []
-    for (i, j) in sorted(essential_set(w)):
-        rho = sw_rank(v, i, j)
-        moved.append(((i + rho, j - rho), sw_rank(w, i, j) - rho))
+    moved = moved_boxes(v, w)
     found = [
         u
         for u in candidates[(length(w), shape(w))]
         if all(sw_rank(u, i, j) == rank for (i, j), rank in moved)
     ]
     assert len(found) == 1, (v, w, found)
-    return CompanionData(tuple(moved), found[0])
+    return found[0]
 
 
 def check_companion_against_search(n, expected_pairs):
@@ -131,7 +163,7 @@ def test_companion_is_w_exactly_when_no_box_moves():
     for n in (3, 4):
         for v, w in covexillary_pairs(n):
             rhos = [sw_rank(v, i, j) for (i, j) in essential_set(w)]
-            kappa = companion_permutation(v, w).perm
+            kappa = companion_permutation(v, w)
             if all(r == 0 for r in rhos):
                 assert kappa == w
             else:
@@ -140,7 +172,7 @@ def test_companion_is_w_exactly_when_no_box_moves():
 
 def test_companion_structural_invariants():
     for v, w in covexillary_pairs(4):
-        kappa = companion_permutation(v, w).perm
+        kappa = companion_permutation(v, w)
         assert is_covexillary(kappa)
         assert shape(kappa) == shape(w)
         assert length(kappa) >= length(w)
@@ -148,7 +180,7 @@ def test_companion_structural_invariants():
     r = rng(401)
     pairs = [p for p in covexillary_pairs(5)]
     for v, w in r.sample(pairs, 60):
-        kappa = companion_permutation(v, w).perm
+        kappa = companion_permutation(v, w)
         assert is_covexillary(kappa)
         assert shape(kappa) == shape(w)
 
@@ -157,17 +189,17 @@ def test_companion_moved_boxes_carry_the_new_ranks():
     # each essential box e of w, shifted SW by rho = rank of v there,
     # must see rank(w at e) - rho in the companion
     for v, w in covexillary_pairs(4):
-        data = companion_permutation(v, w)
-        for (box, target) in data.moved:
+        kappa = companion_permutation(v, w)
+        for (box, target) in moved_boxes(v, w):
             i, j = box
-            assert sw_rank(data.perm, i, j) == target
+            assert sw_rank(kappa, i, j) == target
 
 
 def test_rank_filling_golden_rows():
-    f = rank_filling(GOLDEN_V, GOLDEN_W)
-    assert f.shape == (4, 3, 2, 1)
+    f = pair_filling(GOLDEN_V, GOLDEN_W)
+    assert row_lengths(f) == (4, 3, 2, 1)
     rows = {}
-    for (r, c), val in f.entries.items():
+    for (r, c), val in f.items():
         rows.setdefault(r, {})[c] = val
     listed = [
         [rows[r][c] for c in sorted(rows[r])] for r in sorted(rows)
@@ -180,22 +212,22 @@ def test_covexillary_rank_filling_structure():
         if not is_covexillary(w):
             continue
         own = covexillary_rank_filling(w)
-        assert own.shape == shape(w)
-        assert all(val >= 0 for val in own.entries.values())
-        assert len(own.entries) == sum(own.shape)
+        assert row_lengths(own) == shape(w)
+        assert all(val >= 0 for val in own.values())
+        assert len(own) == sum(shape(w))
 
 
 def test_pair_filling_goes_through_the_companion():
+    # the pair reaches the rule only through kappa, whose filling has the
+    # shape of w
     for v, w in covexillary_pairs(4):
-        kappa = companion_permutation(v, w).perm
-        paired = rank_filling(v, w)
-        own = covexillary_rank_filling(kappa)
-        assert paired.shape == own.shape
-        assert paired.entries == own.entries
+        own = covexillary_rank_filling(companion_permutation(v, w))
+        assert row_lengths(own) == shape(w)
+        assert regularity_formula(v, w) == diag_level_sum(own)
 
 
 def test_level_components_and_diag_sum():
-    f = rank_filling(GOLDEN_V, GOLDEN_W)
+    f = pair_filling(GOLDEN_V, GOLDEN_W)
     # level 1: the three boxes with entry 1 form one component whose
     # longest diagonal has two boxes, and that is the whole sum
     comps = level_components(f, 1)
@@ -229,9 +261,9 @@ def test_filling_is_weakly_increasing_down_diagonals():
     r = rng(402)
     pairs = list(covexillary_pairs(5))
     for v, w in r.sample(pairs, 80):
-        f = rank_filling(v, w)
+        f = pair_filling(v, w)
         by_diag = {}
-        for (i, j), val in f.entries.items():
+        for (i, j), val in f.items():
             by_diag.setdefault(i - j, []).append(((i, j), val))
         for boxes in by_diag.values():
             boxes.sort()
@@ -244,8 +276,8 @@ def test_the_companion_memo_matches_a_fresh_companion(n):
     # pairs of one w share the memo, so a key missing an essential box
     # hands some pair another pair's companion
     for v, w in covexillary_pairs(n):
-        assert companion(v, w) is companion_permutation.__wrapped__(v, w).perm, (v, w)
-        assert regularity_formula(v, w) == diag_level_sum(rank_filling(v, w)), (v, w)
+        assert companion(v, w) is companion_permutation.__wrapped__(v, w), (v, w)
+        assert regularity_formula(v, w) == diag_level_sum(pair_filling(v, w)), (v, w)
 
 
 def test_a_companion_memo_hit_still_rejects_pairs_out_of_bruhat_order():

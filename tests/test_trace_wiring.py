@@ -6,14 +6,20 @@ the kernel module at call time).  A refactor that moves a call behind a
 from-import silently empties a layer, and a change to the generators or to
 the algorithm's path moves the work counts the tracer reads; this test
 catches both in the default tier.  The tracer patches modules for good, so it runs in a child
-interpreter and leaves this process untouched.
+interpreter and leaves this process untouched.  The last two tests run the
+benchmark's own traced items (perfbench/child.py) on all four workloads and
+check their outputs against perfbench/reference.json.
 """
 
+import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 
 LAYERS = (
     "gb.hilbert_data",
@@ -131,3 +137,65 @@ def test_tracer_records_the_layers_of_the_conjecture_checks():
 
 def test_tracer_records_the_layers_of_a_scan_and_its_resume(tmp_path):
     run_child(SCAN_PATH % str(tmp_path / "scan4.jsonl"), SCAN_LAYERS)
+
+
+# The scan-summary keys that perfbench/run.py checks against the reference.
+SUMMARY_KEYS = ("max_reg", "argmax", "digest", "records", "tallies", "falsified")
+
+
+def traced_bench_item(task, workload, cache=None, charts=()):
+    """One traced benchmark item, its spec built as perfbench/run.py builds it.
+
+    The benchmark refuses a change whose traced item exits nonzero (a wrapped
+    name gone, a layer with no calls, an observer that no longer fits) or
+    reports an error, so both are asserted here.
+    """
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec = {
+        "task": task,
+        "workload": workload,
+        "cache": str(cache) if cache is not None else None,
+        "charts": [list(pair) for pair in charts],
+        "trace": True,
+        "metrics": [
+            m["name"] for m in benchmark["per_layer"] if not m["name"].startswith("trace.")
+        ],
+    }
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), json.dumps(spec)],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    assert "error" not in out, out["error"]
+    return out
+
+
+def test_traced_benchmark_scan_resume_and_sweep_match_the_reference(tmp_path):
+    reference = json.loads((BENCH / "reference.json").read_text())
+    cache = tmp_path / "cache.jsonl"
+    for task, workload in (("scan", "scan5"), ("resume", "resume5"), ("sweep", "sweep5")):
+        written = cache.read_bytes() if task == "resume" else None
+        out = traced_bench_item(task, workload, cache=None if task == "sweep" else cache)
+        got = out["summary"]
+        want = reference["sweep5" if task == "sweep" else "scan5"]
+        assert {k: got[k] for k in SUMMARY_KEYS} == {k: want[k] for k in SUMMARY_KEYS}, task
+        assert (got["partial"], got["errors"]) == (False, 0), task
+        assert out["sink_calls"] == (0 if task == "resume" else got["records"]), task
+        if written is not None:
+            assert cache.read_bytes() == written
+
+
+def test_traced_benchmark_slow_charts_match_the_reference():
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((BENCH / "reference.json").read_text())["slow-charts"]
+    out = traced_bench_item("charts", "slow-charts", charts=workloads.SLOW_CHARTS)
+    got = {v + " " + w: {"reg": reg, "h_coeffs": h} for v, w, reg, h in out["summary"]["charts"]}
+    assert got == reference
