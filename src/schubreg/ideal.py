@@ -12,20 +12,22 @@ i..n and columns 1..j, where R_w(i, j) counts {h <= j : w(h) >= i}.  By
 Fulton's essential-set theorem (Fulton 1992) the corners at the essential
 set of w already generate that ideal, so those are the only corners imposed.
 
-Minors are expanded straight into packed integer term lists (raws as in
-kernel.orders), and an `Ideal` stores its generators that way.  MultiPoly
-appears only at the edges: `Ideal.from_polys` packs polynomials given by a
-caller, and `Ideal.generators` unpacks on first use (parsing, printing, the
-Macaulay2 export).
+Each row and column of the chart matrix holds at most one 1 and every other
+nonzero cell is its own variable, so each placement of a minor's rows on
+distinct nonzero columns gives its own +-1 monomial: a minor is the signed
+sum of its placements, written straight into a packed integer term list
+(raws as in kernel.orders).  An `Ideal` stores its generators that way.
+MultiPoly appears only at the edges: `Ideal.from_polys` packs polynomials
+given by a caller, and `Ideal.generators` unpacks on first use (parsing,
+printing, the Macaulay2 export).
 
 The chart matrix of v and each of its minors depend on v alone, never on
 w: w only picks which (rows, cols) the corners impose.  So one process-wide
 memo, keyed on v, keeps a `_DetTable`: v's matrix as one grid of packed
 cells, built once from the diagram of v, and every packed minor of it
-expanded so far, keyed by (rows, cols).  A pair's generators are lookups in
-the memo of its v, in the order a fresh expansion gives, and exactly the
-same polynomials.  The sub-determinants a cofactor expansion passes through
-are dropped at the end of each call.
+computed so far, keyed by (rows, cols).  A pair's generators are lookups in
+the memo of its v, in the order a fresh computation gives, and exactly the
+same polynomials.
 """
 
 from __future__ import annotations
@@ -95,10 +97,9 @@ class _DetTable:
     `entry[r - 1][c - 1]` is the cell in display row r, column c: None for
     a zero, 0 (the raw it multiplies by) for the 1 in row v(c), and the raw
     of z_i_c, i = n - r + 1, for a free cell.  `ring` names the free cells
-    in (i, j) order.  The cofactor expansion walks the line (row or column)
-    with the most structural zeros; determinants are {raw: int} dicts.
-    `minors` keeps each packed minor for the life of the table; `memo`
-    holds the sub-determinants of the current call.
+    in (i, j) order.  A minor is the signed sum of its placements, written
+    out by `_place`; `minors` keeps each packed minor for the life of the
+    table.
     """
 
     def __init__(self, v: Permutation):
@@ -113,7 +114,6 @@ class _DetTable:
         for k, (i, j) in enumerate(free):
             self.entry[n - i][j - 1] = 1 << (SHIFT * k)
         self.minors: dict = {}
-        self.memo: dict = {}
 
     def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple:
         """The packed minor on rows x cols, content 1 with a positive
@@ -121,45 +121,26 @@ class _DetTable:
         key = (rows, cols)
         poly = self.minors.get(key)
         if poly is None:
+            det: dict = {}
+            _place([[self.entry[r - 1][c - 1] for c in cols] for r in rows], 0, 0, 0, 1, det)
             keyof = self.keyof
-            det = self.det(rows, cols)
             terms = sorted(((keyof(r), r, c) for r, c in det.items()), reverse=True)
             poly = self.minors[key] = tuple((r, c) for _, r, c in content_normalize(terms))
         return poly
 
-    def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
-        key = (rows, cols)
-        found = self.memo.get(key)
-        if found is None:
-            found = self.memo[key] = self._expand(rows, cols) if rows else {0: 1}
-        return found
 
-    def _expand(self, rows, cols) -> dict:
-        size = len(rows)
-        grid = [[self.entry[r - 1][c - 1] for c in cols] for r in rows]
-        # expand along the first line, rows before columns, with the most zeros
-        row_zeros = [row.count(None) for row in grid]
-        col_zeros = [col.count(None) for col in zip(*grid)]
-        i = max(range(size), key=row_zeros.__getitem__)
-        j = max(range(size), key=col_zeros.__getitem__)
-        if col_zeros[j] > row_zeros[i]:
-            line = [(k, j) for k in range(size)]
-        else:
-            line = [(i, k) for k in range(size)]
-        # Each row and column has at most one 1 and every other nonzero cell
-        # its own variable, so the variables of a monomial fix the
-        # permutation it comes from: no two cells of the line give the same
-        # monomial, and every coefficient is +-1.
-        total: dict = {}
-        for i, j in line:
-            shift = grid[i][j]
-            if shift is None:
-                continue
-            minor = self.det(rows[:i] + rows[i + 1 :], cols[:j] + cols[j + 1 :])
-            sign = -1 if (i + j) % 2 else 1
-            for r, c in minor.items():
-                total[r + shift] = sign * c
-        return total
+def _place(grid, i: int, used: int, raw: int, sign: int, det: dict) -> None:
+    """Set det[raw] = sign for every placement of rows i.. of grid on unused
+    nonzero columns, given rows 0..i-1 placed on the column bits of `used`
+    with product `raw` and sign `sign`.  A row placed left of k used
+    columns adds k inversions."""
+    if i == len(grid):
+        det[raw] = sign
+        return
+    for j, cell in enumerate(grid[i]):
+        if cell is not None and not used >> j & 1:
+            flip = -sign if (used >> j).bit_count() & 1 else sign
+            _place(grid, i + 1, used | 1 << j, raw + cell, flip, det)
 
 
 # v -> the _DetTable of its chart, for the life of the process
@@ -193,7 +174,6 @@ def _minors_for_conditions(v: Permutation, conditions) -> tuple:
                 if poly and poly not in seen:
                     seen.add(poly)
                     out.append(poly)
-    table.memo.clear()
     return tuple(out)
 
 

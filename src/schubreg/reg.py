@@ -635,17 +635,16 @@ def scan_record(v: Permutation, w: Permutation, checks=(), budget_ms=None) -> Sc
 
 
 def _read_cache(path):
-    """(pair, record) for every nonblank line of a scan cache file; record is
-    None on a line that is not a valid record.  A byte that is not UTF-8
-    reads as U+FFFD."""
+    """(pair, record) for every line of a scan cache file that is not all
+    JSON whitespace; record is None on a line that is not a valid record.  A
+    byte that is not UTF-8 reads as U+FFFD."""
     try:
         handle = open(path, "r", encoding="utf-8", errors="replace")
     except FileNotFoundError:
         return
     with handle:
         for line in handle:
-            line = line.strip()
-            if not line:
+            if not line.strip(" \t\n\r"):
                 continue
             try:
                 record = ScanRecord.from_json_line(line)

@@ -6,6 +6,7 @@ set theorem is measured against: the two generating sets must span the same
 ideal, witnessed by equal reduced Groebner bases.
 """
 
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -18,17 +19,18 @@ from schubreg.gb import buchberger
 from schubreg.perm import (
     Permutation,
     all_permutations,
+    bruhat_interval,
     bruhat_leq,
     diagram,
     essential_set,
     sw_rank,
 )
+from schubreg import ideal
 from schubreg.poly import MultiPoly
 from schubreg.reg import max_reg_scan, scan_pairs
 from schubreg.ideal import (
     Ideal,
     _MINORS,
-    _DetTable,
     _chart_table,
     _minors_for_conditions,
     kl_generators,
@@ -303,24 +305,25 @@ def test_a_warm_minor_memo_gives_the_cold_generators():
 
 
 def test_a_cold_s5_scan_expands_each_minor_once(monkeypatch):
-    expansions = []
-    real = _DetTable._expand
+    builds = []
+    real = ideal._place
 
-    def counting(table, rows, cols):
-        expansions.append(table.v)
-        return real(table, rows, cols)
+    def counting(grid, i, used, raw, sign, det):
+        if i == 0:
+            builds.append(grid)
+        real(grid, i, used, raw, sign, det)
 
-    monkeypatch.setattr(_DetTable, "_expand", counting)
+    # the walk recurses through the module name, so only its first row
+    # starts a build
+    monkeypatch.setattr(ideal, "_place", counting)
     max_reg_scan(5)
-    assert len(expansions) == 1955
     assert len(_MINORS) == 91
-    assert sum(len(table.minors) for table in _MINORS.values()) == 925
+    assert len(builds) == sum(len(table.minors) for table in _MINORS.values()) == 925
     # a repeated pair reads every minor off the memo
     first = kl_generators(GOLDEN_V, GOLDEN_W)
-    assert expansions[-1] is GOLDEN_V
-    expansions.clear()
+    builds.clear()
     assert kl_generators(GOLDEN_V, GOLDEN_W).terms == first.terms
-    assert expansions == []
+    assert builds == []
 
 
 def leibniz_minor(table, rows, cols):
@@ -340,8 +343,8 @@ def leibniz_minor(table, rows, cols):
 
 
 def test_every_memoised_s5_minor_is_its_leibniz_determinant():
-    # the cofactor expansion assigns each monomial's coefficient instead of
-    # summing it, which holds only while no two permutations share one
+    # the walk assigns each monomial's coefficient instead of summing it,
+    # which holds only while no two placements share one
     max_reg_scan(5)
     checked = 0
     for table in _MINORS.values():
@@ -349,6 +352,46 @@ def test_every_memoised_s5_minor_is_its_leibniz_determinant():
             assert poly == leibniz_minor(table, rows, cols), (table.v, rows, cols)
             checked += 1
     assert checked == 925
+
+
+def generator_digest(pairs):
+    """(charts, generators, SHA-256) over the packed generators of each pair,
+    one repr line per chart, in order."""
+    digest = hashlib.sha256()
+    charts = generators = 0
+    for v, w in pairs:
+        terms = kl_generators(v, w).terms
+        digest.update(repr(terms).encode() + b"\n")
+        charts += 1
+        generators += len(terms)
+    return charts, generators, digest.hexdigest()
+
+
+def test_the_generators_of_every_s7_chart_at_the_identity_are_pinned():
+    # the charts at v = e have the most free cells and the largest minors;
+    # a change to any generator, its terms or their order must update this
+    # digest on purpose
+    e = Permutation.identity(7)
+    assert generator_digest((e, w) for w in all_permutations(7)) == (
+        5040,
+        189939,
+        "5680faae1569bff3fc9a2ddcc3c9c1f0477fca5b297f26ad760c1e4f07a59f35",
+    )
+
+
+@pytest.mark.slow
+def test_the_generators_of_every_s6_pair_are_pinned():
+    e = Permutation.identity(6)
+    pairs = (
+        (v, w)
+        for w in all_permutations(6)
+        for v in sorted(bruhat_interval(e, w), key=lambda u: u.word)
+    )
+    assert generator_digest(pairs) == (
+        98407,
+        1038938,
+        "3ce181fb561ca7c857b83ccf48aa41357b04c131c56abea7ae542f004cc55683",
+    )
 
 
 def test_trivial_pairs_have_no_generators():

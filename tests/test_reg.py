@@ -1089,6 +1089,28 @@ def test_a_record_line_is_read_as_json_loads_reads_it():
             ScanRecord.from_json_line(bad)
 
 
+def test_a_scan_reads_cache_lines_as_json_loads_reads_them(tmp_path):
+    cache = tmp_path / "scan3.jsonl"
+    plain = max_reg_scan(3, cache_path=str(cache))
+    lines = cache.read_text().splitlines()
+    assert lines == [r.to_json_line() for r in plain.records]
+    # a form feed and an NBSP are not JSON whitespace: the two prefixed lines
+    # are not records, and a line of one NBSP is not blank
+    edited = lines[:]
+    edited[3] = "\f" + lines[3]
+    edited[7] = "\u00a0" + lines[7]
+    cache.write_text("".join(line + "\n" for line in edited + ["\u00a0"]))
+    sent = []
+    again = max_reg_scan(3, cache_path=str(cache), record_sink=sent.append)
+    assert [(r.v, r.w) for r in sent] == [(r.v, r.w) for r in (plain.records[3], plain.records[7])]
+    assert [stable_fields(r) for r in again.records] == [
+        stable_fields(r) for r in plain.records
+    ]
+    kept = cache.read_text().splitlines()
+    assert len(kept) == 19
+    assert [ScanRecord.from_json_line(line).to_json_line() for line in kept] == kept
+
+
 def test_max_reg_scan_rejects_unknown_checks_before_opening_the_cache(tmp_path):
     cache = tmp_path / "scan3.jsonl"
     with pytest.raises(ValueError, match="unknown check 'bogus'"):
