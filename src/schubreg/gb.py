@@ -43,7 +43,7 @@ from . import kernel
 from .ideal import Ideal, kl_generators, pack_poly, unpack_poly
 from .kernel.orders import FIELD, SHIFT, OrderPack, divides, order_pack, raw_lcm
 from .perm import Permutation, chart_shape
-from .poly import MultiPoly, PolyRing, UniPoly, coeff_product
+from .poly import MultiPoly, PolyRing, UniPoly
 
 
 class ResourceBudgetExceeded(RuntimeError):
@@ -92,10 +92,6 @@ def _keyed(terms, pack: OrderPack):
     """Kernel term list of packed (raw, coeff) terms under the pack's order."""
     keyof = pack.keyof
     return kernel.content_normalize(sorted(((keyof(r), r, c) for r, c in terms), reverse=True))
-
-
-def _sugar(terms, pack: OrderPack) -> int:
-    return max(pack.degree_of_raw(r) for (_, r, _) in terms)
 
 
 def _buchberger_terms(kgens, pack: OrderPack):
@@ -147,7 +143,7 @@ def _buchberger_terms(kgens, pack: OrderPack):
         check_budget("generator interreduction")
         reduced = kernel.normal_form(gen, reducers, corr)
         if reduced:
-            update(reduced, _sugar(reduced, pack))
+            update(reduced, pack.key_degree(reduced[0][0]))
 
     while queue:
         pair_sugar, _, j, i = heappop(queue)
@@ -159,7 +155,7 @@ def _buchberger_terms(kgens, pack: OrderPack):
         stats["pairs_processed"] += 1
         reduced = kernel.normal_form(spoly, reducers, corr)
         if reduced:
-            update(reduced, max(pair_sugar, _sugar(reduced, pack)))
+            update(reduced, max(pair_sugar, pack.key_degree(reduced[0][0])))
         else:
             stats["zero_reductions"] += 1
 
@@ -314,41 +310,27 @@ def _minimal(raws, pack: OrderPack) -> list:
 
 def _numerator(gens, pack: OrderPack) -> list:
     """The coefficient list of the numerator K of the ideal of the minimal
-    packed monomials `gens`, by the pivot recursion of Bayer-Stillman."""
+    packed monomials `gens`: the product of the 1 - q^deg g when no variable
+    divides two of them, else the Bayer-Stillman pivot recursion on the
+    lowest variable that divides the most, which shrinks both calls."""
     hmask = pack.hmask
     ones = hmask >> (SHIFT - 1)
-    # K is multiplicative over the components of the shared-variable graph;
-    # in one of two or more generators the pivot is shared by two of them,
-    # which makes both recursive calls smaller
-    components = []  # (support mask, generators), masks pairwise disjoint
-    for g in gens:
-        mask, members, apart = ((g | hmask) - ones) & hmask, [g], []
-        for other, others in components:
-            if other & mask:
-                mask |= other
-                members += others
-            else:
-                apart.append((other, others))
-        components = apart + [(mask, members)]
-    result = [1]
-    for _, members in components:
-        if len(members) == 1:
-            d = pack.degree_of_raw(members[0])
-            factor = [1] + [0] * (d - 1) + [-1] if d else []  # 1 - q^d
-        else:
-            # generators per variable, one field each; the lowest top one wins
-            counts = sum(((g | hmask) - ones) >> (SHIFT - 1) & ones for g in members)
-            fields = [(counts >> (SHIFT * k)) & FIELD for k in range(pack.nvars)]
-            k = fields.index(max(fields))
-            unit, field_k = 1 << (SHIFT * k), FIELD << (SHIFT * k)
-            # K(M) = K(M + (x_k)) + q K(M : x_k); M + (x_k) is minimal as built
-            plus = _numerator([g for g in members if not g & field_k] + [unit], pack)
-            colon = _numerator(
-                _minimal([g - unit if g & field_k else g for g in members], pack), pack
-            )
-            factor = [a + b for a, b in zip_longest(plus, [0] + colon, fillvalue=0)]
-        result = coeff_product(result, factor)
-    return result
+    # generators per variable, one field each
+    counts = sum(((g | hmask) - ones) >> (SHIFT - 1) & ones for g in gens)
+    fields = [(counts >> (SHIFT * k)) & FIELD for k in range(pack.nvars)]
+    top = max(fields, default=0)
+    if top < 2:
+        result = [1]
+        for g in gens:  # times 1 - q^deg g
+            shifted = [0] * pack.degree_of_raw(g) + result
+            result = [a - b for a, b in zip_longest(result, shifted, fillvalue=0)]
+        return result
+    k = fields.index(top)
+    unit, field_k = 1 << (SHIFT * k), FIELD << (SHIFT * k)
+    # K(M) = K(M + (x_k)) + q K(M : x_k); M + (x_k) is minimal as built
+    plus = _numerator([g for g in gens if not g & field_k] + [unit], pack)
+    colon = _numerator(_minimal([g - unit if g & field_k else g for g in gens], pack), pack)
+    return [a + b for a, b in zip_longest(plus, [0] + colon, fillvalue=0)]
 
 
 def hilbert_numerator(monomials, nvars: int) -> UniPoly:

@@ -33,10 +33,8 @@ same polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 
 from .kernel import content_normalize
 from .kernel.orders import SHIFT, order_pack
@@ -49,18 +47,18 @@ def var_name(i: int, j: int) -> str:
 
 
 def pack_poly(f: MultiPoly) -> tuple[tuple[int, int], ...]:
-    """The (raw, coeff) terms of f, scaled to integer coefficients."""
-    denom = 1
+    """The (raw, coeff) terms of f; a non-int coefficient raises ValueError."""
     for c in f.terms.values():
-        denom = lcm(denom, c.denominator)
+        if not isinstance(c, int):
+            raise ValueError("MultiPoly wants integer coefficients, got %r" % (c,))
     pack = order_pack(f.ring.nvars)
-    return tuple((pack.pack(e), int(c * denom)) for e, c in f.terms.items())
+    return tuple((pack.pack(e), c) for e, c in f.terms.items())
 
 
 def unpack_poly(ring: PolyRing, terms) -> MultiPoly:
     """The MultiPoly of (raw, coeff) terms."""
     unpack = order_pack(ring.nvars).unpack
-    return MultiPoly(ring, {unpack(r): Fraction(c) for r, c in terms})
+    return MultiPoly(ring, {unpack(r): c for r, c in terms})
 
 
 @dataclass

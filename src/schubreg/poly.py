@@ -1,12 +1,12 @@
 """Exact sparse polynomials.
 
-MultiPoly keeps a dict from dense exponent tuples to rational (Fraction or
-int) coefficients over a fixed ring of named variables.  It only parses,
-compares and prints: it is the form for the edges of the library, namely
-the Macaulay2 export, the `groth --poly` output, and the `Ideal.generators`
-and `GroebnerBasis.elements` views.  Polynomial arithmetic happens on
-integer terms elsewhere: packed term lists in the Groebner pipeline (ideal,
-gb, kernel) and exponent-tuple dicts for Grothendieck polynomials (groth).
+MultiPoly keeps a dict from dense exponent tuples to integer coefficients
+over a fixed ring of named variables.  It only parses, compares and prints:
+it is the form for the edges of the library, namely the Macaulay2 export,
+the `groth --poly` output, and the `Ideal.generators` and
+`GroebnerBasis.elements` views.  Polynomial arithmetic happens elsewhere:
+on packed term lists in the Groebner pipeline (ideal, gb, kernel) and on
+exponent-tuple dicts for Grothendieck polynomials (groth).
 UniPoly is a plain integer-coefficient polynomial in one variable q used
 for Hilbert numerators, h-polynomials and Kazhdan-Lusztig polynomials.
 """
@@ -14,7 +14,6 @@ for Hilbert numerators, h-polynomials and Kazhdan-Lusztig polynomials.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import comb, inf
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -124,21 +123,21 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
     if text[pos] in "+-":
         sign = -1 if text[pos] == "-" else 1
         pos += 1
-    while pos < len(text):
+    while True:  # a sign is always followed by a term
         chunk_end = pos
         while chunk_end < len(text) and text[chunk_end] not in "+-":
             chunk_end += 1
         chunk = text[pos:chunk_end].strip()
         if not chunk:
             raise ValueError("dangling sign in %r" % text)
-        coeff = Fraction(sign)
+        coeff = sign
         exps = [0] * ring.nvars
         for factor in chunk.split("*"):
             factor = factor.strip()
             if not factor:
                 raise ValueError("empty factor in %r" % chunk)
-            if factor[0].isdigit():
-                coeff *= Fraction(factor)
+            if factor.isdigit():  # integer coefficients only
+                coeff *= int(factor)
                 continue
             if "^" in factor:
                 name, _, power_text = factor.partition("^")
@@ -149,7 +148,7 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
                 raise ValueError("bad factor %r" % factor)
             exps[ring.index(name.strip())] += power
         key = tuple(exps)
-        s = terms.get(key, Fraction(0)) + coeff
+        s = terms.get(key, 0) + coeff
         if s:
             terms[key] = s
         else:
@@ -159,18 +158,6 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
         sign = -1 if text[chunk_end] == "-" else 1
         pos = chunk_end + 1
     return MultiPoly(ring, terms)
-
-
-def coeff_product(a, b) -> list:
-    """The coefficient list of the product of two coefficient lists."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 class UniPoly:
@@ -242,7 +229,15 @@ class UniPoly:
             return UniPoly([c * other for c in self.coeffs])
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return UniPoly(coeff_product(self.coeffs, other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return UniPoly.zero()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return UniPoly(out)
 
     __rmul__ = __mul__
 
@@ -265,7 +260,7 @@ class UniPoly:
         return hash(self.coeffs)
 
     def evaluate(self, x):
-        total = Fraction(0) if isinstance(x, Fraction) else 0
+        total = 0
         for c in reversed(self.coeffs):
             total = total * x + c
         return total

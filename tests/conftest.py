@@ -1,7 +1,6 @@
 """Shared helpers: seeded randomness and reference implementations."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -54,7 +53,7 @@ def random_poly(r, ring, max_terms=5, max_deg=3, max_coeff=6):
             c = r.randint(-max_coeff, max_coeff)
             if c:
                 terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
-        terms = {e: Fraction(c) for e, c in terms.items() if c}
+        terms = {e: c for e, c in terms.items() if c}
         if terms:
             return MultiPoly(ring, terms)
 
@@ -74,7 +73,7 @@ def sum_of_products(ring, *products):
             terms = step
         for e, c in terms.items():
             out[e] = out.get(e, 0) + c
-    return MultiPoly(ring, {e: Fraction(c) for e, c in out.items() if c})
+    return MultiPoly(ring, {e: c for e, c in out.items() if c})
 
 
 def small_ring(nvars):

@@ -151,7 +151,7 @@ def grevlex_sort_key(kv):
 
 def monic_dict(f):
     lead = max(f.terms.items(), key=grevlex_sort_key)
-    return frozenset((e, c / lead[1]) for e, c in f.terms.items())
+    return frozenset((e, Fraction(c, lead[1])) for e, c in f.terms.items())
 
 
 def sympy_groebner_set(ideal):
@@ -271,6 +271,15 @@ def test_normal_form_properties():
             basis.normal_form(small_ring(nvars + 1).parse("x1"))
 
 
+def test_normal_form_takes_integer_coefficients_only():
+    R = PolyRing(("x", "y"))
+    basis = buchberger(Ideal.from_polys(R, (R.parse("x - y^2"),)))
+    assert basis.normal_form(R.parse("3*y^2")) == R.parse("x")
+    for c in (Fraction(1, 2), Fraction(3)):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            basis.normal_form(MultiPoly(R, {(1, 0): c}))
+
+
 def test_lowest_degree_forms_hand_examples():
     R = PolyRing(("x", "y"))
     cone = lowest_degree_forms_ideal(Ideal.from_polys(R, (R.parse("x + x^2"),)))
@@ -313,7 +322,7 @@ def test_homogeneous_ideal_is_its_own_cone():
             d = r.randint(1, 2)
             keep = MultiPoly(ring, {e: c for e, c in f.terms.items() if sum(e) == d})
             if keep.is_zero():
-                keep = MultiPoly(ring, {(d,) + (0,) * (nvars - 1): Fraction(1)})
+                keep = MultiPoly(ring, {(d,) + (0,) * (nvars - 1): 1})
             gens.append(keep)
         ideal = Ideal.from_polys(ring, tuple(gens))
         cone = lowest_degree_forms_ideal(ideal)
@@ -411,6 +420,34 @@ def test_hilbert_numerator_matches_inclusion_exclusion_on_random_ideals():
         ]
         K = inclusion_exclusion_numerator(exps)
         assert hilbert_numerator(exps, nvars) == K, exps
+
+
+def test_hilbert_numerator_over_disjoint_supports():
+    # generators in two or more groups on disjoint variables: K is the
+    # product of the groups' numerators
+    r = rng(510)
+    triangle = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    cases = [[triangle, triangle]]
+    while len(cases) < 80:
+        parts = []
+        for _ in range(r.randint(2, 3)):
+            width = r.randint(1, 3)
+            part = [tuple(r.randint(0, 2) for _ in range(width)) for _ in range(r.randint(2, 3))]
+            parts.append([e for e in part if any(e)])
+        if all(len(part) >= 2 for part in parts):
+            cases.append(parts)
+    for parts in cases:
+        nvars = sum(len(part[0]) for part in parts)
+        exps, product, before = [], UniPoly.one(), 0
+        for part in parts:
+            width = len(part[0])
+            after = nvars - before - width
+            exps += [(0,) * before + e + (0,) * after for e in part]
+            product = product * hilbert_numerator(part, width)
+            before += width
+        K = hilbert_numerator(exps, nvars)
+        assert K == inclusion_exclusion_numerator(exps), parts
+        assert K == product, parts
 
 
 def test_initial_ideal_hilbert_is_order_free_for_homogeneous_input():

@@ -26,7 +26,7 @@ from schubreg.perm import (
     sw_rank,
 )
 from schubreg import ideal
-from schubreg.poly import MultiPoly
+from schubreg.poly import MultiPoly, PolyRing
 from schubreg.reg import max_reg_scan, scan_pairs
 from schubreg.ideal import (
     Ideal,
@@ -114,7 +114,7 @@ def poly_from_terms(ring, fingerprint):
         exps = [0] * ring.nvars
         for name, e in key:
             exps[index[name]] = e
-        terms[tuple(exps)] = Fraction(coeff)
+        terms[tuple(exps)] = int(coeff)
     return MultiPoly(ring, terms)
 
 
@@ -414,3 +414,11 @@ def test_ideal_container_basics():
     assert isinstance(ide, Ideal)
     for f in ide:
         assert f.ring is ide.ring
+
+
+def test_from_polys_takes_integer_coefficients_only():
+    R = PolyRing(("x", "y"))
+    assert Ideal.from_polys(R, (R.parse("2*x - y"),)).generators == (R.parse("2*x - y"),)
+    for c in (Fraction(1, 2), Fraction(3)):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            Ideal.from_polys(R, (MultiPoly(R, {(1, 0): c, (0, 1): 1}),))

@@ -40,6 +40,30 @@ def test_importing_one_module_loads_only_it():
     assert json.loads(done.stdout) == ["schubreg", "schubreg._version", "schubreg.perm"]
 
 
+def test_no_module_loads_fractions():
+    # every coefficient is an int, from the parser to the Hilbert numerator
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import importlib, json, pkgutil, sys, schubreg\n"
+            "names = [m.name for m in pkgutil.walk_packages(schubreg.__path__, 'schubreg.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "print(json.dumps([sorted(names), 'fractions' in sys.modules]))",
+        ],
+        cwd=ROOT,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    names, loaded = json.loads(done.stdout)
+    assert {"schubreg.cli", "schubreg.gb", "schubreg.kernel.orders"} <= set(names)
+    assert loaded is False
+
+
 def test_benchmark_child_runs_against_this_tree():
     # perfbench/child.py imports Permutation from the package; run it as
     # perfbench/run.py does, from the repository root with src on the path.

@@ -39,6 +39,23 @@ def test_parse_poly_respects_ring():
     assert f.terms == {(1, 1): Fraction(1), (0, 0): Fraction(-2)}
 
 
+def test_parse_rejects_a_dangling_sign():
+    R = PolyRing(("x",))
+    for text in ("-", "+", "x +", "x -"):
+        with pytest.raises(ValueError, match="dangling sign"):
+            R.parse(text)
+
+
+def test_parse_takes_integer_coefficients_only():
+    R = PolyRing(("x",))
+    f = R.parse("12*x*3 - 7")
+    assert f.terms == {(1,): 36, (0,): -7}
+    assert all(type(c) is int for c in f.terms.values())
+    for text in ("1/2*x", "3.5*x", "1e3*x"):
+        with pytest.raises(ValueError, match="bad factor"):
+            R.parse(text)
+
+
 def test_unipoly_arithmetic_matches_evaluation():
     r = rng(204)
     for _ in range(40):
