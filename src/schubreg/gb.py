@@ -41,7 +41,7 @@ from itertools import zip_longest
 
 from . import kernel
 from .ideal import Ideal, kl_generators, pack_poly, unpack_poly
-from .kernel.orders import FIELD, SHIFT, OrderPack, divides, order_pack, raw_lcm
+from .kernel import FIELD, SHIFT, OrderPack, divides, order_pack, raw_lcm
 from .perm import Permutation, chart_shape
 from .poly import MultiPoly, PolyRing, UniPoly
 
@@ -102,7 +102,7 @@ def _buchberger_terms(kgens, pack: OrderPack):
     pairs: dict = {}  # live pairs: (i, j) -> lcm_raw, i < j
     queue = []  # (sugar, lcm_key, j, i); pairs deleted since are skipped
     stats = {"pairs_processed": 0, "zero_reductions": 0}
-    corr, hmask = pack.corr, pack.hmask
+    hmask = pack.hmask
 
     def update(new_terms, new_sugar):
         """Gebauer-Moeller pair update for one accepted element."""
@@ -141,7 +141,7 @@ def _buchberger_terms(kgens, pack: OrderPack):
 
     for gen in sorted(kgens):
         check_budget("generator interreduction")
-        reduced = kernel.normal_form(gen, reducers, corr)
+        reduced = kernel.normal_form(gen, reducers)
         if reduced:
             update(reduced, pack.key_degree(reduced[0][0]))
 
@@ -153,7 +153,7 @@ def _buchberger_terms(kgens, pack: OrderPack):
         check_budget("pair processing")
         spoly = kernel.s_polynomial(basis[i], basis[j], pack)
         stats["pairs_processed"] += 1
-        reduced = kernel.normal_form(spoly, reducers, corr)
+        reduced = kernel.normal_form(spoly, reducers)
         if reduced:
             update(reduced, max(pair_sugar, pack.key_degree(reduced[0][0])))
         else:
@@ -171,13 +171,12 @@ def _reduce_basis(term_lists, pack: OrderPack):
     before it: a larger leading monomial cannot divide a smaller term, and
     the reduced basis is unique, so this equals reducing against all others.
     """
-    corr, hmask = pack.corr, pack.hmask
-    reducers = kernel.Reducers(hmask)
+    reducers = kernel.Reducers(pack.hmask)
     out = []
     for terms in sorted((t for t in term_lists if t), key=lambda ts: ts[0][0]):
         if reducers.find(terms[0][1]) is not None:
             continue  # a kept leading monomial divides this one
-        reduced = kernel.normal_form(terms, reducers, corr)
+        reduced = kernel.normal_form(terms, reducers)
         reducers.insert(reduced)
         out.append(reduced)
     return out
@@ -208,7 +207,7 @@ class GroebnerBasis:
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
         terms = _keyed(pack_poly(f), self.order)
-        reduced = kernel.normal_form(terms, self._reducers, self.order.corr)
+        reduced = kernel.normal_form(terms, self._reducers)
         return unpack_poly(self.ring, [(r, c) for _, r, c in reduced])
 
     def contains(self, f: MultiPoly) -> bool:
@@ -229,7 +228,7 @@ class GroebnerBasis:
             for j in range(i + 1, n):
                 check_budget("certificate check")
                 spoly = kernel.s_polynomial(self._terms[i], self._terms[j], self.order)
-                if spoly and kernel.normal_form(spoly, self._reducers, self.order.corr):
+                if spoly and kernel.normal_form(spoly, self._reducers):
                     return False
         return True
 
@@ -250,38 +249,36 @@ def _fresh_name(base: str, taken) -> str:
     return name
 
 
-def _tangent_cone(basis: GroebnerBasis):
-    """(grevlex basis of the cone, source homogeneous?) from the reduced
-    grevlex basis of the source ideal."""
-    ring = basis.ring
-    homogeneous = basis.is_homogeneous()
-    if not homogeneous:
-        # Homogenize with t as variable 0 (raw << SHIFT | power of t) and
-        # take the t-heavy basis.  Each of its elements is homogeneous with
-        # the top power of t in its leading term, so its lowest form is the
-        # terms with that power, and raw >> SHIFT drops t.
-        pack = basis.order
-        hring = PolyRing((_fresh_name("t", ring.names),) + ring.names)
-        hgens = []
-        for terms in basis._terms:
-            top = pack.key_degree(terms[0][0])
-            hgens.append(
-                tuple((r << SHIFT | (top - pack.key_degree(k)), c) for (k, r, c) in terms)
-            )
-        lazard = buchberger(Ideal(hring, tuple(hgens)), "grevlex_t")
-        lowest = []
-        for terms in lazard._terms:
-            top_t = terms[0][1] & FIELD
-            low = [
-                (pack.keyof(r >> SHIFT), r >> SHIFT, c)
-                for (_, r, c) in terms
-                if r & FIELD == top_t
-            ]
-            low.sort(reverse=True)
-            lowest.append(kernel.content_normalize(low))
-        final = _reduce_basis(lowest, pack)
-        basis = GroebnerBasis(ring, pack, final, {"basis_size": len(final)})
-    return basis, homogeneous
+def _tangent_cone(basis: GroebnerBasis) -> GroebnerBasis:
+    """The grevlex basis of the cone from the reduced grevlex basis of the
+    source ideal."""
+    if basis.is_homogeneous():
+        return basis
+    # Homogenize with t as variable 0 (raw << SHIFT | power of t) and take
+    # the t-heavy basis.  Each of its elements is homogeneous with the top
+    # power of t in its leading term, so its lowest form is the terms with
+    # that power, and raw >> SHIFT drops t.
+    ring, pack = basis.ring, basis.order
+    hring = PolyRing((_fresh_name("t", ring.names),) + ring.names)
+    hgens = []
+    for terms in basis._terms:
+        top = pack.key_degree(terms[0][0])
+        hgens.append(
+            tuple((r << SHIFT | (top - pack.key_degree(k)), c) for (k, r, c) in terms)
+        )
+    lazard = buchberger(Ideal(hring, tuple(hgens)), "grevlex_t")
+    lowest = []
+    for terms in lazard._terms:
+        top_t = terms[0][1] & FIELD
+        low = [
+            (pack.keyof(r >> SHIFT), r >> SHIFT, c)
+            for (_, r, c) in terms
+            if r & FIELD == top_t
+        ]
+        low.sort(reverse=True)
+        lowest.append(kernel.content_normalize(low))
+    final = _reduce_basis(lowest, pack)
+    return GroebnerBasis(ring, pack, final, {"basis_size": len(final)})
 
 
 def lowest_degree_forms_ideal(ideal: Ideal) -> GroebnerBasis:
@@ -290,7 +287,7 @@ def lowest_degree_forms_ideal(ideal: Ideal) -> GroebnerBasis:
     It is returned as its reduced grevlex basis.  Both basis computations
     run under the enclosing `time_budget` scope.
     """
-    return _tangent_cone(buchberger(ideal, "grevlex"))[0]
+    return _tangent_cone(buchberger(ideal, "grevlex"))
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +384,7 @@ def hilbert_data(v: Permutation, w: Permutation) -> HilbertData:
     """
     chart_ideal, basis = chart_basis(v, w)
     n_vars = chart_ideal.ring.nvars
-    cone, homogeneous = _tangent_cone(basis)
+    cone = _tangent_cone(basis)
     check_budget("tangent cone")
     K = hilbert_numerator(cone.leading_exponents(), n_vars)
     if K.is_zero():
@@ -405,4 +402,4 @@ def hilbert_data(v: Permutation, w: Permutation) -> HilbertData:
         )
     if H[0] != 1:
         raise RuntimeError("h-polynomial does not start at 1 for (%s, %s)" % (v, w))
-    return HilbertData(v, w, n_vars, dim, height, K, H, homogeneous, chart_ideal, cone)
+    return HilbertData(v, w, n_vars, dim, height, K, H, basis.is_homogeneous(), chart_ideal, cone)

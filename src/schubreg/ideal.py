@@ -16,7 +16,7 @@ Each row and column of the chart matrix holds at most one 1 and every other
 nonzero cell is its own variable, so each placement of a minor's rows on
 distinct nonzero columns gives its own +-1 monomial: a minor is the signed
 sum of its placements, written straight into a packed integer term list
-(raws as in kernel.orders).  An `Ideal` stores its generators that way.
+(raws as in kernel).  An `Ideal` stores its generators that way.
 MultiPoly appears only at the edges: `Ideal.from_polys` packs polynomials
 given by a caller, and `Ideal.generators` unpacks on first use (parsing,
 printing, the Macaulay2 export).
@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .kernel import content_normalize
-from .kernel.orders import SHIFT, order_pack
+from .kernel import SHIFT, content_normalize, order_pack
 from .perm import Permutation, diagram, essential_set, require_bruhat, sw_rank
 from .poly import MultiPoly, PolyRing
 

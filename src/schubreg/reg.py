@@ -13,7 +13,7 @@ import json
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product, zip_longest
 from math import comb, isfinite
@@ -145,8 +145,8 @@ def kl_polynomial(v: Permutation, w: Permutation) -> UniPoly:
 
 
 def kl_degree(v: Permutation, w: Permutation) -> int:
-    """deg P_{v,w}, computed on the least member of the pair's orbit."""
-    return int(kl_polynomial(*_least(v, w)).degree())
+    """deg P_{v,w}, read off the column of w."""
+    return int(kl_polynomial(v, w).degree())
 
 
 # ----------------------------------------------------------------------
@@ -175,11 +175,6 @@ def _images(u: Permutation):
 def _orbit(v: Permutation, w: Permutation):
     """[p, tau p, iota p, tau iota p] for p = (v, w), repeats included."""
     return [(v, w), *zip(_images(v), _images(w))]
-
-
-def _least(v: Permutation, w: Permutation):
-    """The orbit's least member, comparing the words of v, then of w."""
-    return min(_orbit(v, w), key=lambda pair: (pair[0].word, pair[1].word))
 
 
 # ----------------------------------------------------------------------
@@ -277,20 +272,20 @@ class RegularityReport:
     v: Permutation
     w: Permutation
     method: str
-    reg: int | None
-    formula_reg: int | None
-    groebner_reg: int | None
-    discrepant: bool
-    H: UniPoly | None
     dim: int
     height: int
     n_vars: int
     covexillary: bool
     cm_status: str
-    homogeneous_ideal: bool | None
-    kl_degree: int | None
-    conjecture_flags: dict
-    elapsed_ms: float
+    reg: int | None = None
+    formula_reg: int | None = None
+    groebner_reg: int | None = None
+    discrepant: bool = False
+    H: UniPoly | None = None
+    homogeneous_ideal: bool | None = None
+    kl_degree: int | None = None
+    conjecture_flags: dict = field(default_factory=dict)
+    elapsed_ms: float = 0.0
 
     def to_json(self) -> dict:
         return {
@@ -326,13 +321,8 @@ def _blank_report(v: Permutation, w: Permutation, method="auto") -> RegularityRe
     cov = is_covexillary(w)
     if method == "auto":
         method = "formula" if cov else "groebner"
-    dim, height, n_vars = chart_shape(v, w)
-    return RegularityReport(
-        v=v, w=w, method=method, reg=None, formula_reg=None, groebner_reg=None,
-        discrepant=False, H=None, dim=dim, height=height, n_vars=n_vars,
-        covexillary=cov, cm_status="proven" if cov else "conjectural",
-        homogeneous_ideal=None, kl_degree=None, conjecture_flags={}, elapsed_ms=0.0,
-    )
+    status = "proven" if cov else "conjectural"
+    return RegularityReport(v, w, method, *chart_shape(v, w), cov, status)
 
 
 def regularity(

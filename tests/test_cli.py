@@ -537,6 +537,19 @@ def test_exit_3_when_a_scan_falsifies_a_check(monkeypatch):
     assert json.loads(text)["failures"] == [{"check": "h-nonneg", "v": "123", "w": "321"}]
 
 
+def test_exit_3_when_the_finalps_identity_fails(monkeypatch):
+    # (1234, 1342) is covexillary, so verify runs the finalps identity
+    monkeypatch.setattr(cli, "finalps_check", lambda v, w: False)
+    code, text = run(["verify", "--v", "1234", "--w", "1342"])
+    assert code == 3
+    assert "check finalps-identity fail" in " ".join(text.split())
+    code, text = run(["verify", "--v", "1234", "--w", "1342", "--json"])
+    assert code == 3
+    payload = json.loads(text)
+    assert payload["failures"] == ["finalps-identity"]
+    assert payload["finalps_identity"] is False
+
+
 def test_entry_defaults_to_stdout(capsys):
     code = entry(["groth", "--u", "21"])
     assert code == 0

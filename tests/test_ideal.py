@@ -36,7 +36,7 @@ from schubreg.ideal import (
     kl_generators,
     var_name,
 )
-from schubreg.kernel.orders import SHIFT
+from schubreg.kernel import SHIFT
 
 GOLDEN_V = Permutation((1, 4, 2, 3, 5, 7, 6))
 GOLDEN_W = Permutation((7, 3, 1, 4, 5, 6, 2))

@@ -163,6 +163,19 @@ def test_right_s_and_first_ascent():
     assert Permutation.identity(3).first_ascent() == 1
 
 
+def test_out_of_range_positions_raise_index_error():
+    u = Permutation((2, 3, 1))
+    for i in (0, 4):
+        with pytest.raises(IndexError, match="out of range"):
+            u(i)
+    for i in (0, 3):
+        with pytest.raises(IndexError, match="out of range"):
+            u.right_s(i)
+    for a, j in ((0, 1), (4, 1), (1, 0), (1, 4)):
+        with pytest.raises(IndexError, match="outside the 3 x 3 grid"):
+            sw_rank(u, a, j)
+
+
 def test_sw_rank_matches_brute_force():
     r = rng(102)
     for _ in range(40):
@@ -374,6 +387,12 @@ def test_reversed_code_round_trip():
         w = Permutation(random_permutation_word(r, n))
         code, _ = code_and_shape(w)
         assert permutation_from_reversed_code(code) == w
+
+
+def test_reversed_code_rejects_an_entry_past_its_lehmer_bound():
+    # the first of three entries counts at most 2 smaller values after it
+    with pytest.raises(ValueError, match="not a valid Lehmer value"):
+        permutation_from_reversed_code((3, 0, 0))
 
 
 def test_w0_compose_properties():

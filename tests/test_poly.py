@@ -56,6 +56,17 @@ def test_parse_takes_integer_coefficients_only():
             R.parse(text)
 
 
+def test_malformed_rings_texts_and_coefficients_raise_value_error():
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        PolyRing(("x", "x"))
+    with pytest.raises(ValueError, match="empty polynomial text"):
+        PolyRing(("x",)).parse("  ")
+    with pytest.raises(ValueError, match="integer coefficients"):
+        UniPoly((1, 0.5))
+    with pytest.raises(ValueError, match="negative power"):
+        UniPoly((1, 1)) ** -1
+
+
 def test_unipoly_arithmetic_matches_evaluation():
     r = rng(204)
     for _ in range(40):

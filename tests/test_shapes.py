@@ -256,6 +256,11 @@ def test_regularity_formula_rejects_bad_input():
         regularity_formula(Permutation((2, 1, 3)), Permutation((1, 2, 3)))
 
 
+def test_rank_filling_rejects_a_3412_containing_permutation():
+    with pytest.raises(NotCovexillaryError, match="contains 3412"):
+        covexillary_rank_filling(Permutation((3, 4, 1, 2)))
+
+
 def test_filling_is_weakly_increasing_down_diagonals():
     # rank entries grow weakly toward the northeast along each diagonal
     r = rng(402)
