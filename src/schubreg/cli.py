@@ -262,19 +262,27 @@ def _cmd_groth(args, out) -> int:
     return 0
 
 
-def _check_inverse_chart(v: Permutation, w: Permutation, H):
+def _check_inverse_chart(v: Permutation, w: Permutation, report):
     """Compute the charts of (v, w) and (v^-1, w^-1) afresh, outside the
-    H memo, and compare both H with the report's.
+    H and flag memos, and compare both H and the first chart's homogeneity
+    with the report's.
 
     The report may have read H off either chart, and the two chart ideals
-    differ, so this checks the Groebner pipeline against the symmetry.  A
-    mismatch is an internal invariant failure.
+    differ, so this checks the Groebner pipeline against the symmetry; its
+    flag may come from an exact test, not from a basis.  A mismatch is an
+    internal invariant failure.
     """
-    for pair in ((v, w), (v.inverse(), w.inverse())):
-        found = hilbert_data(*pair).H
-        if found != H:
+    own = hilbert_data(v, w)
+    if own.homogeneous != report.homogeneous_ideal:
+        raise RuntimeError(
+            "the chart (%s, %s) has homogeneous = %s, the report says %s"
+            % (v, w, own.homogeneous, report.homogeneous_ideal)
+        )
+    for data in (own, hilbert_data(v.inverse(), w.inverse())):
+        if data.H != report.H:
             raise RuntimeError(
-                "the chart (%s, %s) has H = %s, the report says %s" % (*pair, found, H)
+                "the chart (%s, %s) has H = %s, the report says %s"
+                % (data.v, data.w, data.H, report.H)
             )
 
 
@@ -287,7 +295,7 @@ def _cmd_verify(args, out) -> int:
             v, w, method="both" if cov else "groebner", with_kl=cov, checks="all"
         )
         finalps = finalps_check(v, w) if cov else None
-        _check_inverse_chart(v, w, report.H)
+        _check_inverse_chart(v, w, report)
     failures = falsified(report.conjecture_flags)
     if finalps is False:
         failures.append("finalps-identity")

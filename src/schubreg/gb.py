@@ -367,8 +367,9 @@ def chart_basis(v: Permutation, w: Permutation) -> tuple[Ideal, GroebnerBasis]:
     """The chart ideal of X_w at v and its reduced grevlex basis.
 
     This is the first stage of `hilbert_data`, run under the enclosing
-    `time_budget` scope.  The last two results are kept, so a chart whose
-    basis was computed to compare it with another's is not computed again.
+    `time_budget` scope.  The last two results are kept, so a basis built
+    to decide a homogeneity flag that no exact test settled (`reg`) is not
+    built again when that chart gives the tangent cone.
     """
     chart_ideal = kl_generators(v, w)
     check_budget("minor generation")

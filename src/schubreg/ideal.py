@@ -28,15 +28,20 @@ cells, built once from the diagram of v, and every packed minor of it
 computed so far, keyed by (rows, cols).  A pair's generators are lookups in
 the memo of its v, in the order a fresh computation gives, and exactly the
 same polynomials.
+
+The variety of a homogeneous ideal is a cone, so one integer point of a
+chart variety whose double lies off it proves the chart ideal not
+homogeneous (`not_a_cone`).  Chart ideals are prime, so such a point exists
+whenever the ideal is not homogeneous.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .kernel import SHIFT, content_normalize, order_pack
+from .kernel import SHIFT, content_normalize, divides, order_pack
 from .perm import Permutation, diagram, essential_set, require_bruhat, sw_rank
 from .poly import MultiPoly, PolyRing
 
@@ -80,6 +85,21 @@ class Ideal:
     @cached_property
     def generators(self) -> tuple[MultiPoly, ...]:
         return tuple(unpack_poly(self.ring, g) for g in self.terms)
+
+    def homogeneous_by_generators(self) -> bool:
+        """True only if the generators show the ideal homogeneous: each one,
+        less its terms that a monomial generator divides, is homogeneous.
+        Those terms lie in the ideal, so what is left generates it too.
+        False decides nothing."""
+        pack = order_pack(self.ring.nvars)
+        degree, hmask = pack.degree_of_raw, pack.hmask
+        monomials = [g[0][0] for g in self.terms if len(g) == 1]
+        for g in self.terms:
+            if len({degree(r) for r, _ in g}) > 1 and len(
+                {degree(r) for r, _ in g if not any(divides(m, r, hmask) for m in monomials)}
+            ) > 1:
+                return False
+        return True
 
     def __iter__(self):
         return iter(self.generators)
@@ -174,9 +194,90 @@ def _minors_for_conditions(v: Permutation, conditions) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=4)
 def kl_generators(v: Permutation, w: Permutation) -> Ideal:
     """Rank-condition generators for the chart of X_w attached to v <= w,
-    imposed at the southwest corners of the essential set of w."""
+    imposed at the southwest corners of the essential set of w.  The last
+    four results are kept, so a pair's chart and its inverse's can be
+    compared and then charted without rebuilding either."""
     require_bruhat(v, w)
     conditions = [(i, j, sw_rank(w, i, j)) for (i, j) in sorted(essential_set(w))]
     return Ideal(_chart_table(v).ring, _minors_for_conditions(v, conditions))
+
+
+# The parameters t of the factors 1 + t E_{i+1,i} of `not_a_cone`: one
+# prime per factor of a reduced word up to S_7, reused cyclically beyond.
+# Distinct primes satisfy no monomial relation; one t for every factor
+# leaves (13245, 45312) undecided.
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+
+
+def not_a_cone(v: Permutation, w: Permutation) -> bool:
+    """True only if the chart variety of (v, w) is not a cone, so its ideal
+    is not homogeneous; False means undecided.
+
+    Peeling right descents s_i off w (w = w' s_i, the first i each time)
+    lists a reduced word of w from its right end.  v's rightmost subword
+    takes each s_i that is a right descent of what is left of v, and peels
+    it off v too.  g is the product, in word order, of the permutation
+    matrix of s_i on the subword and of 1 + t E_{i+1,i} elsewhere, t the
+    next of `_PRIMES`: a point of B w B and of B_- v B (Marsh-Rietsch
+    2004).  Built from the right end, each factor acts on rows.  Column
+    reduction without fractions brings g into v's chart pattern with pivots
+    d_j in place of the 1s: the chart point q up to column scaling.  True
+    needs exact integer ranks to show that every essential southwest corner
+    of q has rank at most R_w, so q is on the variety, and that one corner
+    of 2q (every entry but the pivots doubled) has rank above it, so 2q is
+    not.  Both facts are checked, so a wrong point can only give False.
+    """
+    n = v.n
+    x, y = list(w.word), list(v.word)
+    g = [[int(r == c) for c in range(n)] for r in range(n)]  # rows
+    i = k = 0
+    while i < n - 1:
+        if x[i] < x[i + 1]:
+            i += 1
+            continue
+        x[i], x[i + 1] = x[i + 1], x[i]
+        if y[i] > y[i + 1]:  # a factor of the subword for v
+            y[i], y[i + 1] = y[i + 1], y[i]
+            g[i], g[i + 1] = g[i + 1], g[i]
+        else:
+            t = _PRIMES[k % len(_PRIMES)]
+            g[i + 1] = [a + t * b for a, b in zip(g[i + 1], g[i])]
+            k += 1
+        i = max(i - 1, 0)  # the swap made no descent left of i - 1
+    q = []  # (pivot row, pivot, column) of each reduced column
+    for j, col in enumerate(zip(*g)):
+        for p, d, c in q:
+            a = col[p]
+            if a:
+                col = [d * e - a * f for e, f in zip(col, c)]
+        p = v.word[j] - 1
+        if any(col[:p]) or not col[p]:
+            return False
+        q.append((p, col[p], col))
+    point = [c for _, _, c in q]
+    doubled = [[e if r == p else 2 * e for r, e in enumerate(c)] for p, _, c in q]
+    corners = [(i, j, sw_rank(w, i, j)) for (i, j) in essential_set(w)]
+    return any(_rank_exceeds(doubled, *c) for c in corners) and not any(
+        _rank_exceeds(point, *c) for c in corners
+    )
+
+
+def _rank_exceeds(cols, i: int, j: int, rank: int) -> bool:
+    """Whether the corner on display rows i..n and columns 1..j of the integer
+    matrix with columns `cols` has rank above `rank`, by exact elimination."""
+    rows = [c[i - 1:] for c in cols[:j]]
+    found = 0
+    while rows:
+        pivot = rows.pop()
+        k = next((k for k, e in enumerate(pivot) if e), None)
+        if k is None:
+            continue
+        found += 1
+        if found > rank:
+            return True
+        p = pivot[k]
+        rows = [[p * e - r[k] * f for e, f in zip(r, pivot)] if r[k] else r for r in rows]
+    return False

@@ -31,6 +31,7 @@ from .gb import (
     time_budget,
 )
 from .groth import groth_spec_1mq
+from .ideal import kl_generators, not_a_cone
 from .perm import (
     Permutation,
     all_permutations,
@@ -187,17 +188,24 @@ def _orbit(v: Permutation, w: Permutation):
 # pair -> the Groebner H, stored for every member of each orbit computed
 _H: dict = {}
 # pair -> whether its chart ideal is homogeneous, stored for both members of
-# each transpose class whose grevlex basis was computed.  Inversion can
-# change the flag, so it is not an orbit invariant.
+# each transpose class whose flag was decided.  Inversion can change the
+# flag, so it is not an orbit invariant.
 _HOMOGENEOUS: dict = {}
 
 
 def _homogeneous(v: Permutation, w: Permutation) -> bool:
-    """Whether the chart ideal of (v, w) is homogeneous, read off the pair's
-    own grevlex basis (`chart_basis`) on a miss."""
+    """Whether the chart ideal of (v, w) is homogeneous, decided on a miss by
+    the first exact test that answers: the generators
+    (`Ideal.homogeneous_by_generators`) give True, `not_a_cone` gives False,
+    else the pair's own grevlex basis (`chart_basis`) decides."""
     flag = _HOMOGENEOUS.get((v, w))
     if flag is None:
-        flag = chart_basis(v, w)[1].is_homogeneous()
+        if kl_generators(v, w).homogeneous_by_generators():
+            flag = True
+        elif not_a_cone(v, w):
+            flag = False
+        else:
+            flag = chart_basis(v, w)[1].is_homogeneous()
         _HOMOGENEOUS[(v, w)] = _HOMOGENEOUS[_orbit(v, w)[1]] = flag
     return flag
 
@@ -209,7 +217,7 @@ def _groebner_h(v: Permutation, w: Permutation) -> UniPoly:
     homogeneous, else on its inverse when that ideal is homogeneous or has
     fewer generators, else on the pair, and H is stored for the whole orbit.
     The work runs under the enclosing `time_budget` scope; an overrun stores
-    no H, though a flag whose basis finished is kept.  A stored H is
+    no H, though a flag already decided is kept.  A stored H is
     returned without consulting the budget.
     """
     H = _H.get((v, w))
@@ -217,9 +225,7 @@ def _groebner_h(v: Permutation, w: Permutation) -> UniPoly:
         source = (v, w)
         if not _homogeneous(v, w):
             inverse = (v.inverse(), w.inverse())
-            if _homogeneous(*inverse) or (
-                len(chart_basis(*inverse)[0]) < len(chart_basis(v, w)[0])
-            ):
+            if _homogeneous(*inverse) or len(kl_generators(*inverse)) < len(kl_generators(v, w)):
                 source = inverse
         H = hilbert_data(*source).H
         for pair in _orbit(v, w):

@@ -189,6 +189,26 @@ def test_exit_4_when_the_inverse_chart_disagrees(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_exit_4_when_the_homogeneity_flag_disagrees(monkeypatch, capsys):
+    # the chart of (241653, 642513) is homogeneous but its generators do not
+    # show it, so the flag consults the certificate, which here lies
+    v, w = Permutation.from_string("241653"), Permutation.from_string("642513")
+    real = schubreg.reg.not_a_cone
+    monkeypatch.setattr(schubreg.reg, "not_a_cone", lambda a, b: (a, b) == (v, w) or real(a, b))
+    code, text = run(["verify", "--v", "241653", "--w", "642513"])
+    err = capsys.readouterr().err
+    assert code == 4 and text == ""
+    assert err == (
+        "error: internal invariant failed: the chart (241653, 642513) has homogeneous = True,"
+        " the report says False\n"
+    )
+    # the honest certificate leaves the flag to the pair's basis
+    monkeypatch.undo()
+    schubreg.reg._HOMOGENEOUS.clear()
+    assert run(["verify", "--v", "241653", "--w", "642513"])[0] == 0
+    assert schubreg.reg._HOMOGENEOUS[(v, w)] is True
+
+
 def test_exit_4_when_the_report_shape_disagrees(monkeypatch, capsys):
     # the shape check runs as a real check, also under python -O
     real = schubreg.gb.chart_shape

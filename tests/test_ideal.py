@@ -23,6 +23,7 @@ from schubreg.perm import (
     bruhat_leq,
     diagram,
     essential_set,
+    is_covexillary,
     sw_rank,
 )
 from schubreg import ideal
@@ -34,6 +35,7 @@ from schubreg.ideal import (
     _chart_table,
     _minors_for_conditions,
     kl_generators,
+    not_a_cone,
     var_name,
 )
 from schubreg.kernel import SHIFT
@@ -422,3 +424,72 @@ def test_from_polys_takes_integer_coefficients_only():
     for c in (Fraction(1, 2), Fraction(3)):
         with pytest.raises(ValueError, match="integer coefficients"):
             Ideal.from_polys(R, (MultiPoly(R, {(1, 0): c, (0, 1): 1}),))
+
+
+def flag_test_verdicts(n):
+    """Over every non-covexillary pair of S_n, the homogeneous charts (by
+    their grevlex basis), those that `homogeneous_by_generators` shows and
+    the non-homogeneous ones among those; then the non-homogeneous charts,
+    those `not_a_cone` certifies and the homogeneous ones among those."""
+    e = Permutation.identity(n)
+    counts = Counter()
+    for w in all_permutations(n):
+        if is_covexillary(w):
+            continue
+        for v in bruhat_interval(e, w):
+            ide = kl_generators(v, w)
+            homogeneous = buchberger(ide).is_homogeneous()
+            shown = ide.homogeneous_by_generators()
+            certified = not_a_cone(v, w)
+            counts["homogeneous"] += homogeneous
+            counts["shown"] += shown
+            counts["shown, wrongly"] += shown and not homogeneous
+            counts["not homogeneous"] += not homogeneous
+            counts["certified"] += certified
+            counts["certified, wrongly"] += certified and homogeneous
+    return counts
+
+
+def test_both_flag_tests_are_sound_and_decide_every_s5_flag():
+    # a wrong True from either test would flip a reported flag
+    assert flag_test_verdicts(5) == {
+        "homogeneous": 422,
+        "shown": 422,
+        "shown, wrongly": 0,
+        "not homogeneous": 392,
+        "certified": 392,
+        "certified, wrongly": 0,
+    }
+
+
+@pytest.mark.slow
+def test_both_flag_tests_are_sound_on_s6_and_leave_22_flags_to_a_basis():
+    assert flag_test_verdicts(6) == {
+        "homogeneous": 16001,
+        "shown": 15979,
+        "shown, wrongly": 0,
+        "not homogeneous": 24559,
+        "certified": 24559,
+        "certified, wrongly": 0,
+    }
+
+
+def test_flag_tests_on_small_charts():
+    # (1324, 1423) has a generator z_1_2*z_2_1 - z_1_1 whose second term
+    # the generator z_1_1 divides; (1234, 3412) is the smallest
+    # non-homogeneous chart
+    v, w = Permutation.from_string("1324"), Permutation.from_string("1423")
+    ide = kl_generators(v, w)
+    assert ide.ring.parse("z_1_2*z_2_1 - z_1_1") in ide.generators
+    assert ide.homogeneous_by_generators() and not not_a_cone(v, w)
+    v, w = Permutation.identity(4), Permutation.from_string("3412")
+    assert not kl_generators(v, w).homogeneous_by_generators() and not_a_cone(v, w)
+    # a homogeneous chart that neither test decides
+    v, w = Permutation.from_string("241653"), Permutation.from_string("642513")
+    ide = kl_generators(v, w)
+    assert not ide.homogeneous_by_generators() and not not_a_cone(v, w)
+    assert buchberger(ide).is_homogeneous()
+    # a generating set that shows nothing
+    R = PolyRing(("x", "y"))
+    assert not Ideal.from_polys(R, (R.parse("x^2 - y"),)).homogeneous_by_generators()
+    assert Ideal.from_polys(R, (R.parse("y^2 - x"), R.parse("x"))).homogeneous_by_generators()

@@ -741,6 +741,23 @@ def test_s5_scan_flags_and_h_match_each_pair_computed_afresh():
         assert record.h_coeffs == list(gb.hilbert_data(v, w).H.coeffs), record
 
 
+def test_a_cold_s5_scan_builds_a_grevlex_basis_only_for_a_cone(monkeypatch):
+    # exact tests decide every homogeneity flag of S5, so each of the 235
+    # grevlex bases feeds a cone (432 when every flag read a basis)
+    import schubreg.gb as gb
+
+    kinds = Counter()
+    run = gb.buchberger
+
+    def counting_buchberger(ideal, order="grevlex"):
+        kinds[order] += 1
+        return run(ideal, order)
+
+    monkeypatch.setattr(gb, "buchberger", counting_buchberger)
+    max_reg_scan(5)
+    assert kinds == {"grevlex": 235, "grevlex_t": 79}
+
+
 @pytest.mark.parametrize("first", ["1342", "1423"])
 def test_an_orbit_computes_one_cone_and_each_flag_from_its_own_basis(monkeypatch, first):
     # (1234, 1342) and (1234, 1423) are each other's inverse: one H for
