@@ -27,15 +27,18 @@ homogenization shifts raws to make room for t, the cone is returned as its
 `GroebnerBasis`, and K is computed on its packed leading monomials.
 MultiPoly and exponent tuples appear only at the edges: in `elements`,
 `normal_form` and `leading_exponents` of a basis, and `hilbert_numerator`.
+
+`hilbert_data` is the only function that builds a chart's grevlex basis,
+and it keeps no basis: each call computes both of the chart's bases afresh.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import zip_longest
 
@@ -61,20 +64,23 @@ def require_budget(budget_ms):
         raise ValueError("a time budget must be nonnegative, got %s ms" % budget_ms)
 
 
-@contextmanager
 def time_budget(budget_ms):
     """Bound all work inside the scope to budget_ms; None adds no bound.
 
     A negative budget raises ValueError.  A nested scope keeps the earlier
     of its own deadline and the enclosing one, and the enclosing deadline is
-    back once the scope is left.
+    back once the scope is left.  A scope without a bound is a plain
+    `nullcontext`, so a scan pays next to nothing for it on every pair.
     """
     require_budget(budget_ms)
+    return nullcontext() if budget_ms is None else _bounded(budget_ms)
+
+
+@contextmanager
+def _bounded(budget_ms):
+    mine = time.monotonic() + budget_ms / 1000.0
     at = _DEADLINE.get()
-    if budget_ms is not None:
-        mine = time.monotonic() + budget_ms / 1000.0
-        at = mine if at is None else min(at, mine)
-    token = _DEADLINE.set(at)
+    token = _DEADLINE.set(mine if at is None else min(at, mine))
     try:
         yield
     finally:
@@ -362,28 +368,16 @@ class HilbertData:
     cone: GroebnerBasis  # reduced grevlex basis of the tangent-cone ideal
 
 
-@lru_cache(maxsize=2)
-def chart_basis(v: Permutation, w: Permutation) -> tuple[Ideal, GroebnerBasis]:
-    """The chart ideal of X_w at v and its reduced grevlex basis.
-
-    This is the first stage of `hilbert_data`, run under the enclosing
-    `time_budget` scope.  The last two results are kept, so a basis built
-    to decide a homogeneity flag that no exact test settled (`reg`) is not
-    built again when that chart gives the tangent cone.
-    """
-    chart_ideal = kl_generators(v, w)
-    check_budget("minor generation")
-    return chart_ideal, buchberger(chart_ideal, "grevlex")
-
-
 def hilbert_data(v: Permutation, w: Permutation) -> HilbertData:
     """Tangent-cone Hilbert data of the chart of X_w attached to v.
 
-    Minor generation and both bases run under the enclosing `time_budget`
-    scope; the first two come from `chart_basis`.  The computed (dim,
-    height, n_vars) must equal `chart_shape(v, w)`, else RuntimeError.
+    Minor generation, the grevlex basis and the cone basis run under the
+    enclosing `time_budget` scope.  The computed (dim, height, n_vars) must
+    equal `chart_shape(v, w)`, else RuntimeError.
     """
-    chart_ideal, basis = chart_basis(v, w)
+    chart_ideal = kl_generators(v, w)
+    check_budget("minor generation")
+    basis = buchberger(chart_ideal, "grevlex")
     n_vars = chart_ideal.ring.nvars
     cone = _tangent_cone(basis)
     check_budget("tangent cone")

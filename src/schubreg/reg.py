@@ -24,7 +24,6 @@ from . import kernel
 from ._version import __version__
 from .gb import (
     ResourceBudgetExceeded,
-    chart_basis,
     check_budget,
     hilbert_data,
     require_budget,
@@ -197,7 +196,7 @@ def _homogeneous(v: Permutation, w: Permutation) -> bool:
     """Whether the chart ideal of (v, w) is homogeneous, decided on a miss by
     the first exact test that answers: the generators
     (`Ideal.homogeneous_by_generators`) give True, `not_a_cone` gives False,
-    else the pair's own grevlex basis (`chart_basis`) decides."""
+    else the pair's own `hilbert_data` decides."""
     flag = _HOMOGENEOUS.get((v, w))
     if flag is None:
         if kl_generators(v, w).homogeneous_by_generators():
@@ -205,7 +204,7 @@ def _homogeneous(v: Permutation, w: Permutation) -> bool:
         elif not_a_cone(v, w):
             flag = False
         else:
-            flag = chart_basis(v, w)[1].is_homogeneous()
+            flag = hilbert_data(v, w).homogeneous
         _HOMOGENEOUS[(v, w)] = _HOMOGENEOUS[_orbit(v, w)[1]] = flag
     return flag
 
@@ -342,11 +341,11 @@ def regularity(
 
     method "formula" runs the covexillary tableau rule, "groebner" the
     Hilbert-series pipeline, "both" runs and compares them, and "auto" picks
-    the formula for covexillary w and the Groebner route otherwise.  Outside the covexillary theorem the reported
-    value is deg H with cm_status "conjectural".  The enclosing
-    `time_budget` scope bounds the Groebner and KL work of the pair,
-    conjecture checks included; a chart whose H and flag are memoised costs
-    no budget.
+    the formula for covexillary w and the Groebner route otherwise.  Outside
+    the covexillary theorem the reported value is deg H with cm_status
+    "conjectural".  The enclosing `time_budget` scope bounds the Groebner
+    and KL work of the pair, conjecture checks included; a chart whose H and
+    flag are memoised costs no budget.
     """
     start = time.monotonic()
     require_bruhat(v, w)
@@ -611,11 +610,8 @@ def scan_record(v: Permutation, w: Permutation, checks=(), budget_ms=None) -> Sc
     start = time.monotonic()
     error = None
     try:
-        if budget_ms is None:
+        with time_budget(budget_ms):
             report = regularity(v, w, checks=checks)
-        else:
-            with time_budget(budget_ms):
-                report = regularity(v, w, checks=checks)
     except ResourceBudgetExceeded as exc:
         report, error = _blank_report(v, w), "budget: %s" % exc
     H = report.H

@@ -161,6 +161,90 @@ def test_exit_4_when_the_companion_fails_its_invariants(monkeypatch, capsys):
     assert "length" in err
 
 
+E4 = Permutation((1, 2, 3, 4))
+
+
+def _hilbert_numerator_times(factor):
+    def patch(monkeypatch):
+        real = schubreg.gb.hilbert_numerator
+        monkeypatch.setattr(schubreg.gb, "hilbert_numerator", lambda m, n: real(m, n) * factor)
+
+    return patch
+
+
+def _wrong_kl_column_of_e4(monkeypatch):
+    # P_{e,e} = 1 + q, so P_{e,1243} = 1 + q breaks 2 deg P <= l(w) - l(e) - 1
+    monkeypatch.setitem(schubreg.reg._KL, E4, ({E4: (1, 1)}, ()))
+
+
+def _diagram_with_a_box_off_the_grid(monkeypatch):
+    real = schubreg.shapes.diagram
+    monkeypatch.setattr(schubreg.shapes, "diagram", lambda u: list(real(u)) + [(u.n + 1, u.n + 1)])
+
+
+def _ranks_off_by_n(monkeypatch):
+    real = schubreg.shapes.sw_rank
+    monkeypatch.setattr(schubreg.shapes, "sw_rank", lambda u, i, j: real(u, i, j) + u.n)
+
+
+def _essential_set_of_two_crossed_boxes(monkeypatch):
+    monkeypatch.setattr(schubreg.shapes, "essential_set", lambda w: frozenset({(2, 3), (3, 2)}))
+
+
+@pytest.mark.parametrize(
+    "patch, argv, compute, message",
+    [
+        (
+            _hilbert_numerator_times(0),
+            ["--w", "3412"],
+            lambda w: regularity(E4, w),
+            "chart ideal defines the empty scheme; conventions broken",
+        ),
+        (
+            _hilbert_numerator_times(2),
+            ["--w", "3412"],
+            lambda w: regularity(E4, w),
+            "h-polynomial does not start at 1 for (1234, 3412)",
+        ),
+        (
+            _wrong_kl_column_of_e4,
+            ["--w", "1243", "--with-kl"],
+            lambda w: schubreg.reg.kl_polynomial(E4, w),
+            "KL recursion broke its bounds at (1234, 1243)",
+        ),
+        (
+            _diagram_with_a_box_off_the_grid,
+            ["--w", "2143"],
+            lambda w: schubreg.shapes.regularity_formula(E4, w),
+            "antidiagonal 10 overflows the grid while pushing",
+        ),
+        (
+            _ranks_off_by_n,
+            ["--w", "2143"],
+            lambda w: schubreg.shapes.companion_permutation(E4, w),
+            "essential box (3, 2) of 2143 moves to (7, -2) with rank 0 for v = 1234",
+        ),
+        (
+            _essential_set_of_two_crossed_boxes,
+            ["--w", "1324"],
+            lambda w: schubreg.shapes.companion_permutation(E4, w),
+            "the ranks imposed by (1234, 1324) are not a permutation's",
+        ),
+    ],
+)
+def test_exit_4_when_a_guard_trips(monkeypatch, capsys, patch, argv, compute, message):
+    # each guard raises RuntimeError in the library and exits 4 from analyze
+    patch(monkeypatch)
+    with pytest.raises(RuntimeError) as raised:
+        compute(Permutation.from_string(argv[1]))
+    assert str(raised.value).startswith(message)
+    code, text = run(["analyze", "--v", "1234"] + argv)
+    err = capsys.readouterr().err
+    assert code == 4 and text == ""
+    assert err.startswith("error: internal invariant failed: " + message)
+    assert err.count("\n") == 1
+
+
 def test_exit_4_when_an_internal_invariant_fails(monkeypatch, capsys):
     def broken(v, w, *args, **kwargs):
         raise RuntimeError("height mismatch for (%s, %s): 3 vs 4" % (v, w))

@@ -192,6 +192,16 @@ def test_hand_examples():
     assert G2.check_certificate()
 
 
+def test_the_certificate_rejects_a_set_that_is_not_a_basis():
+    R = PolyRing(("x", "y"))
+    G = buchberger(Ideal.from_polys(R, (R.parse("x^2 + y"), R.parse("x*y"))))
+    assert sorted(str(g) for g in G.elements) == ["x*y", "x^2 + y", "y^2"]
+    assert G.check_certificate()
+    # without y^2 the S-pair of x^2 + y and x*y leaves y^2 unreduced
+    kept = [t for t, g in zip(G._terms, G.elements) if str(g) != "y^2"]
+    assert not GroebnerBasis(R, G.order, kept).check_certificate()
+
+
 def test_zero_and_unit_edge_cases():
     R = PolyRing(("x",))
     empty = buchberger(Ideal(R, ()))

@@ -289,7 +289,6 @@ def test_essential_minors_span_all_corner_minors_s4():
     assert assert_same_ideal_as_all_corners(4) == 213
 
 
-@pytest.mark.slow
 def test_essential_minors_span_all_corner_minors_s5():
     assert assert_same_ideal_as_all_corners(5) == 3781
 

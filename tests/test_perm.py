@@ -226,7 +226,6 @@ def test_packed_bruhat_leq_matches_the_rank_definition(n):
     assert_packed_order_matches_ranks_on_all_of(n)
 
 
-@pytest.mark.slow
 def test_packed_bruhat_leq_matches_the_rank_definition_on_s6():
     assert_packed_order_matches_ranks_on_all_of(6)
 

@@ -26,6 +26,7 @@ from schubreg.perm import (
     length,
 )
 from schubreg.gb import ResourceBudgetExceeded, hilbert_data, time_budget
+from schubreg.ideal import kl_generators, not_a_cone
 from schubreg.poly import UniPoly
 from schubreg.reg import (
     ALL_CHECKS,
@@ -237,7 +238,6 @@ def test_scan_pairs_is_the_filter_by_rank_definition():
             assert scan_pairs(n, restrict) == brute_scan_pairs(n, restrict), (n, restrict)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("restrict", ["all", "covexillary-only"])
 def test_scan_pairs_of_s6_is_the_filter_by_rank_definition(restrict):
     assert scan_pairs(6, restrict) == brute_scan_pairs(6, restrict)
@@ -673,8 +673,8 @@ def test_an_s4_sweep_computes_no_chart_of_a_covexillary_w(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     counting(reg, "hilbert_data")
-    counting(reg, "chart_basis")
-    counting(gb, "chart_basis")
+    counting(reg, "kl_generators")
+    counting(gb, "kl_generators")
     result = max_reg_scan(4, checks="all")
     assert charted and not any(is_covexillary(w) for w in charted)
     for name in ("h-nonneg", "deg-bound", "h-semicontinuity"):
@@ -723,8 +723,7 @@ def test_a_cone_stage_overrun_stores_no_h_but_keeps_the_flag(monkeypatch):
     assert not reg._H and reg._HOMOGENEOUS[(v, w)] is False
     report = regularity(v, w, method="groebner")
     assert len(calls) == 2
-    gb.chart_basis.cache_clear()
-    cold_flag = gb.chart_basis(v, w)[1].is_homogeneous()
+    cold_flag = gb.hilbert_data(v, w).homogeneous
     assert (report.H, report.homogeneous_ideal) == (compute(v, w).H, cold_flag)
 
 
@@ -735,10 +734,9 @@ def test_s5_scan_flags_and_h_match_each_pair_computed_afresh():
     assert len(records) == 814
     for record in records:
         v, w = Permutation.from_string(record.v), Permutation.from_string(record.w)
-        gb.chart_basis.cache_clear()
-        flag = gb.chart_basis(v, w)[1].is_homogeneous()
-        assert record.homogeneous_ideal == flag, record
-        assert record.h_coeffs == list(gb.hilbert_data(v, w).H.coeffs), record
+        data = gb.hilbert_data(v, w)
+        assert record.homogeneous_ideal == data.homogeneous, record
+        assert record.h_coeffs == list(data.H.coeffs), record
 
 
 def test_a_cold_s5_scan_builds_a_grevlex_basis_only_for_a_cone(monkeypatch):
@@ -756,6 +754,25 @@ def test_a_cold_s5_scan_builds_a_grevlex_basis_only_for_a_cone(monkeypatch):
     monkeypatch.setattr(gb, "buchberger", counting_buchberger)
     max_reg_scan(5)
     assert kinds == {"grevlex": 235, "grevlex_t": 79}
+
+
+def test_a_flag_no_exact_test_decides_is_read_off_the_pairs_own_hilbert_data(monkeypatch):
+    # the chart of (241653, 642513) is homogeneous, but its generators do not
+    # show it and the certificate does not apply
+    import schubreg.reg as reg
+
+    v, w = Permutation.from_string("241653"), Permutation.from_string("642513")
+    assert not kl_generators(v, w).homogeneous_by_generators() and not not_a_cone(v, w)
+    compute = reg.hilbert_data
+    calls = []
+
+    def counting_hilbert_data(v, w):
+        calls.append((v, w))
+        return compute(v, w)
+
+    monkeypatch.setattr(reg, "hilbert_data", counting_hilbert_data)
+    assert reg._homogeneous(v, w) is True
+    assert calls == [(v, w)]
 
 
 @pytest.mark.parametrize("first", ["1342", "1423"])
