@@ -1,7 +1,8 @@
 """Groebner bases, tangent cones and Hilbert series over the chart rings.
 
-Bases are computed under grevlex, or under grevlex_t (t-heavy) for
-homogenized ideals.
+Bases are computed under grevlex, or under grevlex_t (t-heavy): for a
+homogenized ideal with t as variable 0, or for a graded ideal with t
+implicit (`kernel.OrderPack`).
 
 The Buchberger loop uses the normal selection strategy keyed by sugar degree
 (a heap of pairs), the product and chain criteria in Gebauer-Moeller form,
@@ -13,13 +14,19 @@ every element to content 1 with a positive leading coefficient and sort by
 ascending leading monomial, so a basis is a canonical artifact of (ideal,
 order).
 
-Tangent cones come from the homogenization route: a Groebner basis under a
+Tangent cones come from a t-heavy basis whose lowest forms are a grevlex
+basis of the cone.  The homogenization route: a Groebner basis under a
 graded order homogenizes to a generating set of the homogenized ideal, and a
 basis of that ideal under the t-heavy graded order dehomogenizes onto lowest
 degree forms.  Because the t-heavy order ties break toward high t powers,
 the dehomogenized leading terms are leading terms of the lowest forms under
 plain grevlex, so the lowest forms are already a grevlex basis of the
-tangent-cone ideal; no third basis computation is needed.
+tangent-cone ideal; no third basis computation is needed.  A chart ideal is
+homogeneous in the weights h of its torus, so the weighted homogenization
+t^(h(m) - |m|) * m needs no t: the graded grevlex_t order is a global order
+on the chart ring, its basis is computed there, and each element's leading
+term lies in its lowest form.  An ideal without a grading (`Ideal.from_polys`)
+takes the homogenization route; both share the lowest-form extraction.
 
 From the chart's generators to the Hilbert numerator every polynomial is a
 packed integer term list: `buchberger` keys an `Ideal`'s (raw, coeff) terms,
@@ -241,9 +248,15 @@ class GroebnerBasis:
 
 def buchberger(ideal: Ideal, order: str = "grevlex") -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the order of the given kind,
-    "grevlex" or "grevlex_t"; any other kind raises ValueError."""
-    pack = order_pack(ideal.ring.nvars, order)
+    "grevlex" or "grevlex_t"; any other kind raises ValueError.  Under
+    grevlex_t a graded ideal is ordered by its grading, and a generator that
+    is not homogeneous in it raises RuntimeError."""
+    grading = ideal.grading if order == "grevlex_t" else None
+    pack = order_pack(ideal.ring.nvars, order, grading)
     kgens = [_keyed(g, pack) for g in ideal.terms]
+    degree = pack.key_degree
+    if grading is not None and any(degree(g[0][0]) != degree(g[-1][0]) for g in kgens if g):
+        raise RuntimeError("a generator is not homogeneous in the ideal's grading")
     final, stats = _buchberger_terms(kgens, pack)
     return GroebnerBasis(ideal.ring, pack, final, stats)
 
@@ -255,34 +268,33 @@ def _fresh_name(base: str, taken) -> str:
     return name
 
 
-def _tangent_cone(basis: GroebnerBasis) -> GroebnerBasis:
+def _tangent_cone(basis: GroebnerBasis, grading=None) -> GroebnerBasis:
     """The grevlex basis of the cone from the reduced grevlex basis of the
-    source ideal."""
+    source ideal, homogeneous in `grading` if that is not None."""
     if basis.is_homogeneous():
         return basis
-    # Homogenize with t as variable 0 (raw << SHIFT | power of t) and take
-    # the t-heavy basis.  Each of its elements is homogeneous with the top
-    # power of t in its leading term, so its lowest form is the terms with
-    # that power, and raw >> SHIFT drops t.
     ring, pack = basis.ring, basis.order
-    hring = PolyRing((_fresh_name("t", ring.names),) + ring.names)
-    hgens = []
-    for terms in basis._terms:
-        top = pack.key_degree(terms[0][0])
-        hgens.append(
-            tuple((r << SHIFT | (top - pack.key_degree(k)), c) for (k, r, c) in terms)
-        )
-    lazard = buchberger(Ideal(hring, tuple(hgens)), "grevlex_t")
+    if grading is not None:
+        # t stays implicit in the graded order; the basis lives in the ring
+        source = Ideal(ring, tuple(tuple((r, c) for _, r, c in ts) for ts in basis._terms), grading)
+        shift = 0
+    else:
+        # Homogenize with t as variable 0 (raw << SHIFT | power of t);
+        # raw >> SHIFT drops t again.
+        hring = PolyRing((_fresh_name("t", ring.names),) + ring.names)
+        hgens = []
+        for terms in basis._terms:
+            top = pack.key_degree(terms[0][0])
+            hgens.append(
+                tuple((r << SHIFT | (top - pack.key_degree(k)), c) for (k, r, c) in terms)
+            )
+        source, shift = Ideal(hring, tuple(hgens)), SHIFT
+    degree = pack.degree_of_raw
     lowest = []
-    for terms in lazard._terms:
-        top_t = terms[0][1] & FIELD
-        low = [
-            (pack.keyof(r >> SHIFT), r >> SHIFT, c)
-            for (_, r, c) in terms
-            if r & FIELD == top_t
-        ]
-        low.sort(reverse=True)
-        lowest.append(kernel.content_normalize(low))
+    for terms in buchberger(source, "grevlex_t")._terms:
+        form = [(r >> shift, c) for _, r, c in terms]
+        low = min(degree(r) for r, _ in form)
+        lowest.append(_keyed([(r, c) for r, c in form if degree(r) == low], pack))
     final = _reduce_basis(lowest, pack)
     return GroebnerBasis(ring, pack, final, {"basis_size": len(final)})
 
@@ -293,7 +305,7 @@ def lowest_degree_forms_ideal(ideal: Ideal) -> GroebnerBasis:
     It is returned as its reduced grevlex basis.  Both basis computations
     run under the enclosing `time_budget` scope.
     """
-    return _tangent_cone(buchberger(ideal, "grevlex"))
+    return _tangent_cone(buchberger(ideal, "grevlex"), ideal.grading)
 
 
 # ----------------------------------------------------------------------
@@ -371,15 +383,17 @@ class HilbertData:
 def hilbert_data(v: Permutation, w: Permutation) -> HilbertData:
     """Tangent-cone Hilbert data of the chart of X_w attached to v.
 
-    Minor generation, the grevlex basis and the cone basis run under the
-    enclosing `time_budget` scope.  The computed (dim, height, n_vars) must
-    equal `chart_shape(v, w)`, else RuntimeError.
+    The grevlex basis gives the homogeneity flag and, for a homogeneous
+    chart, the cone; otherwise the cone comes from the graded grevlex_t
+    basis in the chart ring.  Minor generation, the grevlex basis and the
+    cone basis run under the enclosing `time_budget` scope.  The computed
+    (dim, height, n_vars) must equal `chart_shape(v, w)`, else RuntimeError.
     """
     chart_ideal = kl_generators(v, w)
     check_budget("minor generation")
     basis = buchberger(chart_ideal, "grevlex")
     n_vars = chart_ideal.ring.nvars
-    cone = _tangent_cone(basis)
+    cone = _tangent_cone(basis, chart_ideal.grading)
     check_budget("tangent cone")
     K = hilbert_numerator(cone.leading_exponents(), n_vars)
     if K.is_zero():

@@ -71,11 +71,14 @@ class Ideal:
 
     Each generator is a tuple of packed (raw, coeff) terms with integer
     coefficients, in no particular order; `generators` unpacks them into
-    MultiPolys on first use.
+    MultiPolys on first use.  `grading` is None, or one weight >= 1 per
+    variable in which every generator is homogeneous; a chart ideal has the
+    weights of its torus (`_DetTable`).
     """
 
     ring: PolyRing
     terms: tuple[tuple[tuple[int, int], ...], ...]
+    grading: tuple[int, ...] | None = None
 
     @classmethod
     def from_polys(cls, ring: PolyRing, polys) -> "Ideal":
@@ -117,6 +120,10 @@ class _DetTable:
     in (i, j) order.  A minor is the signed sum of its placements, written
     out by `_place`; `minors` keeps each packed minor for the life of the
     table.
+
+    Scaling display row r by s^r and column j by s^-v(j) fixes every 1 and
+    scales z_i_j by s^(r - v(j)), so each minor is homogeneous in the
+    weights `grading`, r - v(j) >= 1 as the free cells lie below the 1s.
     """
 
     def __init__(self, v: Permutation):
@@ -124,6 +131,7 @@ class _DetTable:
         free = sorted((n - r + 1, j) for (r, j) in diagram(v))
         self.v = v
         self.ring = PolyRing(tuple(var_name(i, j) for (i, j) in free))
+        self.grading = tuple(n - i + 1 - v(j) for (i, j) in free)
         self.keyof = order_pack(len(free)).keyof
         self.entry = [[None] * n for _ in range(n)]
         for j, r in enumerate(v.word):
@@ -202,7 +210,8 @@ def kl_generators(v: Permutation, w: Permutation) -> Ideal:
     compared and then charted without rebuilding either."""
     require_bruhat(v, w)
     conditions = [(i, j, sw_rank(w, i, j)) for (i, j) in sorted(essential_set(w))]
-    return Ideal(_chart_table(v).ring, _minors_for_conditions(v, conditions))
+    table = _chart_table(v)
+    return Ideal(table.ring, _minors_for_conditions(v, conditions), table.grading)
 
 
 # The parameters t of the factors 1 + t E_{i+1,i} of `not_a_cone`: one

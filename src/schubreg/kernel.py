@@ -11,13 +11,20 @@ grevlex key:  [total degree][0xFFFF - e_last] ... [0xFFFF - e_first]
 grevlex_t:    [total degree][e_t][grevlex fields of the remaining variables]
               (variable 0 is the homogenization variable; higher t wins ties,
               which makes dehomogenized leading terms pick lowest forms).
+graded grevlex_t, for positive variable weights (a grading) h:
+              [h(m)][h(m) - |m|][grevlex fields of every variable], the
+              grevlex_t key of t^(h(m) - |m|) * m with t implicit; h > 0
+              makes it a global order on the ring itself.
 
 Divisibility and lcm of raws use carry-free field tricks, which requires all
 exponents to stay below 2^14; assert_exponent guards that.  The degree of a
 raw is one multiplication, the sum of all fields landing in field n-1, which
 is exact while the total degree stays below 2^16; pack and key_from_exps
-reject a total degree of MAX_EXP or more.  Both orders are graded, so lcms
-and the terms met during reduction then stay below 2^15.
+reject a total degree of MAX_EXP or more.  Under a grading, degree_of_raw
+and key_degree give h, exact while the largest weight times the total
+degree stays below 2^16, which key_from_exps guards the same way.  Every
+order is graded, so lcms and the terms met during reduction then stay
+below 2^15.
 
 Terms travel as (key, raw, coeff) triples sorted by descending key.  A
 `Reducers` table holds the divisors a normal form may use, each as
@@ -52,24 +59,37 @@ def assert_exponent(e: int) -> None:
 
 
 class OrderPack:
-    """Order-aware packing for a fixed number of variables."""
+    """Order-aware packing for a fixed number of variables; a grevlex_t pack
+    with a grading (one weight >= 1 per variable) keeps t implicit."""
 
-    __slots__ = ("nvars", "kind", "hmask", "corr", "deg_shift", "_ones", "_sum_shift")
+    __slots__ = (
+        "nvars", "kind", "grading", "hmask", "corr", "deg_shift", "_ones", "_weights",
+        "_sum_shift",
+    )
 
-    def __init__(self, nvars: int, kind: str = "grevlex"):
+    def __init__(self, nvars: int, kind: str = "grevlex", grading=None):
         if kind not in KINDS:
             raise ValueError("unknown order kind %r" % kind)
-        # grevlex_t compares its own fields only, not the t field
-        compared = nvars - 1 if kind == "grevlex_t" else nvars
+        if grading is not None and (
+            kind != "grevlex_t" or len(grading) != nvars or min(grading, default=1) < 1
+        ):
+            raise ValueError("a grading is one weight >= 1 per variable, for grevlex_t")
+        # an explicit grevlex_t compares its own fields only, not the t field
+        compared = nvars - 1 if kind == "grevlex_t" and grading is None else nvars
         if compared < 0:
             raise ValueError("too few variables for %s" % kind)
         self.nvars = nvars
         self.kind = kind
+        self.grading = grading
         self.hmask = sum(0x8000 << (SHIFT * k) for k in range(nvars))
-        self.deg_shift = SHIFT * nvars
+        self.deg_shift = SHIFT * (nvars + (grading is not None))
         self.corr = sum(FIELD << (SHIFT * k) for k in range(compared))
-        # raw * _ones sums every field into field nvars - 1
+        # raw * _ones sums every field into field nvars - 1, raw * _weights
+        # the weighted fields
         self._ones = sum(1 << (SHIFT * k) for k in range(nvars))
+        self._weights = sum(
+            a << (SHIFT * (nvars - 1 - k)) for k, a in enumerate(grading or [1] * nvars)
+        )
         self._sum_shift = SHIFT * max(nvars - 1, 0)
 
     def pack(self, exps) -> int:
@@ -85,7 +105,8 @@ class OrderPack:
         return tuple((raw >> (SHIFT * k)) & FIELD for k in range(self.nvars))
 
     def degree_of_raw(self, raw: int) -> int:
-        return ((raw * self._ones) >> self._sum_shift) & FIELD
+        """The degree of raw: total, or h under a grading."""
+        return ((raw * self._weights) >> self._sum_shift) & FIELD
 
     def key_from_exps(self, exps) -> int:
         exps = tuple(exps)
@@ -95,6 +116,12 @@ class OrderPack:
             assert_exponent(e)
         _assert_total_degree(sum(exps))
         n = self.nvars
+        if self.grading is not None:
+            _assert_total_degree(max(self.grading, default=1) * sum(exps))
+            h = sum(a * e for a, e in zip(self.grading, exps))
+            # the key of t^(h - |m|) * m under an explicit grevlex_t
+            exps = (h - sum(exps),) + exps
+            n += 1
         key = sum(exps) << self.deg_shift
         if self.kind == "grevlex":
             # Reversed comparison: the last variable sits in the top field,
@@ -112,17 +139,21 @@ class OrderPack:
     def keyof(self, raw: int) -> int:
         """key_from_exps(unpack(raw)) without unpacking: corr - raw
         complements every compared field at once."""
-        key = self.degree_of_raw(raw) << self.deg_shift
+        h = self.degree_of_raw(raw)
+        key = h << self.deg_shift
         if self.kind == "grevlex":
             return key | (self.corr - raw)
-        return key | (raw & FIELD) << self._sum_shift | (self.corr - (raw >> SHIFT))
+        if self.grading is None:
+            return key | (raw & FIELD) << self._sum_shift | (self.corr - (raw >> SHIFT))
+        total = ((raw * self._ones) >> self._sum_shift) & FIELD
+        return key | (h - total) << (self._sum_shift + SHIFT) | (self.corr - raw)
 
     def key_degree(self, key: int) -> int:
-        """Total degree of the monomial with this key."""
+        """Degree of the monomial with this key: total, or h under a grading."""
         return key >> self.deg_shift
 
 
-# one shared pack per (nvars, kind)
+# one shared pack per (nvars, kind, grading)
 order_pack = lru_cache(maxsize=None)(OrderPack)
 
 

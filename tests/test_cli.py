@@ -18,6 +18,8 @@ import schubreg.gb
 import schubreg.reg
 import schubreg.shapes
 from schubreg.cli import entry
+from schubreg.ideal import Ideal
+from schubreg.kernel import SHIFT
 from schubreg.perm import Permutation
 from schubreg.poly import UniPoly
 from schubreg.reg import regularity
@@ -191,6 +193,18 @@ def _essential_set_of_two_crossed_boxes(monkeypatch):
     monkeypatch.setattr(schubreg.shapes, "essential_set", lambda w: frozenset({(2, 3), (3, 2)}))
 
 
+def _chart_generator_off_its_grading(monkeypatch):
+    # x^2 - x for the chart's last variable x is homogeneous in no grading
+    real = schubreg.gb.kl_generators
+
+    def skewed(v, w):
+        chart = real(v, w)
+        x = 1 << SHIFT * (chart.ring.nvars - 1)
+        return Ideal(chart.ring, chart.terms + (((2 * x, 1), (x, -1)),), chart.grading)
+
+    monkeypatch.setattr(schubreg.gb, "kl_generators", skewed)
+
+
 @pytest.mark.parametrize(
     "patch, argv, compute, message",
     [
@@ -229,6 +243,12 @@ def _essential_set_of_two_crossed_boxes(monkeypatch):
             ["--w", "1324"],
             lambda w: schubreg.shapes.companion_permutation(E4, w),
             "the ranks imposed by (1234, 1324) are not a permutation's",
+        ),
+        (
+            _chart_generator_off_its_grading,
+            ["--w", "3412"],
+            lambda w: regularity(E4, w),
+            "a generator is not homogeneous in the ideal's grading",
         ),
     ],
 )
@@ -674,3 +694,10 @@ def test_version_flag_uses_argparse_exit(capsys):
         entry(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("schubreg ")
+
+
+def test_verify_checks_the_inverse_chart_of_a_tail_pair_in_budget():
+    # its own chart's cone stage took 441 s through an explicit t
+    code, text = run(["verify", "--v", "1234567", "--w", "6741523", "--budget-ms", "5000"])
+    assert code == 0
+    assert "check inverse-chart pass" in text.splitlines()

@@ -604,7 +604,7 @@ def test_buchberger_path_is_pinned(monkeypatch):
 
     monkeypatch.setattr(gb, "buchberger", recording_buchberger)
     hilbert_data(Permutation((1, 2, 3, 4, 5, 6)), Permutation((6, 4, 5, 1, 2, 3)))
-    assert stats == {"grevlex": (9, 9, 10), "grevlex_t": (997, 793, 214)}
+    assert stats == {"grevlex": (9, 9, 10), "grevlex_t": (0, 0, 4)}
 
 
 def test_hilbert_data_small_pairs():

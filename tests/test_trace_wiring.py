@@ -54,9 +54,9 @@ GOLDEN_COUNTS = {
     "gb.buchberger.grevlex.pairs": 35,
     "gb.buchberger.grevlex.zero_reductions": 35,
     "gb.buchberger.grevlex.basis_size": 19,
-    "gb.buchberger.grevlex_t.pairs": 51,
-    "gb.buchberger.grevlex_t.zero_reductions": 48,
-    "gb.buchberger.grevlex_t.basis_size": 22,
+    "gb.buchberger.grevlex_t.pairs": 5,
+    "gb.buchberger.grevlex_t.zero_reductions": 5,
+    "gb.buchberger.grevlex_t.basis_size": 12,
     "gb.hilbert_numerator.monomials": 12,
 }
 
