@@ -2,17 +2,18 @@
 
 Exit codes separate operational failures from mathematical ones: 0 success,
 1 usage or resource errors (an input too large for Python's recursion limit
-among them), 2 the two regularity routes disagreed, 3 a
-falsifiable conjecture check failed, 4 an internal invariant failed (a bug in
-the pipeline, never a property of the input).  A CI wrapper can therefore
-tell a bug from a discovery.  Every failure prints one `error:` line on
-stderr.
+and a closed standard output among them), 2 the two regularity routes
+disagreed, 3 a falsifiable conjecture check failed, 4 an internal invariant
+failed (a bug in the pipeline, never a property of the input).  A CI wrapper
+can therefore tell a bug from a discovery.  Every failure prints one
+`error:` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from ._version import __version__
@@ -342,7 +343,14 @@ def entry(argv=None, out=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, out)
+        out.flush()  # a write to a closed pipe may first fail here
+        return code
+    except BrokenPipeError:
+        # keep the interpreter's own exit flush of stdout quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return 1
     except (_UsageError, ValueError, ResourceBudgetExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

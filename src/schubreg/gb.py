@@ -6,13 +6,13 @@ implicit (`kernel.OrderPack`).
 
 The Buchberger loop uses the normal selection strategy keyed by sugar degree
 (a heap of pairs), the product and chain criteria in Gebauer-Moeller form,
-and fraction-free integer arithmetic.  Divisors are found through one
+and fraction-free integer arithmetic.  Divisors are found by a scan of one
 `kernel.Reducers` table per computation, whose positions are the basis
-indices: it serves the normal forms and the Gebauer-Moeller test, because
-lcm(j, t) divides lcm(i, t) exactly when lm_j does.  Reduced bases normalize
-every element to content 1 with a positive leading coefficient and sort by
-ascending leading monomial, so a basis is a canonical artifact of (ideal,
-order).
+indices: the table serves the normal forms and the Gebauer-Moeller test,
+because lcm(j, t) divides lcm(i, t) exactly when lm_j does.  Reduced bases
+normalize every element to content 1 with a positive leading coefficient
+and sort by ascending leading monomial, so a basis is a canonical artifact
+of (ideal, order).
 
 Tangent cones come from a t-heavy basis whose lowest forms are a grevlex
 basis of the cone.  The homogenization route: a Groebner basis under a

@@ -28,9 +28,9 @@ below 2^15.
 
 Terms travel as (key, raw, coeff) triples sorted by descending key.  A
 `Reducers` table holds the divisors a normal form may use, each as
-(lm_key, lm_raw, lm_coeff, tail), and finds the one for a term through an
-index on the variables its leading monomial uses (a support filter, after the
-short exponent vectors of Bachmann-Schoenemann 1998) rather than by a scan.
+(lm_key, lm_raw, lm_coeff, tail), and finds the one for a term by scanning
+them with the fieldwise divisibility test; chart bases are small enough that
+a scan beats an index on the variables.
 Coefficients are integers; reduction is fraction-free, scaling the work
 polynomial by the smallest integer that cancels each leading term.  A
 normal form strips the content of its remainder once, at the end.
@@ -174,11 +174,6 @@ def raw_lcm(a: int, b: int, hmask: int) -> int:
     return (a & full) | (b & ~full)
 
 
-# the index splits the variables into blocks of this many fields
-_BLOCK_FIELDS = 4
-_BLOCK_MASK = sum(0x8000 << (SHIFT * k) for k in range(_BLOCK_FIELDS))
-
-
 def implementation_name() -> str:
     """The kernel's name, recorded in scan caches and benchmark runs."""
     return "python"
@@ -200,100 +195,43 @@ def content_normalize(terms):
     return [(k, r, c // g) for (k, r, c) in terms]
 
 
-@lru_cache(maxsize=None)
-def _index_layout(hmask):
-    """(shift, lacking) for each block of fields of a `Reducers` index.
-
-    `lacking` maps each pattern of the block to the patterns that miss one
-    of its variables, that is, the table entries a leading monomial with
-    that pattern is entered in.
-    """
-    layout = []
-    nfields = hmask.bit_length() // SHIFT
-    for first in range(0, nfields, _BLOCK_FIELDS):
-        patterns = [0]
-        for k in range(min(_BLOCK_FIELDS, nfields - first)):
-            patterns += [p | (0x8000 << (SHIFT * k)) for p in patterns]
-        lacking = {
-            need: tuple(p for p in patterns if need & ~p) for need in patterns
-        }
-        layout.append((SHIFT * first, lacking))
-    return tuple(layout)
-
-
 class Reducers:
-    """Reducer term lists indexed by the variables of their leading monomials.
+    """Reducer term lists, each stored as (lm_key, lm_raw, lm_coeff, tail).
 
-    Each reducer is stored as (lm_key, lm_raw, lm_coeff, tail) and keeps the
-    position it was inserted at, so a caller's own numbering survives.  The
-    variables fall into blocks of four 16-bit fields.  A monomial's pattern
-    has the top bit of every field whose exponent is nonzero.  For each
-    block, `_tables` maps every pattern of the block to the bitset of
-    reducers whose leading monomial uses a variable of the block that the
-    pattern lacks; those reducers cannot divide a term with that pattern.
-    One lookup per block therefore leaves a few candidates, and only they
-    get the fieldwise divisibility test.
+    A reducer keeps the position it was inserted at, so a caller's own
+    numbering survives.  Lookups scan `entries` in that order.
     """
 
-    __slots__ = ("hmask", "entries", "_ones", "_all", "_layout", "_tables")
+    __slots__ = ("hmask", "entries")
 
     def __init__(self, hmask, term_lists=()):
         self.hmask = hmask
         self.entries = []
-        self._ones = hmask >> (SHIFT - 1)
-        self._all = 0
-        self._layout = _index_layout(hmask)
-        self._tables = [
-            (shift, dict.fromkeys(lacking, 0)) for shift, lacking in self._layout
-        ]
         for terms in term_lists:
             self.insert(terms)
 
     def insert(self, terms):
         """Append a reducer; its position is the number inserted before it."""
-        lm_raw = terms[0][1]
-        bit = 1 << len(self.entries)
-        self.entries.append((terms[0][0], lm_raw, terms[0][2], tuple(terms[1:])))
-        self._all |= bit
-        used = ((lm_raw | self.hmask) - self._ones) & self.hmask
-        for (shift, lacking), (_, table) in zip(self._layout, self._tables):
-            for pattern in lacking[(used >> shift) & _BLOCK_MASK]:
-                table[pattern] |= bit
-
-    def _candidates(self, r_high):
-        """Bitset of reducers whose leading variables all occur in the term."""
-        have = (r_high - self._ones) & self.hmask
-        ruled_out = 0
-        for shift, table in self._tables:
-            ruled_out |= table[(have >> shift) & _BLOCK_MASK]
-        return self._all ^ ruled_out
+        self.entries.append((terms[0][0], terms[0][1], terms[0][2], tuple(terms[1:])))
 
     def find(self, r):
-        """The reducer of smallest leading key that divides raw r, or None."""
+        """The reducer of smallest leading key that divides raw r, the first
+        inserted on a tie, or None."""
         hmask = self.hmask
         r_high = r | hmask
-        cand = self._candidates(r_high)
-        entries = self.entries
         best = None
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            red = entries[low.bit_length() - 1]
+        for red in self.entries:
             if (r_high - red[1]) & hmask == hmask and (best is None or red[0] < best[0]):
                 best = red
         return best
 
     def divisors(self, r):
-        """Positions of all reducers whose leading monomial divides raw r."""
+        """Positions, ascending, of the reducers whose leading monomial
+        divides raw r."""
         hmask = self.hmask
         r_high = r | hmask
-        cand = self._candidates(r_high)
-        entries = self.entries
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            pos = low.bit_length() - 1
-            if (r_high - entries[pos][1]) & hmask == hmask:
+        for pos, red in enumerate(self.entries):
+            if (r_high - red[1]) & hmask == hmask:
                 yield pos
 
 

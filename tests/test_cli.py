@@ -9,6 +9,9 @@ backend and confirming the wiring.
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -23,6 +26,7 @@ from schubreg.kernel import SHIFT
 from schubreg.perm import Permutation
 from schubreg.poly import UniPoly
 from schubreg.reg import regularity
+from test_package import ROOT, child_env
 
 GOLDEN = ("1423576", "7314562")
 
@@ -678,6 +682,36 @@ def test_entry_defaults_to_stdout(capsys):
     code = entry(["groth", "--u", "21"])
     assert code == 0
     assert "degree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--v", "12345", "--w", "34512", "--ps-order", "200000"],
+        ["scan", "--n", "4"],
+    ],
+)
+def test_a_closed_stdout_is_one_error_line(argv):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "schubreg.cli", *argv],
+            cwd=ROOT,
+            env=child_env(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
 
 
 def test_every_export_resolves():

@@ -587,7 +587,20 @@ def test_chart_pipeline_builds_no_multipoly(monkeypatch):
     assert len(data.kl_ideal.generators) == len(data.kl_ideal) and built
 
 
-def test_buchberger_path_is_pinned(monkeypatch):
+@pytest.mark.parametrize(
+    "v, w, graded, expected",
+    [
+        ("123456", "645123", True, {"grevlex": (9, 9, 10), "grevlex_t": (0, 0, 4)}),
+        # the explicit-t (Lazard) route, taken by an ideal without a grading
+        ("1423576", "7314562", False, {"grevlex": (35, 35, 19), "grevlex_t": (51, 48, 22)}),
+        pytest.param(
+            "123456", "645123", False, {"grevlex": (9, 9, 10), "grevlex_t": (997, 793, 214)},
+            marks=pytest.mark.slow,
+        ),
+    ],
+    ids=["graded", "explicit_t_golden", "explicit_t_645123"],
+)
+def test_buchberger_path_is_pinned(monkeypatch, v, w, graded, expected):
     # the pair order and the criteria fix the path the algorithm takes, so
     # its counts, not only its answer, must not move
     import schubreg.gb as gb
@@ -603,8 +616,12 @@ def test_buchberger_path_is_pinned(monkeypatch):
         return basis
 
     monkeypatch.setattr(gb, "buchberger", recording_buchberger)
-    hilbert_data(Permutation((1, 2, 3, 4, 5, 6)), Permutation((6, 4, 5, 1, 2, 3)))
-    assert stats == {"grevlex": (9, 9, 10), "grevlex_t": (0, 0, 4)}
+    v, w = Permutation.from_string(v), Permutation.from_string(w)
+    if graded:
+        hilbert_data(v, w)
+    else:
+        gb._tangent_cone(gb.buchberger(kl_generators(v, w), "grevlex"))
+    assert stats == expected
 
 
 def test_hilbert_data_small_pairs():
