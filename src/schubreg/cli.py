@@ -268,10 +268,11 @@ def _check_inverse_chart(v: Permutation, w: Permutation, report):
     H and flag memos, and compare both H and the first chart's homogeneity
     with the report's.
 
-    The report may have read H off either chart, and the two chart ideals
-    differ, so this checks the Groebner pipeline against the symmetry; its
-    flag may come from an exact test, not from a basis.  A mismatch is an
-    internal invariant failure.
+    The report may have read H off the pair's pattern (`reg._pattern`) or
+    off the inverse chart, and its flag off the pattern or an exact test,
+    not from the pair's basis.  The chart ideals differ, so this checks the
+    Groebner pipeline against the symmetry and the removable-1 lemma.  A
+    mismatch is an internal invariant failure.
     """
     own = hilbert_data(v, w)
     if own.homogeneous != report.homogeneous_ideal:

@@ -177,6 +177,31 @@ def _orbit(v: Permutation, w: Permutation):
     return [(v, w), *zip(_images(v), _images(w))]
 
 
+# A position p with v(p) = w(p) = a and as many h < p with v(h) > a as with
+# w(h) > a, say k, is a removable common 1 (Woo-Yong 2008).  Each free
+# variable in row a or column p is, up to sign, a (k+1)-minor of a corner
+# where R_w = k, so it lies in the chart ideal (Fulton 1992), and the ideal
+# is those variables plus the pattern's ideal relabelled: H and the
+# homogeneity flag are the pattern's.  The rule commutes with iota and tau.
+
+
+def _pattern(v: Permutation, w: Permutation):
+    """(v, w) with every removable common 1 deleted and the rest flattened;
+    v = w gives the point (1, 1)."""
+    x, y = v.word, w.word
+    keep = [
+        p for p, (a, b) in enumerate(zip(x, y))
+        if a != b or sum(c > a for c in x[:p]) != sum(c > a for c in y[:p])
+    ]
+    if len(keep) == v.n:
+        return v, w
+    if not keep:
+        point = Permutation.identity(1)
+        return point, point
+    rank = {a: r for r, a in enumerate(sorted(x[p] for p in keep), 1)}
+    return Permutation(tuple(rank[x[p]] for p in keep)), Permutation(tuple(rank[y[p]] for p in keep))
+
+
 # ----------------------------------------------------------------------
 # The chart memos
 #
@@ -193,13 +218,17 @@ _HOMOGENEOUS: dict = {}
 
 
 def _homogeneous(v: Permutation, w: Permutation) -> bool:
-    """Whether the chart ideal of (v, w) is homogeneous, decided on a miss by
-    the first exact test that answers: the generators
-    (`Ideal.homogeneous_by_generators`) give True, `not_a_cone` gives False,
-    else the pair's own `hilbert_data` decides."""
+    """Whether the chart ideal of (v, w) is homogeneous.  On a miss a pair
+    with a removable common 1 reads its pattern's flag (`_pattern`); any
+    other pair is decided by the first exact test that answers: the
+    generators (`Ideal.homogeneous_by_generators`) give True, `not_a_cone`
+    gives False, else the pair's own `hilbert_data` decides."""
     flag = _HOMOGENEOUS.get((v, w))
     if flag is None:
-        if kl_generators(v, w).homogeneous_by_generators():
+        pattern = _pattern(v, w)
+        if pattern != (v, w):
+            flag = _homogeneous(*pattern)
+        elif kl_generators(v, w).homogeneous_by_generators():
             flag = True
         elif not_a_cone(v, w):
             flag = False
@@ -212,21 +241,26 @@ def _homogeneous(v: Permutation, w: Permutation) -> bool:
 def _groebner_h(v: Permutation, w: Permutation) -> UniPoly:
     """The Groebner H_{v,w}, with one tangent cone computed per orbit.
 
-    On a miss the cone is computed on the pair when its chart ideal is
-    homogeneous, else on its inverse when that ideal is homogeneous or has
-    fewer generators, else on the pair, and H is stored for the whole orbit.
-    The work runs under the enclosing `time_budget` scope; an overrun stores
-    no H, though a flag already decided is kept.  A stored H is
-    returned without consulting the budget.
+    On a miss a pair with a removable common 1 reads its pattern's H
+    (`_pattern`).  Any other pair computes the cone on itself when its
+    chart ideal is homogeneous, else on its inverse when that ideal is
+    homogeneous or has fewer generators, else on itself.  H is stored for
+    the pair's whole orbit.  The work runs under the enclosing
+    `time_budget` scope; an overrun stores no H, though a flag already
+    decided is kept.  A stored H is returned without consulting the budget.
     """
     H = _H.get((v, w))
     if H is None:
-        source = (v, w)
-        if not _homogeneous(v, w):
-            inverse = (v.inverse(), w.inverse())
-            if _homogeneous(*inverse) or len(kl_generators(*inverse)) < len(kl_generators(v, w)):
-                source = inverse
-        H = hilbert_data(*source).H
+        pattern = _pattern(v, w)
+        if pattern != (v, w):
+            H = _groebner_h(*pattern)
+        else:
+            source = (v, w)
+            if not _homogeneous(v, w):
+                inverse = (v.inverse(), w.inverse())
+                if _homogeneous(*inverse) or len(kl_generators(*inverse)) < len(kl_generators(v, w)):
+                    source = inverse
+            H = hilbert_data(*source).H
         for pair in _orbit(v, w):
             _H[pair] = H
     return H

@@ -298,23 +298,43 @@ def test_exit_4_when_the_inverse_chart_disagrees(monkeypatch, capsys):
 
 
 def test_exit_4_when_the_homogeneity_flag_disagrees(monkeypatch, capsys):
-    # the chart of (241653, 642513) is homogeneous but its generators do not
-    # show it, so the flag consults the certificate, which here lies
-    v, w = Permutation.from_string("241653"), Permutation.from_string("642513")
+    # the chart of (143526, 462513) is homogeneous but its generators do not
+    # show it and it has no removable 1, so the flag consults the
+    # certificate, which here lies
+    v, w = Permutation.from_string("143526"), Permutation.from_string("462513")
     real = schubreg.reg.not_a_cone
     monkeypatch.setattr(schubreg.reg, "not_a_cone", lambda a, b: (a, b) == (v, w) or real(a, b))
-    code, text = run(["verify", "--v", "241653", "--w", "642513"])
+    code, text = run(["verify", "--v", "143526", "--w", "462513"])
     err = capsys.readouterr().err
     assert code == 4 and text == ""
     assert err == (
-        "error: internal invariant failed: the chart (241653, 642513) has homogeneous = True,"
+        "error: internal invariant failed: the chart (143526, 462513) has homogeneous = True,"
         " the report says False\n"
     )
     # the honest certificate leaves the flag to the pair's basis
     monkeypatch.undo()
     schubreg.reg._HOMOGENEOUS.clear()
-    assert run(["verify", "--v", "241653", "--w", "642513"])[0] == 0
+    assert run(["verify", "--v", "143526", "--w", "462513"])[0] == 0
     assert schubreg.reg._HOMOGENEOUS[(v, w)] is True
+
+
+def test_exit_4_when_the_pattern_is_wrong(monkeypatch, capsys):
+    # (12345, 14523) reads H and the flag off its pattern (1234, 3412); a
+    # pattern that deleted every position instead gives the point's
+    v, w = Permutation.from_string("12345"), Permutation.from_string("14523")
+    point = Permutation.identity(1)
+    real = schubreg.reg._pattern
+    assert real(v, w) == (Permutation.identity(4), Permutation.from_string("3412"))
+    monkeypatch.setattr(
+        schubreg.reg, "_pattern", lambda a, b: (point, point) if (a, b) == (v, w) else real(a, b)
+    )
+    code, text = run(["verify", "--v", "12345", "--w", "14523"])
+    err = capsys.readouterr().err
+    assert code == 4 and text == ""
+    assert err == (
+        "error: internal invariant failed: the chart (12345, 14523) has homogeneous = False,"
+        " the report says True\n"
+    )
 
 
 def test_exit_4_when_the_report_shape_disagrees(monkeypatch, capsys):

@@ -318,8 +318,9 @@ def test_a_cold_s5_scan_expands_each_minor_once(monkeypatch):
     # starts a build
     monkeypatch.setattr(ideal, "_place", counting)
     max_reg_scan(5)
-    assert len(_MINORS) == 91
-    assert len(builds) == sum(len(table.minors) for table in _MINORS.values()) == 925
+    # a pair with a removable common 1 charts only its pattern
+    assert len(_MINORS) == 51
+    assert len(builds) == sum(len(table.minors) for table in _MINORS.values()) == 359
     # a repeated pair reads every minor off the memo
     first = kl_generators(GOLDEN_V, GOLDEN_W)
     builds.clear()
@@ -352,7 +353,7 @@ def test_every_memoised_s5_minor_is_its_leibniz_determinant():
         for (rows, cols), poly in table.minors.items():
             assert poly == leibniz_minor(table, rows, cols), (table.v, rows, cols)
             checked += 1
-    assert checked == 925
+    assert checked == 359
 
 
 def generator_digest(pairs):

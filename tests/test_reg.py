@@ -676,7 +676,9 @@ def test_an_s4_sweep_computes_no_chart_of_a_covexillary_w(monkeypatch):
     counting(reg, "kl_generators")
     counting(gb, "kl_generators")
     result = max_reg_scan(4, checks="all")
-    assert charted and not any(is_covexillary(w) for w in charted)
+    # a non-covexillary pair may chart its pattern, a smaller pair whose w
+    # can be covexillary, but no scanned pair with a covexillary w is charted
+    assert charted and not any(w.n == 4 and is_covexillary(w) for w in charted)
     for name in ("h-nonneg", "deg-bound", "h-semicontinuity"):
         assert Counter(r.conjectures[name] for r in result.records) == {"pass": 213}, name
 
@@ -706,8 +708,10 @@ def test_a_cone_stage_overrun_stores_no_h_but_keeps_the_flag(monkeypatch):
     import schubreg.gb as gb
     import schubreg.reg as reg
 
-    # (1234, 1423) is not homogeneous; its cone comes from the inverse
+    # (1234, 1423) is not homogeneous and reads H and the flag off its
+    # pattern (123, 312), whose cone comes from the inverse (123, 231)
     v, w = Permutation.identity(4), Permutation.from_string("1423")
+    pattern = (Permutation.identity(3), Permutation.from_string("312"))
     compute = reg.hilbert_data
     calls = []
 
@@ -720,9 +724,10 @@ def test_a_cone_stage_overrun_stores_no_h_but_keeps_the_flag(monkeypatch):
     monkeypatch.setattr(reg, "hilbert_data", overrun_once)
     with pytest.raises(ResourceBudgetExceeded):
         regularity(v, w, method="groebner")
-    assert not reg._H and reg._HOMOGENEOUS[(v, w)] is False
+    assert calls == [(Permutation.identity(3), Permutation.from_string("231"))]
+    assert not reg._H and reg._HOMOGENEOUS[pattern] is False
     report = regularity(v, w, method="groebner")
-    assert len(calls) == 2
+    assert len(calls) == 2 and reg._HOMOGENEOUS[(v, w)] is False
     cold_flag = gb.hilbert_data(v, w).homogeneous
     assert (report.H, report.homogeneous_ideal) == (compute(v, w).H, cold_flag)
 
@@ -740,8 +745,10 @@ def test_s5_scan_flags_and_h_match_each_pair_computed_afresh():
 
 
 def test_a_cold_s5_scan_builds_a_grevlex_basis_only_for_a_cone(monkeypatch):
-    # exact tests decide every homogeneity flag of S5, so each of the 235
-    # grevlex bases feeds a cone (432 when every flag read a basis)
+    # a pair with a removable common 1 reads its pattern, and exact tests
+    # decide every other homogeneity flag of S5, so each of the 117 grevlex
+    # bases feeds a cone (235 when every pair charted itself, 432 when every
+    # flag read a basis)
     import schubreg.gb as gb
 
     kinds = Counter()
@@ -753,16 +760,17 @@ def test_a_cold_s5_scan_builds_a_grevlex_basis_only_for_a_cone(monkeypatch):
 
     monkeypatch.setattr(gb, "buchberger", counting_buchberger)
     max_reg_scan(5)
-    assert kinds == {"grevlex": 235, "grevlex_t": 79}
+    assert kinds == {"grevlex": 117, "grevlex_t": 62}
 
 
 def test_a_flag_no_exact_test_decides_is_read_off_the_pairs_own_hilbert_data(monkeypatch):
-    # the chart of (241653, 642513) is homogeneous, but its generators do not
-    # show it and the certificate does not apply
+    # the chart of (143526, 462513) is homogeneous, but its generators do not
+    # show it, the certificate does not apply and it has no removable 1
     import schubreg.reg as reg
 
-    v, w = Permutation.from_string("241653"), Permutation.from_string("642513")
+    v, w = Permutation.from_string("143526"), Permutation.from_string("462513")
     assert not kl_generators(v, w).homogeneous_by_generators() and not not_a_cone(v, w)
+    assert reg._pattern(v, w) == (v, w)
     compute = reg.hilbert_data
     calls = []
 
@@ -778,7 +786,9 @@ def test_a_flag_no_exact_test_decides_is_read_off_the_pairs_own_hilbert_data(mon
 @pytest.mark.parametrize("first", ["1342", "1423"])
 def test_an_orbit_computes_one_cone_and_each_flag_from_its_own_basis(monkeypatch, first):
     # (1234, 1342) and (1234, 1423) are each other's inverse: one H for
-    # both, but only the first chart ideal is homogeneous
+    # both, but only the first chart ideal is homogeneous.  They read both
+    # off their patterns (123, 231) and (123, 312), again each other's
+    # inverse, and the one cone is that of (123, 231)
     import schubreg.reg as reg
 
     compute = reg.hilbert_data
@@ -794,7 +804,7 @@ def test_an_orbit_computes_one_cone_and_each_flag_from_its_own_basis(monkeypatch
     reports = {
         w: regularity(e, Permutation.from_string(w), method="groebner") for w in order
     }
-    assert calls == [(e, Permutation.from_string("1342"))]
+    assert calls == [(Permutation.identity(3), Permutation.from_string("231"))]
     assert reports["1342"].homogeneous_ideal is True
     assert reports["1423"].homogeneous_ideal is False
     assert reports["1342"].H == reports["1423"].H
