@@ -101,12 +101,6 @@ def check_budget(what: str):
         raise ResourceBudgetExceeded("%s ran past the time budget" % what)
 
 
-def _keyed(terms, pack: OrderPack):
-    """Kernel term list of packed (raw, coeff) terms under the pack's order."""
-    keyof = pack.keyof
-    return kernel.content_normalize(sorted(((keyof(r), r, c) for r, c in terms), reverse=True))
-
-
 def _buchberger_terms(kgens, pack: OrderPack):
     """Core loop over kernel term lists; returns (reduced term lists, stats)."""
     basis = []  # term lists
@@ -219,7 +213,7 @@ class GroebnerBasis:
         """Canonical remainder (content-free, positive leading coefficient)."""
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
-        terms = _keyed(pack_poly(f), self.order)
+        terms = kernel.keyed(pack_poly(f), self.order)
         reduced = kernel.normal_form(terms, self._reducers)
         return unpack_poly(self.ring, [(r, c) for _, r, c in reduced])
 
@@ -253,7 +247,7 @@ def buchberger(ideal: Ideal, order: str = "grevlex") -> GroebnerBasis:
     is not homogeneous in it raises RuntimeError."""
     grading = ideal.grading if order == "grevlex_t" else None
     pack = order_pack(ideal.ring.nvars, order, grading)
-    kgens = [_keyed(g, pack) for g in ideal.terms]
+    kgens = [kernel.keyed(g, pack) for g in ideal.terms]
     degree = pack.key_degree
     if grading is not None and any(degree(g[0][0]) != degree(g[-1][0]) for g in kgens if g):
         raise RuntimeError("a generator is not homogeneous in the ideal's grading")
@@ -294,7 +288,7 @@ def _tangent_cone(basis: GroebnerBasis, grading=None) -> GroebnerBasis:
     for terms in buchberger(source, "grevlex_t")._terms:
         form = [(r >> shift, c) for _, r, c in terms]
         low = min(degree(r) for r, _ in form)
-        lowest.append(_keyed([(r, c) for r, c in form if degree(r) == low], pack))
+        lowest.append(kernel.keyed([(r, c) for r, c in form if degree(r) == low], pack))
     final = _reduce_basis(lowest, pack)
     return GroebnerBasis(ring, pack, final, {"basis_size": len(final)})
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .kernel import SHIFT, content_normalize, divides, order_pack
+from .kernel import SHIFT, divides, keyed, order_pack
 from .perm import Permutation, diagram, essential_set, require_bruhat, sw_rank
 from .poly import MultiPoly, PolyRing
 
@@ -132,7 +132,7 @@ class _DetTable:
         self.v = v
         self.ring = PolyRing(tuple(var_name(i, j) for (i, j) in free))
         self.grading = tuple(n - i + 1 - v(j) for (i, j) in free)
-        self.keyof = order_pack(len(free)).keyof
+        self.pack = order_pack(len(free))
         self.entry = [[None] * n for _ in range(n)]
         for j, r in enumerate(v.word):
             self.entry[r - 1][j] = 0
@@ -148,9 +148,7 @@ class _DetTable:
         if poly is None:
             det: dict = {}
             _place([[self.entry[r - 1][c - 1] for c in cols] for r in rows], 0, 0, 0, 1, det)
-            keyof = self.keyof
-            terms = sorted(((keyof(r), r, c) for r, c in det.items()), reverse=True)
-            poly = self.minors[key] = tuple((r, c) for _, r, c in content_normalize(terms))
+            poly = self.minors[key] = tuple((r, c) for _, r, c in keyed(det.items(), self.pack))
         return poly
 
 

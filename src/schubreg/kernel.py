@@ -6,15 +6,17 @@ realizes the order; keys are multiplicative up to an additive constant
 (`OrderPack.corr`), so the key of t * m / d is key(t) + key(m) - key(d),
 one integer operation with the constant cancelled.
 
-raw layout:   variable k occupies bits [16k, 16k+16).
-grevlex key:  [total degree][0xFFFF - e_last] ... [0xFFFF - e_first]
-grevlex_t:    [total degree][e_t][grevlex fields of the remaining variables]
-              (variable 0 is the homogenization variable; higher t wins ties,
-              which makes dehomogenized leading terms pick lowest forms).
-graded grevlex_t, for positive variable weights (a grading) h:
-              [h(m)][h(m) - |m|][grevlex fields of every variable], the
-              grevlex_t key of t^(h(m) - |m|) * m with t implicit; h > 0
-              makes it a global order on the ring itself.
+raw layout:  variable k occupies bits [16k, 16k+16).
+key:         (a.e) << 16(n+1) | (b.e) << 16n | (corr - raw) for the
+             exponents e of n variables, where corr - raw complements every
+             field, so that a smaller last exponent wins.  a is the grading
+             (all ones without one) and b = a - 1, except that b.e is the
+             power of t (variable 0) for an explicit grevlex_t: there higher
+             t wins ties of total degree, which makes dehomogenized leading
+             terms pick lowest forms, and t's own field never decides.
+             grevlex is the unit grading.  Under a grading h >= 1 the key is
+             the explicit grevlex_t key of t^(h(m) - |m|) * m with its t
+             field dropped, a global order on the ring itself.
 
 Divisibility and lcm of raws use carry-free field tricks, which requires all
 exponents to stay below 2^14; assert_exponent guards that.  The degree of a
@@ -63,8 +65,8 @@ class OrderPack:
     with a grading (one weight >= 1 per variable) keeps t implicit."""
 
     __slots__ = (
-        "nvars", "kind", "grading", "hmask", "corr", "deg_shift", "_ones", "_weights",
-        "_sum_shift",
+        "nvars", "kind", "grading", "hmask", "corr", "deg_shift", "_weights", "_da", "_db",
+        "_sum_shift", "_mid_shift",
     )
 
     def __init__(self, nvars: int, kind: str = "grevlex", grading=None):
@@ -74,21 +76,23 @@ class OrderPack:
             kind != "grevlex_t" or len(grading) != nvars or min(grading, default=1) < 1
         ):
             raise ValueError("a grading is one weight >= 1 per variable, for grevlex_t")
-        # an explicit grevlex_t compares its own fields only, not the t field
-        compared = nvars - 1 if kind == "grevlex_t" and grading is None else nvars
-        if compared < 0:
+        explicit_t = kind == "grevlex_t" and grading is None
+        if explicit_t and not nvars:
             raise ValueError("too few variables for %s" % kind)
         self.nvars = nvars
         self.kind = kind
         self.grading = grading
         self.hmask = sum(0x8000 << (SHIFT * k) for k in range(nvars))
-        self.deg_shift = SHIFT * (nvars + (grading is not None))
-        self.corr = sum(FIELD << (SHIFT * k) for k in range(compared))
-        # raw * _ones sums every field into field nvars - 1, raw * _weights
-        # the weighted fields
-        self._ones = sum(1 << (SHIFT * k) for k in range(nvars))
-        self._weights = sum(
-            a << (SHIFT * (nvars - 1 - k)) for k, a in enumerate(grading or [1] * nvars)
+        self.corr = sum(FIELD << (SHIFT * k) for k in range(nvars))
+        self._mid_shift = SHIFT * nvars
+        self.deg_shift = self._mid_shift + SHIFT
+        a = grading or (1,) * nvars
+        b = (1,) + (0,) * (nvars - 1) if explicit_t else tuple(x - 1 for x in a)
+        self._weights = (a, b)
+        # raw * _da sums the fields, each times its weight in a, into field
+        # nvars - 1, and raw * _db those in b
+        self._da, self._db = (
+            sum(x << (SHIFT * (nvars - 1 - k)) for k, x in enumerate(w)) for w in (a, b)
         )
         self._sum_shift = SHIFT * max(nvars - 1, 0)
 
@@ -106,7 +110,7 @@ class OrderPack:
 
     def degree_of_raw(self, raw: int) -> int:
         """The degree of raw: total, or h under a grading."""
-        return ((raw * self._weights) >> self._sum_shift) & FIELD
+        return ((raw * self._da) >> self._sum_shift) & FIELD
 
     def key_from_exps(self, exps) -> int:
         exps = tuple(exps)
@@ -114,39 +118,18 @@ class OrderPack:
             raise ValueError("expected %d exponents" % self.nvars)
         for e in exps:
             assert_exponent(e)
-        _assert_total_degree(sum(exps))
-        n = self.nvars
-        if self.grading is not None:
-            _assert_total_degree(max(self.grading, default=1) * sum(exps))
-            h = sum(a * e for a, e in zip(self.grading, exps))
-            # the key of t^(h - |m|) * m under an explicit grevlex_t
-            exps = (h - sum(exps),) + exps
-            n += 1
-        key = sum(exps) << self.deg_shift
-        if self.kind == "grevlex":
-            # Reversed comparison: the last variable sits in the top field,
-            # complemented so that a smaller trailing exponent wins.
-            for k, e in enumerate(exps):
-                key |= (FIELD - e) << (SHIFT * k)
-            return key
-        # grevlex_t: variable 0 dominates after total degree, the rest are
-        # compared by grevlex among themselves.
-        key |= exps[0] << (SHIFT * (n - 1))
-        for k in range(1, n):
-            key |= (FIELD - exps[k]) << (SHIFT * (k - 1))
+        a, b = self._weights
+        _assert_total_degree(max(a, default=1) * sum(exps))
+        key = 0
+        for k, (e, x, y) in enumerate(zip(exps, a, b)):
+            key += (x * e << SHIFT | y * e) << self._mid_shift | (FIELD - e) << (SHIFT * k)
         return key
 
     def keyof(self, raw: int) -> int:
-        """key_from_exps(unpack(raw)) without unpacking: corr - raw
-        complements every compared field at once."""
-        h = self.degree_of_raw(raw)
-        key = h << self.deg_shift
-        if self.kind == "grevlex":
-            return key | (self.corr - raw)
-        if self.grading is None:
-            return key | (raw & FIELD) << self._sum_shift | (self.corr - (raw >> SHIFT))
-        total = ((raw * self._ones) >> self._sum_shift) & FIELD
-        return key | (h - total) << (self._sum_shift + SHIFT) | (self.corr - raw)
+        """key_from_exps(unpack(raw)) without unpacking."""
+        s = self._sum_shift
+        ab = (raw * self._da >> s & FIELD) << SHIFT | (raw * self._db >> s & FIELD)
+        return ab << self._mid_shift | (self.corr - raw)
 
     def key_degree(self, key: int) -> int:
         """Degree of the monomial with this key: total, or h under a grading."""
@@ -177,6 +160,12 @@ def raw_lcm(a: int, b: int, hmask: int) -> int:
 def implementation_name() -> str:
     """The kernel's name, recorded in scan caches and benchmark runs."""
     return "python"
+
+
+def keyed(terms, pack: OrderPack):
+    """Kernel term list of packed (raw, coeff) terms under the pack's order."""
+    keyof = pack.keyof
+    return content_normalize(sorted(((keyof(r), r, c) for r, c in terms), reverse=True))
 
 
 def content_normalize(terms):

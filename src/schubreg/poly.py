@@ -19,6 +19,24 @@ from math import comb, inf
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _power(name: str, p: int) -> str:
+    """The text of name^p; "" for p = 0."""
+    return "" if not p else name if p == 1 else "%s^%d" % (name, p)
+
+
+def _signed_sum(terms) -> str:
+    """The text of a sum of (coefficient, monomial text) terms, "" naming
+    the monomial 1: each term as |c|*monomial, joined by + or -, with a
+    sign in front of the first only when it is negative; "0" for none."""
+    chunks = []
+    for c, body in terms:
+        mag = abs(c)
+        piece = str(mag) if not body else body if mag == 1 else "%s*%s" % (mag, body)
+        sign = ("+ " if c > 0 else "- ") if chunks else ("" if c > 0 else "-")
+        chunks.append(sign + piece)
+    return " ".join(chunks) or "0"
+
+
 class PolyRing:
     """An ordered tuple of variable names."""
 
@@ -82,30 +100,11 @@ class MultiPoly:
         )
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         names = self.ring.names
-        chunks = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for k, power in enumerate(e):
-                if power == 1:
-                    factors.append(names[k])
-                elif power > 1:
-                    factors.append("%s^%d" % (names[k], power))
-            body = "*".join(factors)
-            mag = abs(c)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = "%s*%s" % (mag, body)
-            if not chunks:
-                chunks.append(piece if c > 0 else "-" + piece)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + piece)
-        return " ".join(chunks)
+        return _signed_sum(
+            (c, "*".join(_power(names[k], p) for k, p in enumerate(e) if p))
+            for e, c in self.sorted_terms()
+        )
 
     def __repr__(self):
         return "MultiPoly(%s)" % self
@@ -312,24 +311,7 @@ class UniPoly:
         return out
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            elif k == 1:
-                body = "q" if mag == 1 else "%d*q" % mag
-            else:
-                body = "q^%d" % k if mag == 1 else "%d*q^%d" % (mag, k)
-            if not chunks:
-                chunks.append(body if c > 0 else "-" + body)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(chunks)
+        return _signed_sum((c, _power("q", k)) for k, c in enumerate(self.coeffs) if c)
 
     def __repr__(self):
         return "UniPoly(%s)" % self

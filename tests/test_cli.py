@@ -593,6 +593,20 @@ def test_groth_json_on_non_vexillary_input():
     )
 
 
+def test_groth_poly_json_is_pinned():
+    pinned = {
+        "1342": '{"degree": 3, "formula_degree": 3, "length": 2, "min_degree": 2, "n": 4,'
+        ' "poly": "-2*x_1*x_2*x_3 + x_1*x_2 + x_1*x_3 + x_2*x_3",'
+        ' "spec_1mq_coeffs": [1, 0, -3, 2], "u": "1342", "vexillary": true}',
+        "1432": '{"degree": 5, "formula_degree": 5, "length": 3, "min_degree": 3, "n": 4,'
+        ' "poly": "x_1^2*x_2^2*x_3 - x_1^2*x_2^2 - 2*x_1^2*x_2*x_3 - 2*x_1*x_2^2*x_3'
+        ' + x_1^2*x_2 + x_1^2*x_3 + x_1*x_2^2 + x_1*x_2*x_3 + x_2^2*x_3",'
+        ' "spec_1mq_coeffs": [1, 0, -5, 5, 0, -1], "u": "1432", "vexillary": true}',
+    }
+    for u, line in pinned.items():
+        assert run(["groth", "--u", u, "--poly", "--json"]) == (0, line + "\n"), u
+
+
 def test_verify_lists_every_check():
     code, text = run(["verify", "--v", GOLDEN[0], "--w", GOLDEN[1]])
     assert code == 0
@@ -648,6 +662,35 @@ def test_export_m2_writes_a_deterministic_script(tmp_path, capsys):
     code, _ = run(["export-m2", "--v", "123", "--w", "321", "-o", str(tmp_path / "no" / "x.m2")])
     assert code == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_export_m2_script_is_pinned(tmp_path):
+    path = tmp_path / "3412.m2"
+    assert run(["export-m2", "--v", "1234", "--w", "3412", "-o", str(path)]) == (
+        0,
+        "wrote %s (18 lines)\n" % path,
+    )
+    assert path.read_text() == "\n".join([
+        "-- schubreg %s cross-check script" % schubreg.__version__,
+        "-- chart pair: v=1234 w=3412",
+        "-- expected: dim 4, codim 2 in 6 variables",
+        "R = QQ[z_(1,1), z_(1,2), z_(1,3), z_(2,1), z_(2,2), z_(3,1)];",
+        "I = ideal(",
+        "  z_(1,3)*z_(2,2)*z_(3,1) - z_(1,2)*z_(3,1) - z_(1,3)*z_(2,1) + z_(1,1),",
+        "  z_(1,1)",
+        ");",
+        "C = tangentCone I;",
+        "hs = hilbertSeries(comodule C, Reduce => true);",
+        'print("n_vars=" | toString numgens R);',
+        'print("dim=" | toString dim C);',
+        'print("codim=" | toString codim C);',
+        'print("multiplicity=" | toString degree C);',
+        'print("h_polynomial=" | toString numerator hs);',
+        "F = res comodule C;",
+        'print("betti=" | toString betti F);',
+        'print("reg=" | toString regularity comodule C);',
+        "",
+    ])
 
 
 def test_exit_2_when_routes_disagree(monkeypatch, capsys):

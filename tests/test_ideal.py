@@ -337,7 +337,7 @@ def leibniz_minor(table, rows, cols):
         if None not in cells:
             inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
             det[sum(cells)] += (-1) ** inversions
-    terms = sorted(((table.keyof(r), r, c) for r, c in det.items() if c), reverse=True)
+    terms = sorted(((table.pack.keyof(r), r, c) for r, c in det.items() if c), reverse=True)
     if not terms:
         return ()
     unit = gcd(*(c for _, _, c in terms)) * (1 if terms[0][2] > 0 else -1)

@@ -26,6 +26,14 @@ def tuple_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def three_packs(r, nvars):
+    """grevlex, explicit grevlex_t (given a variable for t) and grevlex_t
+    under a random grading, on nvars variables."""
+    graded = OrderPack(nvars, "grevlex_t", tuple(r.randint(1, 5) for _ in range(nvars)))
+    explicit = [OrderPack(nvars, "grevlex_t")] if nvars else []
+    return [OrderPack(nvars)] + explicit + [graded]
+
+
 def test_pack_unpack_round_trip():
     r = rng(301)
     for _ in range(200):
@@ -79,11 +87,9 @@ def test_zero_variable_pack_is_all_zero():
 def test_key_is_multiplicative_up_to_corr():
     # key(m1*m2) = key(m1) + key(m2) - corr, the backbone of the reducers
     r = rng(304)
-    for kind in ("grevlex", "grevlex_t"):
-        for _ in range(100):
-            nvars = r.randint(2, 5)
-            pack = OrderPack(nvars, kind)
-            a, b = random_exps(r, nvars, 5), random_exps(r, nvars, 5)
+    for _ in range(100):
+        for pack in three_packs(r, r.randint(2, 5)):
+            a, b = random_exps(r, pack.nvars, 5), random_exps(r, pack.nvars, 5)
             prod = tuple(x + y for x, y in zip(a, b))
             assert (
                 pack.key_from_exps(prod)
@@ -106,8 +112,7 @@ def test_divides_and_lcm_match_tuple_oracle():
 
 def test_keyof_matches_key_from_exps():
     r = rng(306)
-    for kind in ("grevlex", "grevlex_t"):
-        pack = OrderPack(4, kind)
+    for pack in three_packs(r, 4):
         for _ in range(50):
             e = random_exps(r, 4)
             assert pack.keyof(pack.pack(e)) == pack.key_from_exps(e)
@@ -115,19 +120,22 @@ def test_keyof_matches_key_from_exps():
 
 def test_keyof_and_degree_match_unpacked_reference():
     r = rng(310)
-    for kind in ("grevlex", "grevlex_t"):
-        for nvars in range(1 if kind == "grevlex_t" else 0, 24):
-            pack = OrderPack(nvars, kind)
-            samples = [random_exps(r, nvars, r.choice((3, 300))) for _ in range(40)]
+    for nvars in range(24):
+        for pack in three_packs(r, nvars):
+            weights = pack.grading or (1,) * nvars
+            # a weighted degree below MAX_EXP
+            limit = (MAX_EXP - 1) // max(weights, default=1)
+            spread = limit // max(nvars, 1)
+            samples = [random_exps(r, nvars, min(r.choice((3, 300)), spread)) for _ in range(40)]
             if nvars:
-                # every field at once near the total-degree limit
+                # every field at once near the degree limit
                 top = [0] * nvars
-                top[r.randrange(nvars)] = MAX_EXP - 1
-                samples += [tuple(top), tuple([(MAX_EXP - 1) // nvars] * nvars)]
+                top[r.randrange(nvars)] = limit
+                samples += [tuple(top), (spread,) * nvars]
             for e in samples:
                 raw = pack.pack(e)
                 assert pack.keyof(raw) == pack.key_from_exps(pack.unpack(raw))
-                assert pack.degree_of_raw(raw) == sum(e)
+                assert pack.degree_of_raw(raw) == sum(a * x for a, x in zip(weights, e))
 
 
 def test_total_degree_guard():

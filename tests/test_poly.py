@@ -33,6 +33,41 @@ def test_parse_and_str_round_trip():
         R.parse("x1 +* x2")
 
 
+def test_multipoly_prints_a_signed_sum_by_degree_first():
+    R = small_ring(3)
+    cases = {
+        "x2 - 5 - 2*x1^2*x3": "-2*x1^2*x3 + x2 - 5",
+        "1 - x3 + 3*x1*x2^2 - x1^3": "-x1^3 + 3*x1*x2^2 - x3 + 1",
+        "x1 + 4*x2^5*x3": "4*x2^5*x3 + x1",
+        "x1*x2 - 1": "x1*x2 - 1",
+        "1": "1",
+        "-1": "-1",
+        "-7": "-7",
+        "x1 - x1": "0",
+    }
+    for text, printed in cases.items():
+        f = R.parse(text)
+        assert (str(f), repr(f)) == (printed, "MultiPoly(%s)" % printed), text
+    assert str(MultiPoly(R, {})) == "0"
+
+
+def test_unipoly_prints_a_signed_sum_by_ascending_power():
+    cases = {
+        (1,): "1",
+        (-1,): "-1",
+        (): "0",
+        (0, 4): "4*q",
+        (0, -1, 2): "-q + 2*q^2",
+        (0, 0, -1): "-q^2",
+        (-3, 0, 0, 5): "-3 + 5*q^3",
+        (2, 1, -1): "2 + q - q^2",
+        (5, -2, 3, -1): "5 - 2*q + 3*q^2 - q^3",
+    }
+    for coeffs, printed in cases.items():
+        p = UniPoly(coeffs)
+        assert (str(p), repr(p)) == (printed, "UniPoly(%s)" % printed), coeffs
+
+
 def test_parse_poly_respects_ring():
     R = PolyRing(("z_1_1", "z_2_1"))
     f = parse_poly("z_1_1*z_2_1 - 2", R)

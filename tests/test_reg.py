@@ -504,6 +504,35 @@ def test_linear_family_reaches_2n_minus_10_at_the_identity():
         assert data.H.coeffs == data.H.coeffs[::-1], n
 
 
+def second_linear_family(n):
+    """G_n = (n-1) n 3 4 ... (n-2) 1 2."""
+    return Permutation((n - 1, n) + tuple(range(3, n - 1)) + (1, 2))
+
+
+def test_second_linear_family_reaches_2n_minus_9_at_the_identity():
+    # one above F_n, outside the covexillary case: deg H, which is reg
+    # wherever the cone is Cohen-Macaulay
+    for n in range(6, 10):
+        e, w = Permutation.identity(n), second_linear_family(n)
+        assert not is_covexillary(w), n
+        assert chart_shape(e, w)[1] == comb(n - 4, 2) + 2, n
+        H = hilbert_data(e, w).H
+        assert H.degree() == 2 * n - 9, n
+        assert H.coeffs == H.coeffs[::-1], n
+
+
+def test_the_s7_maximum_of_deg_h_is_5_at_four_pairs():
+    # the largest deg H on S7, one above the covexillary maximum of 4; that
+    # it is the regularity needs each cone to be Cohen-Macaulay
+    w = Permutation.from_string("6734512")
+    assert w == second_linear_family(7)
+    for v, dim in (("1234567", 16), ("1324567", 15), ("1234657", 15), ("1324657", 14)):
+        rec = scan_record(Permutation.from_string(v), w, budget_ms=10000)
+        assert rec.error is None and (rec.reg, rec.dim) == (5, dim), v
+        assert rec.h_coeffs == [1, 4, 9, 9, 4, 1], v
+        assert (rec.homogeneous_ideal, rec.cm_status) == (False, "conjectural"), v
+
+
 def test_scan_pairs_order_and_restriction():
     pairs = scan_pairs(3)
     assert len(pairs) == 19
