@@ -38,7 +38,7 @@ whenever the ideal is not homogeneous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
 from .kernel import SHIFT, divides, keyed, order_pack
@@ -200,12 +200,10 @@ def _minors_for_conditions(v: Permutation, conditions) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=4)
 def kl_generators(v: Permutation, w: Permutation) -> Ideal:
     """Rank-condition generators for the chart of X_w attached to v <= w,
-    imposed at the southwest corners of the essential set of w.  The last
-    four results are kept, so a pair's chart and its inverse's can be
-    compared and then charted without rebuilding either."""
+    imposed at the southwest corners of the essential set of w.  Built
+    afresh on each call; the minors come from the `_MINORS` memo of v."""
     require_bruhat(v, w)
     conditions = [(i, j, sw_rank(w, i, j)) for (i, j) in sorted(essential_set(w))]
     table = _chart_table(v)

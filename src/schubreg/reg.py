@@ -242,12 +242,13 @@ def _groebner_h(v: Permutation, w: Permutation) -> UniPoly:
     """The Groebner H_{v,w}, with one tangent cone computed per orbit.
 
     On a miss a pair with a removable common 1 reads its pattern's H
-    (`_pattern`).  Any other pair computes the cone on itself when its
-    chart ideal is homogeneous, else on its inverse when that ideal is
-    homogeneous or has fewer generators, else on itself.  H is stored for
-    the pair's whole orbit.  The work runs under the enclosing
-    `time_budget` scope; an overrun stores no H, though a flag already
-    decided is kept.  A stored H is returned without consulting the budget.
+    (`_pattern`).  Any other pair charts whichever of itself and its
+    inverse has fewer `kl_generators`, itself on a tie.  H is stored for
+    the whole orbit, and that basis's own `homogeneous` flag for the
+    source's transpose class, which `_homogeneous` then reads.  The work
+    runs under the enclosing `time_budget` scope; an overrun stores
+    neither H nor a flag.  A stored H is returned without consulting the
+    budget.
     """
     H = _H.get((v, w))
     if H is None:
@@ -255,12 +256,11 @@ def _groebner_h(v: Permutation, w: Permutation) -> UniPoly:
         if pattern != (v, w):
             H = _groebner_h(*pattern)
         else:
-            source = (v, w)
-            if not _homogeneous(v, w):
-                inverse = (v.inverse(), w.inverse())
-                if _homogeneous(*inverse) or len(kl_generators(*inverse)) < len(kl_generators(v, w)):
-                    source = inverse
-            H = hilbert_data(*source).H
+            inverse = (v.inverse(), w.inverse())
+            source = inverse if len(kl_generators(*inverse)) < len(kl_generators(v, w)) else (v, w)
+            data = hilbert_data(*source)
+            H = data.H
+            _HOMOGENEOUS[source] = _HOMOGENEOUS[_orbit(*source)[1]] = data.homogeneous
         for pair in _orbit(v, w):
             _H[pair] = H
     return H

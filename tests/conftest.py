@@ -11,8 +11,8 @@ from schubreg.poly import MultiPoly, PolyRing
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Start each test with empty H, flag and companion-H memos, an empty
-    chart-minor memo, no kept chart generators, no KL column and cold
-    tableau-route, R-polynomial and Grothendieck caches.
+    chart-minor memo, no KL column and cold tableau-route, R-polynomial
+    and Grothendieck caches.
 
     Tests assume a cold process, as the CLI has: a budget of 0 or a patched
     hilbert_data must reach the computation, not a chart, H or KL
@@ -22,7 +22,6 @@ def cold_memos():
     reg._HOMOGENEOUS.clear()
     reg._KAPPA_H.clear()
     ideal._MINORS.clear()
-    ideal.kl_generators.cache_clear()
     reg._KL.clear()  # the KL columns
     reg._r_coeffs.cache_clear()  # the R-polynomials of the KL oracle tests
     shapes._COMPANIONS.clear()

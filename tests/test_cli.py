@@ -298,24 +298,32 @@ def test_exit_4_when_the_inverse_chart_disagrees(monkeypatch, capsys):
 
 
 def test_exit_4_when_the_homogeneity_flag_disagrees(monkeypatch, capsys):
-    # the chart of (143526, 462513) is homogeneous but its generators do not
-    # show it and it has no removable 1, so the flag consults the
-    # certificate, which here lies
-    v, w = Permutation.from_string("143526"), Permutation.from_string("462513")
-    real = schubreg.reg.not_a_cone
-    monkeypatch.setattr(schubreg.reg, "not_a_cone", lambda a, b: (a, b) == (v, w) or real(a, b))
-    code, text = run(["verify", "--v", "143526", "--w", "462513"])
+    # the chart of (12435, 35124) is not homogeneous and has no removable 1;
+    # its inverse (12435, 34152) has 8 generators against its 12, so the
+    # cone comes from the inverse and the pair's own flag from an exact
+    # test.  Here the generator test lies
+    v, w = Permutation.from_string("12435"), Permutation.from_string("35124")
+    real = schubreg.reg.kl_generators
+
+    def lying(a, b):
+        ideal = real(a, b)
+        if (a, b) == (v, w):
+            ideal.homogeneous_by_generators = lambda: True
+        return ideal
+
+    monkeypatch.setattr(schubreg.reg, "kl_generators", lying)
+    code, text = run(["verify", "--v", "12435", "--w", "35124"])
     err = capsys.readouterr().err
     assert code == 4 and text == ""
     assert err == (
-        "error: internal invariant failed: the chart (143526, 462513) has homogeneous = True,"
-        " the report says False\n"
+        "error: internal invariant failed: the chart (12435, 35124) has homogeneous = False,"
+        " the report says True\n"
     )
-    # the honest certificate leaves the flag to the pair's basis
+    # the honest tests decide the flag
     monkeypatch.undo()
     schubreg.reg._HOMOGENEOUS.clear()
-    assert run(["verify", "--v", "143526", "--w", "462513"])[0] == 0
-    assert schubreg.reg._HOMOGENEOUS[(v, w)] is True
+    assert run(["verify", "--v", "12435", "--w", "35124"])[0] == 0
+    assert schubreg.reg._HOMOGENEOUS[(v, w)] is False
 
 
 def test_exit_4_when_the_pattern_is_wrong(monkeypatch, capsys):

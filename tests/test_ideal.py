@@ -318,9 +318,10 @@ def test_a_cold_s5_scan_expands_each_minor_once(monkeypatch):
     # starts a build
     monkeypatch.setattr(ideal, "_place", counting)
     max_reg_scan(5)
-    # a pair with a removable common 1 charts only its pattern
-    assert len(_MINORS) == 51
-    assert len(builds) == sum(len(table.minors) for table in _MINORS.values()) == 359
+    # a pair with a removable common 1 charts only its pattern, and each
+    # orbit miss builds its inverse's generators too, for their count
+    assert len(_MINORS) == 54
+    assert len(builds) == sum(len(table.minors) for table in _MINORS.values()) == 390
     # a repeated pair reads every minor off the memo
     first = kl_generators(GOLDEN_V, GOLDEN_W)
     builds.clear()
@@ -353,7 +354,7 @@ def test_every_memoised_s5_minor_is_its_leibniz_determinant():
         for (rows, cols), poly in table.minors.items():
             assert poly == leibniz_minor(table, rows, cols), (table.v, rows, cols)
             checked += 1
-    assert checked == 359
+    assert checked == 390
 
 
 def generator_digest(pairs):

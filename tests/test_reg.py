@@ -723,12 +723,25 @@ def test_budget_error_is_not_memoised():
     assert H is not None and again.H == H and again.reg == int(H.degree())
 
 
-def test_the_slowest_known_chart_takes_its_cone_from_the_inverse():
-    # its own Lazard basis takes minutes; the inverse chart's cone, well
-    # under a second, gives the same H
+def test_the_slowest_known_chart_takes_its_cone_from_the_inverse(monkeypatch):
+    # the inverse chart has 9 generators against the pair's own 26, so it
+    # is the one cone computed; an exact test decides the pair's own flag
+    import schubreg.reg as reg
+
     v, w = Permutation.identity(7), Permutation.from_string("6741523")
+    inverse = (v, Permutation.from_string("4673512"))
+    assert (len(kl_generators(*inverse)), len(kl_generators(v, w))) == (9, 26)
+    compute = reg.hilbert_data
+    calls = []
+
+    def counting_hilbert_data(v, w):
+        calls.append((v, w))
+        return compute(v, w)
+
+    monkeypatch.setattr(reg, "hilbert_data", counting_hilbert_data)
     with time_budget(10_000):
         report = regularity(v, w, method="groebner")
+    assert calls == [inverse]
     assert report.H == UniPoly([1, 2, 2, 1]) and report.groebner_reg == 3
     assert report.homogeneous_ideal is False
 
@@ -738,25 +751,31 @@ def test_a_cone_stage_overrun_stores_no_h_but_keeps_the_flag(monkeypatch):
     import schubreg.reg as reg
 
     # (1234, 1423) is not homogeneous and reads H and the flag off its
-    # pattern (123, 312), whose cone comes from the inverse (123, 231)
+    # pattern (123, 312), which ties its inverse (123, 231) at one generator
+    # and so is its own cone source.  An overrun there stores nothing; a
+    # flag an exact test decided before the overrun is kept
     v, w = Permutation.identity(4), Permutation.from_string("1423")
     pattern = (Permutation.identity(3), Permutation.from_string("312"))
     compute = reg.hilbert_data
     calls = []
 
-    def overrun_once(v, w):
+    def overrun_twice(v, w):
         calls.append((v, w))
-        if len(calls) == 1:
+        if len(calls) <= 2:
             raise ResourceBudgetExceeded("tangent cone ran past the time budget")
         return compute(v, w)
 
-    monkeypatch.setattr(reg, "hilbert_data", overrun_once)
+    monkeypatch.setattr(reg, "hilbert_data", overrun_twice)
     with pytest.raises(ResourceBudgetExceeded):
         regularity(v, w, method="groebner")
-    assert calls == [(Permutation.identity(3), Permutation.from_string("231"))]
+    assert calls == [pattern] and not reg._H and not reg._HOMOGENEOUS
+    assert reg._homogeneous(v, w) is False and len(calls) == 1
+    with pytest.raises(ResourceBudgetExceeded):
+        regularity(v, w, method="groebner")
+    assert calls == [pattern, pattern]
     assert not reg._H and reg._HOMOGENEOUS[pattern] is False
     report = regularity(v, w, method="groebner")
-    assert len(calls) == 2 and reg._HOMOGENEOUS[(v, w)] is False
+    assert len(calls) == 3 and reg._HOMOGENEOUS[(v, w)] is False
     cold_flag = gb.hilbert_data(v, w).homogeneous
     assert (report.H, report.homogeneous_ideal) == (compute(v, w).H, cold_flag)
 
@@ -774,22 +793,41 @@ def test_s5_scan_flags_and_h_match_each_pair_computed_afresh():
 
 
 def test_a_cold_s5_scan_builds_a_grevlex_basis_only_for_a_cone(monkeypatch):
-    # a pair with a removable common 1 reads its pattern, and exact tests
-    # decide every other homogeneity flag of S5, so each of the 117 grevlex
-    # bases feeds a cone (235 when every pair charted itself, 432 when every
-    # flag read a basis)
+    # a pair with a removable common 1 reads its pattern, and each orbit
+    # miss charts the one of the pair and its inverse with fewer generators,
+    # so each of the 117 grevlex bases feeds a cone (235 when every pair
+    # charted itself, 432 when every flag read a basis).  A cone source
+    # takes its flag off that basis, so the exact tests run only on the
+    # other pairs: 84 generator tests and 68 certificates, against 201 and
+    # 136 when the rule read both flags before it picked a source
     import schubreg.gb as gb
+    import schubreg.ideal as ideal
+    import schubreg.reg as reg
 
     kinds = Counter()
+    tests = Counter()
     run = gb.buchberger
+    certify = reg.not_a_cone
+    by_generators = ideal.Ideal.homogeneous_by_generators
 
     def counting_buchberger(ideal, order="grevlex"):
         kinds[order] += 1
         return run(ideal, order)
 
+    def counting_not_a_cone(v, w):
+        tests["not_a_cone"] += 1
+        return certify(v, w)
+
+    def counting_by_generators(self):
+        tests["homogeneous_by_generators"] += 1
+        return by_generators(self)
+
     monkeypatch.setattr(gb, "buchberger", counting_buchberger)
+    monkeypatch.setattr(reg, "not_a_cone", counting_not_a_cone)
+    monkeypatch.setattr(ideal.Ideal, "homogeneous_by_generators", counting_by_generators)
     max_reg_scan(5)
-    assert kinds == {"grevlex": 117, "grevlex_t": 62}
+    assert kinds == {"grevlex": 117, "grevlex_t": 68}
+    assert tests == {"not_a_cone": 68, "homogeneous_by_generators": 84}
 
 
 def test_a_flag_no_exact_test_decides_is_read_off_the_pairs_own_hilbert_data(monkeypatch):
@@ -817,7 +855,8 @@ def test_an_orbit_computes_one_cone_and_each_flag_from_its_own_basis(monkeypatch
     # (1234, 1342) and (1234, 1423) are each other's inverse: one H for
     # both, but only the first chart ideal is homogeneous.  They read both
     # off their patterns (123, 231) and (123, 312), again each other's
-    # inverse, and the one cone is that of (123, 231)
+    # inverse with one generator each, so the one cone is that of the
+    # pattern charted first
     import schubreg.reg as reg
 
     compute = reg.hilbert_data
@@ -833,7 +872,8 @@ def test_an_orbit_computes_one_cone_and_each_flag_from_its_own_basis(monkeypatch
     reports = {
         w: regularity(e, Permutation.from_string(w), method="groebner") for w in order
     }
-    assert calls == [(Permutation.identity(3), Permutation.from_string("231"))]
+    pattern = {"1342": "231", "1423": "312"}[first]
+    assert calls == [(Permutation.identity(3), Permutation.from_string(pattern))]
     assert reports["1342"].homogeneous_ideal is True
     assert reports["1423"].homogeneous_ideal is False
     assert reports["1342"].H == reports["1423"].H
