@@ -269,9 +269,9 @@ def _check_inverse_chart(v: Permutation, w: Permutation, report):
     with the report's.
 
     The report may have read H off the pair's pattern (`reg._pattern`) or
-    off the inverse chart, and its flag off the pattern, an exact test or
-    the basis of the orbit's cone source, which may be the pair's transpose,
-    not from the pair's own basis.  The chart ideals differ, so this checks the
+    off the inverse chart, and its flag off the pattern, the `not_a_cone`
+    certificate or the basis of the orbit's cone source, which may be the
+    pair's transpose.  The chart ideals differ, so this checks the
     Groebner pipeline against the symmetry and the removable-1 lemma.  A
     mismatch is an internal invariant failure.
     """

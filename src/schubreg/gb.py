@@ -66,17 +66,17 @@ _DEADLINE: ContextVar = ContextVar("schubreg_deadline", default=None)
 
 
 def require_budget(budget_ms):
-    """Raise ValueError unless budget_ms is None or nonnegative."""
-    if budget_ms is not None and budget_ms < 0:
+    """Raise ValueError unless budget_ms is None or nonnegative (not NaN)."""
+    if budget_ms is not None and not budget_ms >= 0:
         raise ValueError("a time budget must be nonnegative, got %s ms" % budget_ms)
 
 
 def time_budget(budget_ms):
     """Bound all work inside the scope to budget_ms; None adds no bound.
 
-    A negative budget raises ValueError.  A nested scope keeps the earlier
-    of its own deadline and the enclosing one, and the enclosing deadline is
-    back once the scope is left.  A scope without a bound is a plain
+    A negative or NaN budget raises ValueError.  A nested scope keeps the
+    earlier of its own deadline and the enclosing one, and the enclosing
+    deadline is back once the scope is left.  A scope without a bound is a plain
     `nullcontext`, so a scan pays next to nothing for it on every pair.
     """
     require_budget(budget_ms)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .kernel import SHIFT, divides, keyed, order_pack
+from .kernel import SHIFT, keyed, order_pack
 from .perm import Permutation, diagram, essential_set, require_bruhat, sw_rank
 from .poly import MultiPoly, PolyRing
 
@@ -88,21 +88,6 @@ class Ideal:
     @cached_property
     def generators(self) -> tuple[MultiPoly, ...]:
         return tuple(unpack_poly(self.ring, g) for g in self.terms)
-
-    def homogeneous_by_generators(self) -> bool:
-        """True only if the generators show the ideal homogeneous: each one,
-        less its terms that a monomial generator divides, is homogeneous.
-        Those terms lie in the ideal, so what is left generates it too.
-        False decides nothing."""
-        pack = order_pack(self.ring.nvars)
-        degree, hmask = pack.degree_of_raw, pack.hmask
-        monomials = [g[0][0] for g in self.terms if len(g) == 1]
-        for g in self.terms:
-            if len({degree(r) for r, _ in g}) > 1 and len(
-                {degree(r) for r, _ in g if not any(divides(m, r, hmask) for m in monomials)}
-            ) > 1:
-                return False
-        return True
 
     def __iter__(self):
         return iter(self.generators)

@@ -220,16 +220,14 @@ _HOMOGENEOUS: dict = {}
 def _homogeneous(v: Permutation, w: Permutation) -> bool:
     """Whether the chart ideal of (v, w) is homogeneous.  On a miss a pair
     with a removable common 1 reads its pattern's flag (`_pattern`); any
-    other pair is decided by the first exact test that answers: the
-    generators (`Ideal.homogeneous_by_generators`) give True, `not_a_cone`
-    gives False, else the pair's own `hilbert_data` decides."""
+    other pair gets False from `not_a_cone` when it certifies, else the
+    flag of the pair's own `hilbert_data`.  A cone source's flag is
+    already stored by `_groebner_h`."""
     flag = _HOMOGENEOUS.get((v, w))
     if flag is None:
         pattern = _pattern(v, w)
         if pattern != (v, w):
             flag = _homogeneous(*pattern)
-        elif kl_generators(v, w).homogeneous_by_generators():
-            flag = True
         elif not_a_cone(v, w):
             flag = False
         else:
@@ -598,7 +596,8 @@ class ScanRecord:
         """One cache line as a record, parsed as `json.loads` parses it.
         ValueError on a line that is not one JSON value, a field of the wrong
         JSON type, a non-integer H coefficient, a non-finite elapsed_ms or an
-        unknown verdict; KeyError on a missing field, TypeError on a non-object."""
+        unknown verdict; KeyError on a missing field, TypeError on a non-object,
+        RecursionError on a value nested past the recursion limit."""
         line = line.strip(" \t\n\r")
         data, end = _decode(line)
         if end != len(line):
@@ -674,7 +673,7 @@ def _read_cache(path):
                 continue
             try:
                 record = ScanRecord.from_json_line(line)
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, RecursionError):
                 yield None, None
             else:
                 yield (record.v, record.w), record
@@ -719,7 +718,10 @@ def scan_pairs(n: int, restrict: str = "all"):
     """Bruhat pairs of S_n in scan order: by l(w) - l(v), then w, then v.
 
     The pairs of each w are its lower interval [e, w], walked down by covers.
+    An n below 1 raises ValueError.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1, got %d" % n)
     if restrict not in ("all", "covexillary-only"):
         raise ValueError("restrict must be 'all' or 'covexillary-only'")
     identity = Permutation.identity(n)
@@ -756,8 +758,8 @@ def max_reg_scan(
     unreadable lines dropped).  A budget overrun marks the scan
     partial and the reported max is only a lower bound.  Every pair is
     computed in the calling process; `workers` remains for callers that
-    pass 1, and any other value raises ValueError, as does a negative
-    budget, before the cache is opened.
+    pass 1, and any other value raises ValueError, as do a negative or NaN
+    budget and an n below 1, before the cache is opened.
     """
     if workers != 1:
         raise ValueError("scans run in one process; workers must be 1, got %d" % workers)

@@ -21,7 +21,7 @@ import schubreg.gb
 import schubreg.reg
 import schubreg.shapes
 from schubreg.cli import entry
-from schubreg.ideal import Ideal
+from schubreg.ideal import Ideal, kl_generators
 from schubreg.kernel import SHIFT
 from schubreg.perm import Permutation
 from schubreg.poly import UniPoly
@@ -298,32 +298,28 @@ def test_exit_4_when_the_inverse_chart_disagrees(monkeypatch, capsys):
 
 
 def test_exit_4_when_the_homogeneity_flag_disagrees(monkeypatch, capsys):
-    # the chart of (12435, 35124) is not homogeneous and has no removable 1;
-    # its inverse (12435, 34152) has 8 generators against its 12, so the
-    # cone comes from the inverse and the pair's own flag from an exact
-    # test.  Here the generator test lies
-    v, w = Permutation.from_string("12435"), Permutation.from_string("35124")
-    real = schubreg.reg.kl_generators
-
-    def lying(a, b):
-        ideal = real(a, b)
-        if (a, b) == (v, w):
-            ideal.homogeneous_by_generators = lambda: True
-        return ideal
-
-    monkeypatch.setattr(schubreg.reg, "kl_generators", lying)
-    code, text = run(["verify", "--v", "12435", "--w", "35124"])
+    # the chart of (14325, 45132) is homogeneous and has no removable 1;
+    # its inverse (14325, 35412) has 3 generators against its 5, so the
+    # cone comes from the inverse and the pair's own flag from the
+    # certificate.  Here the certificate lies
+    v, w = Permutation.from_string("14325"), Permutation.from_string("45132")
+    assert (len(kl_generators(v, w)), len(kl_generators(v.inverse(), w.inverse()))) == (5, 3)
+    real = schubreg.reg.not_a_cone
+    monkeypatch.setattr(
+        schubreg.reg, "not_a_cone", lambda a, b: (a, b) == (v, w) or real(a, b)
+    )
+    code, text = run(["verify", "--v", "14325", "--w", "45132"])
     err = capsys.readouterr().err
     assert code == 4 and text == ""
     assert err == (
-        "error: internal invariant failed: the chart (12435, 35124) has homogeneous = False,"
-        " the report says True\n"
+        "error: internal invariant failed: the chart (14325, 45132) has homogeneous = True,"
+        " the report says False\n"
     )
-    # the honest tests decide the flag
+    # the honest certificate leaves the flag to the pair's own basis
     monkeypatch.undo()
     schubreg.reg._HOMOGENEOUS.clear()
-    assert run(["verify", "--v", "12435", "--w", "35124"])[0] == 0
-    assert schubreg.reg._HOMOGENEOUS[(v, w)] is False
+    assert run(["verify", "--v", "14325", "--w", "45132"])[0] == 0
+    assert schubreg.reg._HOMOGENEOUS[(v, w)] is True
 
 
 def test_exit_4_when_the_pattern_is_wrong(monkeypatch, capsys):
@@ -504,6 +500,18 @@ def test_scan_cache_with_undecodable_bytes_is_compacted(tmp_path):
     with open(cache, "ab") as handle:
         handle.write(b"\xff\xfe garbage\n")
     # the line is unreadable: the scan's summary stands and compaction drops it
+    assert run(["scan", "--n", "3", "--cache", str(cache)]) == (0, clean)
+    assert cache.read_bytes() == blob
+
+
+def test_scan_cache_with_a_line_nested_past_the_recursion_limit_is_compacted(tmp_path):
+    cache = tmp_path / "s3.jsonl"
+    code, clean = run(["scan", "--n", "3", "--cache", str(cache)])
+    assert code == 0
+    blob = cache.read_bytes()
+    with open(cache, "a", encoding="utf-8") as handle:
+        handle.write("[" * 100000 + "]" * 100000 + "\n")
+    # the decoder gives up on the line, so it is unreadable like any other
     assert run(["scan", "--n", "3", "--cache", str(cache)]) == (0, clean)
     assert cache.read_bytes() == blob
 

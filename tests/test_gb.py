@@ -25,6 +25,7 @@ from schubreg.gb import (
     hilbert_data,
     hilbert_numerator,
     lowest_degree_forms_ideal,
+    require_budget,
     time_budget,
 )
 from schubreg.ideal import Ideal, kl_generators
@@ -533,6 +534,16 @@ def test_time_budget_rejects_a_negative_budget():
     with pytest.raises(ResourceBudgetExceeded), time_budget(0):
         time.sleep(0.001)
         check_budget("probe")
+
+
+def test_a_nan_budget_is_rejected():
+    import schubreg.gb as gb
+
+    # NaN compares false with everything, so it would bound nothing
+    for check in (require_budget, time_budget):
+        with pytest.raises(ValueError, match="must be nonnegative, got nan ms"):
+            check(float("nan"))
+    assert gb._DEADLINE.get() is None
 
 
 def test_budget_covers_the_whole_chart(monkeypatch):

@@ -320,8 +320,8 @@ def test_a_cold_s5_scan_expands_each_minor_once(monkeypatch):
     max_reg_scan(5)
     # a pair with a removable common 1 charts only its pattern, and each
     # orbit miss builds its inverse's generators too, for their count
-    assert len(_MINORS) == 54
-    assert len(builds) == sum(len(table.minors) for table in _MINORS.values()) == 390
+    assert len(_MINORS) == 52
+    assert len(builds) == sum(len(table.minors) for table in _MINORS.values()) == 368
     # a repeated pair reads every minor off the memo
     first = kl_generators(GOLDEN_V, GOLDEN_W)
     builds.clear()
@@ -354,7 +354,7 @@ def test_every_memoised_s5_minor_is_its_leibniz_determinant():
         for (rows, cols), poly in table.minors.items():
             assert poly == leibniz_minor(table, rows, cols), (table.v, rows, cols)
             checked += 1
-    assert checked == 390
+    assert checked == 368
 
 
 def generator_digest(pairs):
@@ -427,36 +427,29 @@ def test_from_polys_takes_integer_coefficients_only():
             Ideal.from_polys(R, (MultiPoly(R, {(1, 0): c, (0, 1): 1}),))
 
 
-def flag_test_verdicts(n):
-    """Over every non-covexillary pair of S_n, the homogeneous charts (by
-    their grevlex basis), those that `homogeneous_by_generators` shows and
-    the non-homogeneous ones among those; then the non-homogeneous charts,
-    those `not_a_cone` certifies and the homogeneous ones among those."""
+def certificate_verdicts(n):
+    """Over every non-covexillary pair of S_n, the homogeneous and the
+    non-homogeneous charts (by their grevlex basis), those `not_a_cone`
+    certifies and the homogeneous ones among those."""
     e = Permutation.identity(n)
     counts = Counter()
     for w in all_permutations(n):
         if is_covexillary(w):
             continue
         for v in bruhat_interval(e, w):
-            ide = kl_generators(v, w)
-            homogeneous = buchberger(ide).is_homogeneous()
-            shown = ide.homogeneous_by_generators()
+            homogeneous = buchberger(kl_generators(v, w)).is_homogeneous()
             certified = not_a_cone(v, w)
             counts["homogeneous"] += homogeneous
-            counts["shown"] += shown
-            counts["shown, wrongly"] += shown and not homogeneous
             counts["not homogeneous"] += not homogeneous
             counts["certified"] += certified
             counts["certified, wrongly"] += certified and homogeneous
     return counts
 
 
-def test_both_flag_tests_are_sound_and_decide_every_s5_flag():
-    # a wrong True from either test would flip a reported flag
-    assert flag_test_verdicts(5) == {
+def test_the_certificate_is_sound_and_decides_every_non_homogeneous_s5_chart():
+    # a wrong True would flip a reported flag; a missed one costs a basis
+    assert certificate_verdicts(5) == {
         "homogeneous": 422,
-        "shown": 422,
-        "shown, wrongly": 0,
         "not homogeneous": 392,
         "certified": 392,
         "certified, wrongly": 0,
@@ -464,11 +457,9 @@ def test_both_flag_tests_are_sound_and_decide_every_s5_flag():
 
 
 @pytest.mark.slow
-def test_both_flag_tests_are_sound_on_s6_and_leave_22_flags_to_a_basis():
-    assert flag_test_verdicts(6) == {
+def test_the_certificate_is_sound_and_decides_every_non_homogeneous_s6_chart():
+    assert certificate_verdicts(6) == {
         "homogeneous": 16001,
-        "shown": 15979,
-        "shown, wrongly": 0,
         "not homogeneous": 24559,
         "certified": 24559,
         "certified, wrongly": 0,
@@ -476,21 +467,15 @@ def test_both_flag_tests_are_sound_on_s6_and_leave_22_flags_to_a_basis():
 
 
 def test_flag_tests_on_small_charts():
-    # (1324, 1423) has a generator z_1_2*z_2_1 - z_1_1 whose second term
-    # the generator z_1_1 divides; (1234, 3412) is the smallest
-    # non-homogeneous chart
+    # (1234, 3412) is the smallest non-homogeneous chart.  The certificate
+    # decides nothing on a homogeneous chart: not on (1324, 1423), whose
+    # generator z_1_2*z_2_1 - z_1_1 is not homogeneous though z_1_1 is a
+    # generator too, nor on (241653, 642513)
+    v, w = Permutation.identity(4), Permutation.from_string("3412")
+    assert not_a_cone(v, w) and not buchberger(kl_generators(v, w)).is_homogeneous()
     v, w = Permutation.from_string("1324"), Permutation.from_string("1423")
     ide = kl_generators(v, w)
     assert ide.ring.parse("z_1_2*z_2_1 - z_1_1") in ide.generators
-    assert ide.homogeneous_by_generators() and not not_a_cone(v, w)
-    v, w = Permutation.identity(4), Permutation.from_string("3412")
-    assert not kl_generators(v, w).homogeneous_by_generators() and not_a_cone(v, w)
-    # a homogeneous chart that neither test decides
+    assert not not_a_cone(v, w) and buchberger(ide).is_homogeneous()
     v, w = Permutation.from_string("241653"), Permutation.from_string("642513")
-    ide = kl_generators(v, w)
-    assert not ide.homogeneous_by_generators() and not not_a_cone(v, w)
-    assert buchberger(ide).is_homogeneous()
-    # a generating set that shows nothing
-    R = PolyRing(("x", "y"))
-    assert not Ideal.from_polys(R, (R.parse("x^2 - y"),)).homogeneous_by_generators()
-    assert Ideal.from_polys(R, (R.parse("y^2 - x"), R.parse("x"))).homogeneous_by_generators()
+    assert not not_a_cone(v, w) and buchberger(kl_generators(v, w)).is_homogeneous()

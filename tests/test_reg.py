@@ -725,7 +725,7 @@ def test_budget_error_is_not_memoised():
 
 def test_the_slowest_known_chart_takes_its_cone_from_the_inverse(monkeypatch):
     # the inverse chart has 9 generators against the pair's own 26, so it
-    # is the one cone computed; an exact test decides the pair's own flag
+    # is the one cone computed; the certificate decides the pair's own flag
     import schubreg.reg as reg
 
     v, w = Permutation.identity(7), Permutation.from_string("6741523")
@@ -753,7 +753,7 @@ def test_a_cone_stage_overrun_stores_no_h_but_keeps_the_flag(monkeypatch):
     # (1234, 1423) is not homogeneous and reads H and the flag off its
     # pattern (123, 312), which ties its inverse (123, 231) at one generator
     # and so is its own cone source.  An overrun there stores nothing; a
-    # flag an exact test decided before the overrun is kept
+    # flag the certificate decided before the overrun is kept
     v, w = Permutation.identity(4), Permutation.from_string("1423")
     pattern = (Permutation.identity(3), Permutation.from_string("312"))
     compute = reg.hilbert_data
@@ -795,48 +795,41 @@ def test_s5_scan_flags_and_h_match_each_pair_computed_afresh():
 def test_a_cold_s5_scan_builds_a_grevlex_basis_only_for_a_cone(monkeypatch):
     # a pair with a removable common 1 reads its pattern, and each orbit
     # miss charts the one of the pair and its inverse with fewer generators,
-    # so each of the 117 grevlex bases feeds a cone (235 when every pair
-    # charted itself, 432 when every flag read a basis).  A cone source
-    # takes its flag off that basis, so the exact tests run only on the
-    # other pairs: 84 generator tests and 68 certificates, against 201 and
-    # 136 when the rule read both flags before it picked a source
+    # 117 grevlex bases (235 when every pair charted itself).  A cone
+    # source takes its flag off that basis; each other pair runs the
+    # certificate, 84 calls, and the 16 homogeneous pairs among them chart
+    # themselves for their flag: 133 bases, against 432 when every flag
+    # read a basis
     import schubreg.gb as gb
-    import schubreg.ideal as ideal
     import schubreg.reg as reg
 
     kinds = Counter()
-    tests = Counter()
+    calls = Counter()
     run = gb.buchberger
     certify = reg.not_a_cone
-    by_generators = ideal.Ideal.homogeneous_by_generators
 
     def counting_buchberger(ideal, order="grevlex"):
         kinds[order] += 1
         return run(ideal, order)
 
     def counting_not_a_cone(v, w):
-        tests["not_a_cone"] += 1
+        calls["not_a_cone"] += 1
         return certify(v, w)
-
-    def counting_by_generators(self):
-        tests["homogeneous_by_generators"] += 1
-        return by_generators(self)
 
     monkeypatch.setattr(gb, "buchberger", counting_buchberger)
     monkeypatch.setattr(reg, "not_a_cone", counting_not_a_cone)
-    monkeypatch.setattr(ideal.Ideal, "homogeneous_by_generators", counting_by_generators)
     max_reg_scan(5)
-    assert kinds == {"grevlex": 117, "grevlex_t": 68}
-    assert tests == {"not_a_cone": 68, "homogeneous_by_generators": 84}
+    assert kinds == {"grevlex": 133, "grevlex_t": 68}
+    assert calls == {"not_a_cone": 84}
 
 
 def test_a_flag_no_exact_test_decides_is_read_off_the_pairs_own_hilbert_data(monkeypatch):
-    # the chart of (143526, 462513) is homogeneous, but its generators do not
-    # show it, the certificate does not apply and it has no removable 1
+    # the chart of (143526, 462513) is homogeneous, so the certificate does
+    # not apply, and it has no removable 1
     import schubreg.reg as reg
 
     v, w = Permutation.from_string("143526"), Permutation.from_string("462513")
-    assert not kl_generators(v, w).homogeneous_by_generators() and not not_a_cone(v, w)
+    assert not not_a_cone(v, w)
     assert reg._pattern(v, w) == (v, w)
     compute = reg.hilbert_data
     calls = []
@@ -856,7 +849,8 @@ def test_an_orbit_computes_one_cone_and_each_flag_from_its_own_basis(monkeypatch
     # both, but only the first chart ideal is homogeneous.  They read both
     # off their patterns (123, 231) and (123, 312), again each other's
     # inverse with one generator each, so the one cone is that of the
-    # pattern charted first
+    # pattern charted first.  The certificate decides the flag of (123,
+    # 312), but (123, 231) charted second reads its own basis for its flag
     import schubreg.reg as reg
 
     compute = reg.hilbert_data
@@ -872,8 +866,8 @@ def test_an_orbit_computes_one_cone_and_each_flag_from_its_own_basis(monkeypatch
     reports = {
         w: regularity(e, Permutation.from_string(w), method="groebner") for w in order
     }
-    pattern = {"1342": "231", "1423": "312"}[first]
-    assert calls == [(Permutation.identity(3), Permutation.from_string(pattern))]
+    patterns = {"1342": ["231"], "1423": ["312", "231"]}[first]
+    assert calls == [(Permutation.identity(3), Permutation.from_string(p)) for p in patterns]
     assert reports["1342"].homogeneous_ideal is True
     assert reports["1423"].homogeneous_ideal is False
     assert reports["1342"].H == reports["1423"].H
@@ -1236,6 +1230,26 @@ def test_max_reg_scan_rejects_a_negative_budget_before_opening_the_cache(tmp_pat
     with pytest.raises(ValueError, match="must be nonnegative, got -5 ms"):
         max_reg_scan(3, budget_ms=-5, cache_path=str(cache))
     assert not cache.exists()
+
+
+def test_max_reg_scan_rejects_a_nan_budget_before_opening_the_cache(tmp_path):
+    cache = tmp_path / "scan3.jsonl"
+    with pytest.raises(ValueError, match="must be nonnegative, got nan ms"):
+        max_reg_scan(3, budget_ms=float("nan"), cache_path=str(cache))
+    with pytest.raises(ValueError, match="must be nonnegative, got nan ms"):
+        scan_record(Permutation.identity(3), Permutation.from_string("321"), budget_ms=float("nan"))
+    assert not cache.exists()
+
+
+def test_max_reg_scan_rejects_n_below_1_before_opening_the_cache(tmp_path):
+    cache = tmp_path / "scan.jsonl"
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be at least 1, got %d" % n):
+            scan_pairs(n)
+        with pytest.raises(ValueError, match="n must be at least 1, got %d" % n):
+            max_reg_scan(n, cache_path=str(cache))
+    assert not cache.exists()
+    assert scan_pairs(1) == [(Permutation.identity(1), Permutation.identity(1))]
 
 
 def test_max_reg_scan_rejects_workers_other_than_1_before_opening_the_cache(tmp_path):
