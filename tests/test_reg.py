@@ -850,7 +850,8 @@ def test_an_orbit_computes_one_cone_and_each_flag_from_its_own_basis(monkeypatch
     # off their patterns (123, 231) and (123, 312), again each other's
     # inverse with one generator each, so the one cone is that of the
     # pattern charted first.  The certificate decides the flag of (123,
-    # 312), but (123, 231) charted second reads its own basis for its flag
+    # 312); (123, 231), when it is not the cone source, charts itself for
+    # its flag
     import schubreg.reg as reg
 
     compute = reg.hilbert_data
